@@ -85,11 +85,18 @@ class AdgacResult:
 
 
 def noisy_quicksort(items, comparator, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Randomized-pivot quicksort driven by a (possibly asymmetric) comparator.
+    """Randomized-pivot quicksort driven by a batch pivot comparator.
 
-    comparator(a, b) answers +1 when a ranks above b, else -1; each queried
-    pair is presented in uniformly random argument order, so an asymmetric
-    comparator sees either orientation with probability 1/2.  Returns the
+    comparator(idx, pivot, elem_first) answers, for each input index in idx,
+    whether the item ranks below the pivot item; where elem_first holds the
+    pair was asked as (item, pivot), elsewhere as (pivot, item).  Each
+    orientation is a fair coin, so an asymmetric comparator sees either
+    order with probability 1/2.  Oracle.pivot_comparator builds one.
+
+    Each segment draws one rng.integers(lo, hi) for its pivot and then one
+    rng.random(k) for the orientations of its k pairs, which is the same
+    stream as k scalar rng.random() draws.  Lomuto's swaps are replayed on
+    the indices from one comparator call per segment.  Returns the
     permutation (rank -> input index) and the exact comparison count.
     """
     m = len(items)
@@ -103,19 +110,17 @@ def noisy_quicksort(items, comparator, rng: np.random.Generator) -> tuple[np.nda
             continue
         p = int(rng.integers(lo, hi))
         order[p], order[hi - 1] = order[hi - 1], order[p]
-        pivot = items[order[hi - 1]]
-        store = lo
-        for i in range(lo, hi - 1):
-            elem = items[order[i]]
-            if rng.random() < 0.5:
-                below = comparator(elem, pivot) == -1
-            else:
-                below = comparator(pivot, elem) == 1
-            comparisons += 1
-            if below:
-                order[i], order[store] = order[store], order[i]
-                store += 1
-        order[store], order[hi - 1] = order[hi - 1], order[store]
+        below = comparator(order[lo:hi - 1], order[hi - 1], rng.random(hi - lo - 1) < 0.5)
+        comparisons += hi - lo - 1
+        # Lomuto's swaps, replayed on the indices; the pivot sits at seg[-1]
+        seg = order[lo:hi].tolist()
+        store = 0
+        for i in below.nonzero()[0].tolist():
+            seg[i], seg[store] = seg[store], seg[i]
+            store += 1
+        seg[store], seg[-1] = seg[-1], seg[store]
+        order[lo:hi] = seg
+        store += lo
         stack.append((lo, store))
         stack.append((store + 1, hi))
     return order, comparisons
@@ -208,9 +213,9 @@ def adgac(S, n: int, eps: float, delta: float, oracle, rng: np.random.Generator,
     """Label a dataset with comparisons plus a few label batches.
 
     S is the dataset to label (array of instances), n the ambient sample count
-    for the error budget eps * n.  The oracle supplies compare/label calls and
-    owns the counters.  Pass a truth_labeler to populate per-group diagnostics
-    (test mode only; it consumes no oracle queries).
+    for the error budget eps * n.  The oracle supplies pivot_comparator and
+    label calls and owns the counters.  Pass a truth_labeler to populate
+    per-group diagnostics (test mode only; it consumes no oracle queries).
     """
     m = len(S)
     if m == 0:
@@ -220,7 +225,7 @@ def adgac(S, n: int, eps: float, delta: float, oracle, rng: np.random.Generator,
         k = k_tnc(eps, delta, kappa, c3) if kappa > 1.0 else k_adv(eps, delta, c3)
     params = AdgacParams(n=n, m=m, eps=eps, delta=delta, k=k)
 
-    order, comparisons = noisy_quicksort(S, oracle.compare, rng)
+    order, comparisons = noisy_quicksort(S, oracle.pivot_comparator(S), rng)
     groups = partition_groups(order, params, truth_labeler=truth_labeler, items=S)
     t, label_count, votes, probes = group_binary_search(groups, S, oracle.label, k, rng)
 

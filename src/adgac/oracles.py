@@ -9,6 +9,7 @@ counter exactly once, so query complexity can be audited after any experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,9 +56,11 @@ class GroundTruth:
             if abs(np.linalg.norm(w) - 1.0) > 1e-9:
                 raise ValueError("halfspace direction must be a unit vector")
 
-    @property
+    @cached_property
     def w(self) -> np.ndarray:
-        return np.asarray(self.direction, dtype=float)
+        w = np.array(self.direction, dtype=float)
+        w.flags.writeable = False  # one array is shared by every caller
+        return w
 
 
 @dataclass(frozen=True)
@@ -184,12 +187,18 @@ def sample_unlabeled(spec: ScenarioSpec, n: int, rng: np.random.Generator) -> np
 
 
 def score(spec: ScenarioSpec, x) -> np.ndarray | float:
-    """Evaluate the ground-truth score g on one instance or a batch."""
+    """Evaluate the ground-truth score g on one instance or a batch.
+
+    A row of a batch scores bit-for-bit as the same instance alone, so batch
+    and scalar oracle answers agree and equal instances always tie.
+    """
     gt = spec.ground_truth
     if gt.kind == "threshold":
         return np.asarray(x, dtype=float) - gt.threshold
     x = np.asarray(x, dtype=float)
-    return x @ gt.w
+    # not x @ w: BLAS rounds a row of a matrix-vector product differently
+    # from a vector dot, and differently again by the row's position
+    return np.einsum("...j,j->...", x, gt.w)
 
 
 def bayes_label(spec: ScenarioSpec, x) -> np.ndarray | int:
@@ -252,17 +261,30 @@ def query_comparison(spec: ScenarioSpec, x, x_prime, counters: QueryCounters,
     counters.comparisons.  Argument-order randomization is the caller's job.
     """
     counters.comparisons += 1
-    g = float(score(spec, x))
-    gp = float(score(spec, x_prime))
-    z = 1 if g - gp >= 0 else -1
     noise = spec.comparison_noise
+    band = 0.0
     if noise.kind == BAND_ADVERSARIAL:
-        if band_radius is None:
-            band_radius = calibrate_band(spec, noise.nu_prime, "comparison")
-        opposite = (g >= 0) != (gp >= 0)
-        if opposite and abs(g) < band_radius and abs(gp) < band_radius:
-            z = -z
-    return z
+        band = band_radius if band_radius is not None else calibrate_band(
+            spec, noise.nu_prime, "comparison")
+    below = _ranks_below(float(score(spec, x)), float(score(spec, x_prime)), True, band)
+    return -1 if below else 1
+
+
+def _ranks_below(g, g_pivot, elem_first, band: float):
+    """The comparison oracle's rule, seen from a fixed pivot.
+
+    True where the oracle ranks an item scoring g below the pivot scoring
+    g_pivot, asked as (item, pivot) where elem_first holds and as (pivot,
+    item) elsewhere.  The answer to (a, b) is sign(g(a) - g(b)) with ties
+    broken to +1, so a tie ranks whichever was asked first higher.  It is
+    flipped when both scores lie within band of 0 on opposite sides; band 0
+    means no flips.  g and elem_first are scalars or equal-length arrays.
+    """
+    d = g - g_pivot  # g_pivot - g >= 0 exactly when d <= 0
+    below = np.where(elem_first, d < 0, d <= 0)
+    if abs(g_pivot) < band:
+        below ^= (np.abs(g) < band) & ((g >= 0) != (g_pivot >= 0))
+    return below
 
 
 def calibrate_band(spec: ScenarioSpec, target_mass: float, which: str = "label") -> float:
@@ -334,6 +356,24 @@ class Oracle:
     def compare(self, x, x_prime) -> int:
         return query_comparison(self.spec, x, x_prime, self.counters,
                                 band_radius=self._comparison_band or 0.0)
+
+    def pivot_comparator(self, S):
+        """Batch form of compare for sorting the dataset S.
+
+        Scores S once and returns below(idx, pivot, elem_first): for each
+        index i in idx, whether compare(S[i], S[pivot]) answers -1 (where
+        elem_first holds) or compare(S[pivot], S[i]) answers +1 (elsewhere).
+        Each call adds len(idx) to counters.comparisons.
+        """
+        g = score(self.spec, S)
+        band = self._comparison_band or 0.0
+        counters = self.counters
+
+        def below(idx, pivot, elem_first):
+            counters.comparisons += len(idx)
+            return _ranks_below(g[idx], g[pivot], elem_first, band)
+
+        return below
 
     def bayes(self, x):
         return bayes_label(self.spec, x)

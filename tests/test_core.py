@@ -10,30 +10,69 @@ from adgac.core import (AdgacParams, DegenerateGroupingError, adgac,
                         group_binary_search, k_adv, k_tnc, noisy_quicksort,
                         partition_groups)
 from adgac.oracles import (ComparisonNoiseSpec, LabelNoiseSpec, Oracle,
-                           bayes_label, uniform_scenario)
+                           bayes_label, gaussian_scenario, uniform_scenario)
 
 
 def perfect_comparator(a, b):
     return 1 if a - b >= 0 else -1
 
 
+def batch_of(items, compare=perfect_comparator):
+    """Lift a scalar comparator to the batch pivot API, one pair at a time."""
+    def below(idx, pivot, elem_first):
+        return np.array([compare(items[i], items[pivot]) == -1 if first
+                         else compare(items[pivot], items[i]) == 1
+                         for i, first in zip(idx, elem_first)], dtype=bool)
+    return below
+
+
+def scalar_lomuto(items, compare, rng):
+    """Reference sort: one scalar compare and one rng.random() per pair."""
+    m = len(items)
+    order = np.arange(m)
+    comparisons = 0
+    stack = [(0, m)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo <= 1:
+            continue
+        p = int(rng.integers(lo, hi))
+        order[p], order[hi - 1] = order[hi - 1], order[p]
+        pivot = items[order[hi - 1]]
+        store = lo
+        for i in range(lo, hi - 1):
+            elem = items[order[i]]
+            if rng.random() < 0.5:
+                below = compare(elem, pivot) == -1
+            else:
+                below = compare(pivot, elem) == 1
+            comparisons += 1
+            if below:
+                order[i], order[store] = order[store], order[i]
+                store += 1
+        order[store], order[hi - 1] = order[hi - 1], order[store]
+        stack.append((lo, store))
+        stack.append((store + 1, hi))
+    return order, comparisons
+
+
 class TestNoisyQuicksort:
     def test_singleton(self):
-        order, comps = noisy_quicksort(np.array([3.0]), perfect_comparator,
-                                       np.random.default_rng(0))
+        items = np.array([3.0])
+        order, comps = noisy_quicksort(items, batch_of(items), np.random.default_rng(0))
         assert list(order) == [0] and comps == 0
 
     def test_perfect_comparator_sorts(self):
         items = np.array([0.3, 0.1, 0.2])
         for seed in range(20):
-            order, _ = noisy_quicksort(items, perfect_comparator,
+            order, _ = noisy_quicksort(items, batch_of(items),
                                        np.random.default_rng(seed))
             np.testing.assert_allclose(items[order], [0.1, 0.2, 0.3])
 
     def test_output_is_permutation(self):
         rng = np.random.default_rng(1)
         items = rng.random(200)
-        order, comps = noisy_quicksort(items, perfect_comparator, rng)
+        order, comps = noisy_quicksort(items, batch_of(items), rng)
         assert sorted(order) == list(range(200))
         assert comps > 0
 
@@ -43,7 +82,7 @@ class TestNoisyQuicksort:
         items = rng.random(m)
         counts = []
         for seed in range(200):
-            _, comps = noisy_quicksort(items, perfect_comparator,
+            _, comps = noisy_quicksort(items, batch_of(items),
                                        np.random.default_rng(seed))
             counts.append(comps)
         assert np.mean(counts) <= 2.0 * m * math.log(m)
@@ -55,10 +94,40 @@ class TestNoisyQuicksort:
         wins_first = 0
         trials = 400
         for seed in range(trials):
-            order, _ = noisy_quicksort(items, lambda a, b: 1,
+            order, _ = noisy_quicksort(items, batch_of(items, lambda a, b: 1),
                                        np.random.default_rng(seed))
             wins_first += order[0] == 0
         assert abs(wins_first / trials - 0.5) < 0.1
+
+    @pytest.mark.parametrize("world", [
+        "uniform", "uniform-band", "uniform-duplicates", "gaussian-d20-band",
+        "gaussian-d20-duplicates"])
+    def test_matches_scalar_lomuto(self, world):
+        # the batch sort must be the scalar sort: same permutation, same
+        # comparison count, and the same rng stream consumed
+        band = ComparisonNoiseSpec(kind="band-adversarial", nu_prime=0.02)
+        if world.startswith("uniform"):
+            spec = uniform_scenario(0.5, comparison_noise=band if "band" in world else None)
+        else:
+            spec = gaussian_scenario(np.arange(1.0, 21.0), comparison_noise=band)
+        for seed in range(5):
+            runs = []
+            for batch in (False, True):
+                oracle = Oracle(spec, np.random.default_rng(seed))
+                xs = oracle.sample(600)
+                if "duplicates" in world:
+                    # a few distinct values: most pairs tie, so the tie
+                    # rule and both orientations decide the permutation
+                    xs = xs[oracle.rng.integers(0, 12, size=len(xs))]
+                if batch:
+                    order, comps = noisy_quicksort(xs, oracle.pivot_comparator(xs), oracle.rng)
+                else:
+                    order, comps = scalar_lomuto(xs, oracle.compare, oracle.rng)
+                runs.append((order, comps, oracle.counters.comparisons, oracle.rng.random()))
+            (order_s, comps_s, counted_s, next_s), (order_b, comps_b, counted_b, next_b) = runs
+            np.testing.assert_array_equal(order_b, order_s)
+            assert comps_b == comps_s == counted_b == counted_s
+            assert next_b == next_s
 
 
 class TestPartitionGroups:

@@ -1,0 +1,61 @@
+"""Golden battery: fixed-seed CSV rows pinned byte for byte, except wall_ms.
+
+The rows were written before the quicksort took its comparisons in batches,
+by the scalar one-pair-per-call sort.  A refactor that keeps the rng stream,
+the permutation and the query counts reproduces them exactly; a change that
+alters behaviour on purpose re-pins them and says why.
+"""
+
+from adgac.bench import CSV_HEADER, ExperimentConfig, run_trials
+
+WALL_MS = CSV_HEADER.split(",").index("wall_ms")
+
+CONFIGS = [
+    # the AC-2 world, at n = 1e3 and 1e4
+    dict(method="adgac-only", eps=0.05, delta=0.1, trials=4, seed=11, n_samples=1000,
+         label_noise="massart", beta=0.2, comp_noise="band-adversarial", nu_prime=1e-4),
+    dict(method="adgac-only", eps=0.05, delta=0.1, trials=1, seed=15, n_samples=10000,
+         label_noise="massart", beta=0.2, comp_noise="band-adversarial", nu_prime=1e-4),
+    dict(method="adgac-only", eps=0.1, delta=0.1, trials=2, seed=17, n_samples=1000,
+         label_noise="tsybakov", kappa=1.5, mu=0.5),
+    dict(method="adgac-only", eps=0.05, delta=0.1, trials=3, seed=21, n_samples=2000,
+         dist="isotropic-gaussian", d=20, label_noise="massart", beta=0.1,
+         comp_noise="band-adversarial", nu_prime=1e-3),
+    dict(method="a2-adgac", eps=0.05, delta=0.1, trials=3, seed=31, grid=1001,
+         label_noise="massart", beta=0.2, comp_noise="band-adversarial", nu_prime=1e-4),
+    dict(method="margin-adgac", eps=0.1, delta=0.2, trials=2, seed=41,
+         dist="isotropic-gaussian", d=5, label_noise="massart", beta=0.2),
+]
+
+GOLDEN = [
+    "11,adgac-only,0.05,0.1,0.03,0.005394441583704471,85,10361,1,",
+    "12,adgac-only,0.05,0.1,0.035,0.005811626278418116,85,10867,1,",
+    "13,adgac-only,0.05,0.1,0.031,0.0054807846153630225,85,10407,1,",
+    "14,adgac-only,0.05,0.1,0.027,0.00512552436341883,85,11814,1,",
+    "15,adgac-only,0.05,0.1,0.0149,0.0012115275481803952,85,150900,1,",
+    "17,adgac-only,0.1,0.1,0.003,0.001729450779872038,400,11197,1,",
+    "18,adgac-only,0.1,0.1,0.007,0.0026364749192814255,400,11526,1,",
+    "21,adgac-only,0.05,0.1,0.0545,0.005075911248239078,68,23154,1,tolcomp-gate",
+    "22,adgac-only,0.05,0.1,0.0525,0.004987171041783107,68,25662,1,tolcomp-gate",
+    "23,adgac-only,0.05,0.1,0.0455,0.004659922209651144,85,23850,1,tolcomp-gate",
+    "31,a2-adgac,0.05,0.1,0.00303,0.00017380503732630995,350,9575,5,",
+    "32,a2-adgac,0.05,0.1,0.00208,0.00014407198200899437,347,8733,5,",
+    "33,a2-adgac,0.05,0.1,0.01185,0.00034219259927707377,316,9977,5,",
+    "41,margin-adgac,0.1,0.2,0.00025,4.9993749609326164e-05,82,6493,6,hinge-degraded-round-2;hinge-degraded-round-3",
+    "42,margin-adgac,0.1,0.2,0.00034,5.829960548751595e-05,81,7022,6,hinge-degraded-round-4;hinge-degraded-round-5",
+]
+
+
+def _rows_without_wall_ms(config):
+    reports, _ = run_trials(config)
+    rows = []
+    for report in reports:
+        fields = report.to_csv_row().split(",")
+        del fields[WALL_MS]
+        rows.append(",".join(fields))
+    return rows
+
+
+def test_golden_battery_rows():
+    rows = [row for kw in CONFIGS for row in _rows_without_wall_ms(ExperimentConfig(**kw))]
+    assert rows == GOLDEN

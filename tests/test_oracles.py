@@ -35,6 +35,26 @@ class TestSampling:
                                 np.random.default_rng(0)).shape == (7, 2)
 
 
+class TestScore:
+    def test_batch_rows_score_as_single_instances(self):
+        # bit-for-bit, so batch and scalar comparisons agree and equal
+        # instances tie wherever they sit in a batch
+        rng = np.random.default_rng(12)
+        for d in (2, 5, 20):
+            spec = gaussian_scenario(rng.standard_normal(d))
+            xs = sample_unlabeled(spec, 1001, rng)
+            xs = xs[rng.integers(0, 1001, size=3000)]
+            g = score(spec, xs)
+            assert all(g[i] == score(spec, xs[i]) for i in range(len(xs)))
+
+    def test_halfspace_direction_built_once_and_read_only(self):
+        gt = gaussian_scenario([0.6, 0.8]).ground_truth
+        assert gt.w is gt.w
+        np.testing.assert_array_equal(gt.w, [0.6, 0.8])
+        with pytest.raises(ValueError):
+            gt.w[0] = 1.0
+
+
 class TestLabelOracle:
     def test_massart_zero_flip_is_noiseless(self):
         spec = uniform_scenario(0.5, LabelNoiseSpec(kind="massart", beta=0.0))
@@ -189,24 +209,30 @@ class TestAccountingAndDeterminism:
         assert runs[0][1] == runs[1][1]
 
     def test_instrumented_wrappers_agree_with_counters(self):
-        # count invocations independently of the counters they increment
+        # count invocations independently of the counters they increment;
+        # the sort asks its comparisons in batches, one pair per index
         spec = uniform_scenario(0.5, LabelNoiseSpec(kind="massart", beta=0.1), seed=5)
         oracle = Oracle(spec)
         calls = {"label": 0, "compare": 0}
-        label, compare = oracle.label, oracle.compare
+        label, pivot_comparator = oracle.label, oracle.pivot_comparator
 
         def counting_label(x):
             calls["label"] += 1
             return label(x)
 
-        def counting_compare(a, b):
-            calls["compare"] += 1
-            return compare(a, b)
+        def counting_pivot_comparator(S):
+            below = pivot_comparator(S)
+
+            def counting_below(idx, pivot, elem_first):
+                calls["compare"] += len(idx)
+                return below(idx, pivot, elem_first)
+            return counting_below
 
         oracle.label = counting_label
-        oracle.compare = counting_compare
+        oracle.pivot_comparator = counting_pivot_comparator
         from adgac.core import adgac
         xs = oracle.sample(300)
         adgac(xs, 300, 0.1, 0.1, oracle, oracle.rng, k=4)
+        assert calls["compare"] > 0
         assert calls["label"] == oracle.counters.labels
         assert calls["compare"] == oracle.counters.comparisons
