@@ -33,6 +33,10 @@ class BudgetExceededError(RuntimeError):
     """A round needs more samples or queries than the configured cap."""
 
 
+class NonContiguousVersionSpaceError(RuntimeError):
+    """Monotone-step labels left threshold survivors that are not one interval."""
+
+
 @dataclass(frozen=True)
 class RunParams:
     """Target error, failure probability, constants, and budget caps."""
@@ -198,10 +202,11 @@ def _run_rounds(spec, klass, params: RunParams, use_comparisons: bool,
                 counts = klass.error_counts(dataset.xs, dataset.ys)
                 space = space.filter_by_counts(counts, n_i * eps_i)
                 if isinstance(klass, ThresholdClass) and _is_monotone_step(subset, result.labels):
-                    assert space.is_contiguous(), "monotone-step labels must keep an interval alive"
+                    if not space.is_contiguous():
+                        raise NonContiguousVersionSpaceError(
+                            f"round {i}: monotone-step labels must keep an interval alive")
             else:
-                ys = np.fromiter((oracle.label(x) for x in subset), dtype=int, count=len(subset))
-                dataset = LabeledDataset(subset, ys, provenance="oracle-direct")
+                dataset = LabeledDataset(subset, oracle.label_many(subset), provenance="oracle-direct")
                 counts = klass.error_counts(dataset.xs, dataset.ys)
                 alive_min = counts[space.alive].min()
                 space = space.filter_by_counts(counts - alive_min, n_i * eps_i)

@@ -225,8 +225,7 @@ def passive_erm(spec: ScenarioSpec, klass, n: int,
     if oracle is None:
         oracle = Oracle(spec, rng)
     xs = oracle.sample(n)
-    ys = np.fromiter((oracle.label(x) for x in xs), dtype=int, count=n)
-    counts = klass.error_counts(xs, ys)
+    counts = klass.error_counts(xs, oracle.label_many(xs))
     return int(np.argmin(counts)), oracle.counters.labels
 
 

@@ -167,9 +167,11 @@ def group_binary_search(groups: RankedGroups, items, label_query, k: int,
 
     At each probed group, min(k, group size) points are sampled uniformly
     without replacement and their label sum decides the move; a tie counts as
-    positive.  If the search lands on a group that was never probed (possible
-    only when every probe voted negative, or with a single group), that group
-    is probed once so its majority is taken from actual labels.
+    positive.  label_query takes the probe's points as one batch and returns
+    their labels (Oracle.label_many).  If the search lands on a group that was
+    never probed (possible only when every probe voted negative, or with a
+    single group), that group is probed once so its majority is taken from
+    actual labels.
 
     Returns (boundary group, exact label count, per-group vote sums, probes).
     """
@@ -186,9 +188,7 @@ def group_binary_search(groups: RankedGroups, items, label_query, k: int,
         size = end - start
         take = min(k, size)
         ranks = rng.choice(size, size=take, replace=False) + start
-        total = 0
-        for r in ranks:
-            total += label_query(items[groups.order[r]])
+        total = int(np.sum(label_query(items[groups.order[ranks]])))
         votes[gi] = total
         label_count += take
         probes += 1
@@ -214,7 +214,7 @@ def adgac(S, n: int, eps: float, delta: float, oracle, rng: np.random.Generator,
 
     S is the dataset to label (array of instances), n the ambient sample count
     for the error budget eps * n.  The oracle supplies pivot_comparator and
-    label calls and owns the counters.  Pass a truth_labeler to populate
+    label_many and owns the counters.  Pass a truth_labeler to populate
     per-group diagnostics (test mode only; it consumes no oracle queries).
     """
     m = len(S)
@@ -227,7 +227,7 @@ def adgac(S, n: int, eps: float, delta: float, oracle, rng: np.random.Generator,
 
     order, comparisons = noisy_quicksort(S, oracle.pivot_comparator(S), rng)
     groups = partition_groups(order, params, truth_labeler=truth_labeler, items=S)
-    t, label_count, votes, probes = group_binary_search(groups, S, oracle.label, k, rng)
+    t, label_count, votes, probes = group_binary_search(groups, S, oracle.label_many, k, rng)
 
     majority = 1 if votes[t] >= 0 else -1
     yhat = np.empty(m, dtype=int)

@@ -103,7 +103,7 @@ class VersionSpace:
     """Surviving hypothesis indices of a finite class.
 
     For a threshold grid fed monotone-step labelings the survivors stay a
-    contiguous index interval; callers in that regime assert is_contiguous()
+    contiguous index interval; callers in that regime check is_contiguous()
     after filtering.  The disagreement region of a threshold survivor set is
     (t_lo, t_hi] for the extreme surviving thresholds either way.
     """

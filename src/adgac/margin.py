@@ -24,6 +24,10 @@ class EmptyBandError(RuntimeError):
     """A round's band contained no samples; raise the sample-size multiplier."""
 
 
+class InfeasibleIterateError(RuntimeError):
+    """A round's hinge fit left its search ball, or its iterate is not a unit vector."""
+
+
 def hinge_loss(w, x, y, tau: float) -> float:
     """max(1 - y (w . x) / tau, 0) for a single point."""
     if tau <= 0:
@@ -290,9 +294,7 @@ def run_margin_adgac(spec, params: MarginParams, w0=None,
 
     if w0 is None:
         seed_xs = oracle.sample(params.seed_batch)
-        seed_ys = np.fromiter((oracle.label(x) for x in seed_xs), dtype=int,
-                              count=params.seed_batch)
-        w0 = fit_initial_direction(seed_xs, seed_ys)
+        w0 = fit_initial_direction(seed_xs, oracle.label_many(seed_xs))
     w = np.asarray(w0, dtype=float)
     w = w / np.linalg.norm(w)
     if w_star is not None:
@@ -324,11 +326,6 @@ def run_margin_adgac(spec, params: MarginParams, w0=None,
         r_k = schedule.r(k)
         tau_k = schedule.tau(k)
         eps_k = schedule.eps_k(k)
-        # schedule identities, recomputed from parts
-        assert abs(schedule.z2(k) - (r_k ** 2 + schedule.b(k - 1) ** 2)) <= 1e-15 * max(1.0, schedule.z2(k))
-        expected_eps = (params.c3 * tau_k ** 2 * b_k * schedule.kappa_prec ** 2
-                        / (256.0 * params.c4 * schedule.z2(k)))
-        assert abs(eps_k - expected_eps) <= 1e-12 * max(eps_k, expected_eps)
 
         labels_before, comps_before = oracle.counters.snapshot()
         fit = minimize_hinge(dataset.xs, dataset.ys, w, r_k, tau_k,
@@ -336,14 +333,17 @@ def run_margin_adgac(spec, params: MarginParams, w0=None,
         if fit.degraded:
             flags.append(f"hinge-degraded-round-{k}")
         v = fit.v
-        assert np.linalg.norm(v - w) <= r_k + 1e-9
+        # written as not (<=) so that a NaN iterate fails too
+        if not np.linalg.norm(v - w) <= r_k + 1e-9:
+            raise InfeasibleIterateError(f"round {k}: fit left the ball of radius {r_k:.4g}")
         nv = float(np.linalg.norm(v))
         if nv < 1e-12:
             flags.append(f"null-minimizer-round-{k}")
             v = w.copy()
             nv = 1.0
         w = v / nv
-        assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+        if not abs(np.linalg.norm(w) - 1.0) <= 1e-12:
+            raise InfeasibleIterateError(f"round {k}: iterate norm {np.linalg.norm(w)!r} is not 1")
         iterates.append(w.copy())
 
         n_k = schedule.n(k)

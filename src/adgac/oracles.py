@@ -217,21 +217,24 @@ def label_positive_probability(spec: ScenarioSpec, x, band_radius: float | None 
     """
     noise = spec.label_noise
     g = np.asarray(score(spec, x), dtype=float)
-    sgn = np.where(g >= 0, 1.0, -1.0)
     if noise.kind == ADVERSARIAL:
         if band_radius is None:
             band_radius = calibrate_band(spec, noise.nu, "label")
-        flipped = np.abs(g) < band_radius
-        eta = np.where(flipped, -sgn, sgn) * 0.5 + 0.5
-    elif noise.kind == TSYBAKOV and noise.kappa > 1.0:
-        margin = np.minimum(0.5, 0.5 * (np.abs(g) / noise.mu) ** (noise.kappa - 1.0))
-        eta = 0.5 + np.where(g == 0, 0.0, sgn) * margin
+        eta = (_labels_from_scores(noise, g, band_radius, None) + 1) * 0.5
     else:
-        # massart, and the kappa == 1 tsybakov case which coincides with it
-        eta = 0.5 + np.where(g == 0, 0.0, sgn) * (0.5 - noise.beta)
+        eta = _eta(noise, g)
     if eta.ndim == 0:
         return float(eta)
     return eta
+
+
+def _eta(noise: LabelNoiseSpec, g: np.ndarray) -> np.ndarray:
+    """P[Y = +1] given scores g under massart or power-law noise; 1/2 at g == 0."""
+    sgn = np.sign(g)
+    if noise.kind == TSYBAKOV and noise.kappa > 1.0:
+        return 0.5 + sgn * np.minimum(0.5, 0.5 * (np.abs(g) / noise.mu) ** (noise.kappa - 1.0))
+    # massart, and the kappa == 1 tsybakov case which coincides with it
+    return 0.5 + sgn * (0.5 - noise.beta)
 
 
 def query_label(spec: ScenarioSpec, x, counters: QueryCounters, rng: np.random.Generator,
@@ -239,16 +242,24 @@ def query_label(spec: ScenarioSpec, x, counters: QueryCounters, rng: np.random.G
     """Ask the labeling oracle for one instance; increments counters.labels."""
     counters.labels += 1
     noise = spec.label_noise
+    if noise.kind == ADVERSARIAL and band_radius is None:
+        band_radius = calibrate_band(spec, noise.nu, "label")
+    return int(_labels_from_scores(noise, score(spec, x), band_radius, rng))
+
+
+def _labels_from_scores(noise: LabelNoiseSpec, g: np.ndarray, band: float | None,
+                        rng: np.random.Generator | None) -> np.ndarray:
+    """The labeling oracle's rule on scores g, one score or a batch.
+
+    Adversarial noise answers sign(g), ties to +1, flipped where |g| < band,
+    and draws nothing.  Otherwise the answer is +1 where a uniform draw falls
+    below eta(g); one rng.random(m) for m scores is the same stream as m
+    scalar rng.random() draws, so a batch answers as one call per score.
+    """
     if noise.kind == ADVERSARIAL:
-        if band_radius is None:
-            band_radius = calibrate_band(spec, noise.nu, "label")
-        g = float(score(spec, x))
-        y = 1 if g >= 0 else -1
-        if abs(g) < band_radius:
-            y = -y
-        return y
-    eta = label_positive_probability(spec, x)
-    return 1 if rng.random() < eta else -1
+        y = np.where(g >= 0, 1, -1)
+        return np.where(np.abs(g) < band, -y, y)
+    return np.where(rng.random(g.shape or None) < _eta(noise, g), 1, -1)
 
 
 def query_comparison(spec: ScenarioSpec, x, x_prime, counters: QueryCounters,
@@ -352,6 +363,18 @@ class Oracle:
 
     def label(self, x) -> int:
         return query_label(self.spec, x, self.counters, self.rng, band_radius=self._label_band or 0.0)
+
+    def label_many(self, xs) -> np.ndarray:
+        """Batch form of label: the answers of one label call per instance.
+
+        xs has shape (m,) on 1-D worlds and (m, d) on gaussian ones.  Scores
+        the batch once, adds m to counters.labels, and draws one
+        rng.random(m) (none under adversarial noise).  Returns m ints in
+        {-1, +1}.
+        """
+        g = score(self.spec, xs)
+        self.counters.labels += len(g)
+        return _labels_from_scores(self.spec.label_noise, g, self._label_band or 0.0, self.rng)
 
     def compare(self, x, x_prime) -> int:
         return query_comparison(self.spec, x, x_prime, self.counters,

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from adgac import a2
-from adgac.a2 import (BudgetExceededError, RunParams, choose_n_i, run_a2_adgac,
-                      run_baseline_a2, vc_bound_u)
+from adgac.a2 import (BudgetExceededError, NonContiguousVersionSpaceError, RunParams,
+                      choose_n_i, run_a2_adgac, run_baseline_a2, vc_bound_u)
 from adgac.bench import measure_error
 from adgac.hypotheses import ExplicitClass, ThresholdClass
 from adgac.oracles import LabelNoiseSpec, Oracle, uniform_scenario
@@ -62,6 +62,18 @@ class TestRunA2:
         assert res.hypothesis_index == 0
         assert res.labels == 0 and res.comparisons == 0
         assert all(t.subset_size == 0 for t in res.trace)
+
+    def test_split_survivors_after_monotone_labels_raise(self):
+        # a class whose error counts keep every other threshold alive breaks
+        # the interval invariant that monotone-step labels guarantee
+        class Alternating(ThresholdClass):
+            def error_counts(self, xs, ys):
+                return np.where(np.arange(len(self)) % 2 == 0, 0, len(xs))
+
+        spec = uniform_scenario(0.5, seed=3)
+        params = RunParams(eps=0.1, delta=0.1)
+        with pytest.raises(NonContiguousVersionSpaceError):
+            run_a2_adgac(spec, Alternating(np.linspace(0.0, 1.0, 101)), params)
 
     def test_noiseless_threshold_battery(self):
         klass = ThresholdClass(np.linspace(0, 1, 1001))

@@ -26,6 +26,11 @@ def batch_of(items, compare=perfect_comparator):
     return below
 
 
+def labels_of(label):
+    """Lift a scalar labeler to the batch label API, one instance at a time."""
+    return lambda xs: np.array([label(x) for x in xs], dtype=int)
+
+
 def scalar_lomuto(items, compare, rng):
     """Reference sort: one scalar compare and one rng.random() per pair."""
     m = len(items)
@@ -167,7 +172,7 @@ class TestGroupBinarySearch:
         groups = self._groups(values, 8)
         rng = np.random.default_rng(3)
         t, labels, votes, probes = group_binary_search(
-            groups, values, lambda x: -1, 8, rng)
+            groups, values, labels_of(lambda x: -1), 8, rng)
         assert t == groups.n_groups - 1
         assert votes[t] < 0  # that group's own majority is negative
 
@@ -178,7 +183,7 @@ class TestGroupBinarySearch:
         groups = self._groups(values, 8)
         label = lambda x: 1 if x >= 0.32 else -1
         rng = np.random.default_rng(4)
-        t, labels, votes, probes = group_binary_search(groups, values, label, 8, rng)
+        t, labels, votes, probes = group_binary_search(groups, values, labels_of(label), 8, rng)
         assert groups.n_groups == 8
         assert t == 4
         assert probes == 3
@@ -195,7 +200,7 @@ class TestGroupBinarySearch:
         trials = 10_000
         for _ in range(trials):
             label = lambda x: 1 if rng.random() < 0.3 else -1
-            t, _, votes, _ = group_binary_search(groups, values, label, 25, rng)
+            t, _, votes, _ = group_binary_search(groups, values, labels_of(label), 25, rng)
             fails += votes[t] >= 0
         se = math.sqrt(exact_tail * (1 - exact_tail) / trials)
         assert abs(fails / trials - exact_tail) <= 4 * se

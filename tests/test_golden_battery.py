@@ -1,9 +1,12 @@
 """Golden battery: fixed-seed CSV rows pinned byte for byte, except wall_ms.
 
-The rows were written before the quicksort took its comparisons in batches,
-by the scalar one-pair-per-call sort.  A refactor that keeps the rng stream,
-the permutation and the query counts reproduces them exactly; a change that
-alters behaviour on purpose re-pins them and says why.
+The adgac-only, a2-adgac and margin-adgac rows were written before the
+quicksort took its comparisons in batches, by the scalar one-pair-per-call
+sort; the baseline-a2, passive-erm and adversarial-label rows were written
+before labels were asked in batches, by one scalar label call per instance.
+A refactor that keeps the rng stream, the permutation and the query counts
+reproduces them exactly; a change that alters behaviour on purpose re-pins
+them and says why.
 """
 
 from adgac.bench import CSV_HEADER, ExperimentConfig, run_trials
@@ -25,6 +28,16 @@ CONFIGS = [
          label_noise="massart", beta=0.2, comp_noise="band-adversarial", nu_prime=1e-4),
     dict(method="margin-adgac", eps=0.1, delta=0.2, trials=2, seed=41,
          dist="isotropic-gaussian", d=5, label_noise="massart", beta=0.2),
+    # label-only paths: every retained instance, or every sample, labeled directly
+    dict(method="baseline-a2", eps=0.05, delta=0.1, trials=3, seed=51, grid=1001,
+         label_noise="massart", beta=0.2),
+    dict(method="baseline-a2", eps=0.05, delta=0.1, trials=2, seed=55, grid=1001,
+         label_noise="adversarial", nu=0.02),
+    dict(method="passive-erm", eps=0.05, delta=0.1, trials=2, seed=61, grid=1001,
+         n_samples=2000, label_noise="tsybakov", kappa=1.5, mu=0.5),
+    # adversarial label band: answers are deterministic and draw no randomness
+    dict(method="adgac-only", eps=0.05, delta=0.1, trials=3, seed=71, n_samples=1000,
+         label_noise="adversarial", nu=0.02),
 ]
 
 GOLDEN = [
@@ -43,6 +56,16 @@ GOLDEN = [
     "33,a2-adgac,0.05,0.1,0.01185,0.00034219259927707377,316,9977,5,",
     "41,margin-adgac,0.1,0.2,0.00025,4.9993749609326164e-05,82,6493,6,hinge-degraded-round-2;hinge-degraded-round-3",
     "42,margin-adgac,0.1,0.2,0.00034,5.829960548751595e-05,81,7022,6,hinge-degraded-round-4;hinge-degraded-round-5",
+    "51,baseline-a2,0.05,0.1,0.01449,0.0003778894004864386,1884,0,5,",
+    "52,baseline-a2,0.05,0.1,0.015,0.0003843826218756514,1908,0,5,",
+    "53,baseline-a2,0.05,0.1,0.01866,0.0004279229416612295,2019,0,5,",
+    "55,baseline-a2,0.05,0.1,0.01879,0.00042938253224834383,1615,0,5,",
+    "56,baseline-a2,0.05,0.1,0.01597,0.0003964209769928933,1603,0,5,",
+    "61,passive-erm,0.05,0.1,0.02648,0.0005077283683230631,2000,0,1,",
+    "62,passive-erm,0.05,0.1,0.0151,0.00038564219167513296,2000,0,1,",
+    "71,adgac-only,0.05,0.1,0.005,0.0022304708023195463,85,10478,1,",
+    "72,adgac-only,0.05,0.1,0.003,0.001729450779872038,85,10671,1,",
+    "73,adgac-only,0.05,0.1,0.001,0.001,85,10722,1,",
 ]
 
 

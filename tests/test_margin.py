@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from adgac.margin import (EmptyBandError, MarginParams, MarginSchedule,
-                          band_membership, fit_initial_direction, hinge_loss,
-                          hinge_loss_batch, hinge_subgradient, minimize_hinge,
-                          project_to_feasible, run_margin_adgac)
+from adgac import margin
+from adgac.margin import (EmptyBandError, HingeFit, InfeasibleIterateError,
+                          MarginParams, MarginSchedule, band_membership,
+                          fit_initial_direction, hinge_loss, hinge_loss_batch,
+                          hinge_subgradient, minimize_hinge, project_to_feasible,
+                          run_margin_adgac)
 from adgac.oracles import LabelNoiseSpec, gaussian_scenario, sample_unlabeled
 
 
@@ -257,6 +259,20 @@ class TestRunMargin:
         params = MarginParams(eps=0.1, delta=0.2, n_mult=1e-9, min_round_samples=2)
         with pytest.raises(EmptyBandError):
             run_margin_adgac(spec, params, w0=w_star)
+
+    @pytest.mark.parametrize("v,message", [
+        # opposite to w: distance 2 exceeds every round's radius (at most pi/2)
+        (np.array([-1.0, 0.0, 0.0]), "left the ball"),
+        # inside the ball, but a half-precision fit cannot be normalized to 1e-12
+        (np.array([0.7, 0.2, 0.2], dtype=np.float16), "is not 1"),
+    ])
+    def test_infeasible_iterate_raises(self, monkeypatch, v, message):
+        monkeypatch.setattr(margin, "minimize_hinge",
+                            lambda *args, **kwargs: HingeFit(v=v, loss=0.0, iterations=1))
+        w_star = np.array([1.0, 0.0, 0.0])
+        spec = gaussian_scenario(w_star, seed=5)
+        with pytest.raises(InfeasibleIterateError, match=message):
+            run_margin_adgac(spec, MarginParams(eps=0.2, delta=0.2), w0=w_star)
 
     def test_requires_gaussian_scenario(self):
         from adgac.oracles import uniform_scenario

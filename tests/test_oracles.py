@@ -108,7 +108,9 @@ class TestLabelOracle:
         rho = calibrate_band(spec, 0.1, "label")
         inside = query_label(spec, 0.5 + rho / 2, counters, rng)
         outside = query_label(spec, 0.5 + 2 * rho, counters, rng)
-        assert inside == -1 and outside == 1
+        # g == 0 ties to +1, and it lies inside the band, so it is flipped
+        tie = query_label(spec, 0.5, counters, rng)
+        assert inside == -1 and outside == 1 and tie == -1
 
 
 class TestComparisonOracle:
@@ -210,15 +212,16 @@ class TestAccountingAndDeterminism:
 
     def test_instrumented_wrappers_agree_with_counters(self):
         # count invocations independently of the counters they increment;
-        # the sort asks its comparisons in batches, one pair per index
+        # the sort asks its comparisons in batches, one pair per index, and
+        # the group search asks its labels in batches, one per instance
         spec = uniform_scenario(0.5, LabelNoiseSpec(kind="massart", beta=0.1), seed=5)
         oracle = Oracle(spec)
         calls = {"label": 0, "compare": 0}
-        label, pivot_comparator = oracle.label, oracle.pivot_comparator
+        label_many, pivot_comparator = oracle.label_many, oracle.pivot_comparator
 
-        def counting_label(x):
-            calls["label"] += 1
-            return label(x)
+        def counting_label_many(xs):
+            calls["label"] += len(xs)
+            return label_many(xs)
 
         def counting_pivot_comparator(S):
             below = pivot_comparator(S)
@@ -228,11 +231,61 @@ class TestAccountingAndDeterminism:
                 return below(idx, pivot, elem_first)
             return counting_below
 
-        oracle.label = counting_label
+        oracle.label_many = counting_label_many
         oracle.pivot_comparator = counting_pivot_comparator
         from adgac.core import adgac
         xs = oracle.sample(300)
         adgac(xs, 300, 0.1, 0.1, oracle, oracle.rng, k=4)
         assert calls["compare"] > 0
+        assert calls["label"] > 0
         assert calls["label"] == oracle.counters.labels
         assert calls["compare"] == oracle.counters.comparisons
+
+
+class TestLabelMany:
+    WORLDS = {
+        "uniform-massart": uniform_scenario(0.5, LabelNoiseSpec(kind="massart", beta=0.2)),
+        "uniform-tsybakov": uniform_scenario(
+            0.5, LabelNoiseSpec(kind="tsybakov", kappa=1.5, mu=0.5)),
+        "gaussian-d20-massart": gaussian_scenario(
+            np.arange(1.0, 21.0), LabelNoiseSpec(kind="massart", beta=0.1)),
+        "uniform-adversarial": uniform_scenario(
+            0.5, LabelNoiseSpec(kind="adversarial", nu=0.05)),
+    }
+
+    @staticmethod
+    def _batch(oracle, kind):
+        spec = oracle.spec
+        if kind == "empty":
+            return np.empty((0,) if spec.d == 1 else (0, spec.d))
+        xs = oracle.sample(500)
+        if kind == "on-threshold":
+            # g == 0 exactly: eta is 1/2, and the adversarial sign ties to +1
+            xs[::3] = spec.ground_truth.threshold if spec.d == 1 else 0.0
+        return xs
+
+    @pytest.mark.parametrize("kind", ["sample", "on-threshold", "empty"])
+    @pytest.mark.parametrize("world", sorted(WORLDS))
+    def test_matches_scalar_labels(self, world, kind):
+        # one label_many call against one label call per instance, on twin
+        # oracles: same labels, same count, and the same rng stream consumed
+        spec = self.WORLDS[world]
+        for seed in range(3):
+            runs = []
+            for batch in (True, False):
+                oracle = Oracle(spec, np.random.default_rng(seed))
+                xs = self._batch(oracle, kind)
+                before = oracle.rng.bit_generator.state
+                if batch:
+                    ys = oracle.label_many(xs)
+                else:
+                    ys = np.array([oracle.label(x) for x in xs], dtype=int)
+                drew = oracle.rng.bit_generator.state != before
+                runs.append((ys, oracle.counters.snapshot(), drew, oracle.rng.random()))
+            (ys_b, counted_b, drew_b, next_b), (ys_s, counted_s, drew_s, next_s) = runs
+            assert ys_b.dtype.kind == "i" and ys_b.shape == (len(xs),)
+            np.testing.assert_array_equal(ys_b, ys_s)
+            assert counted_b == counted_s == (len(xs), 0)
+            # adversarial answers are deterministic and draw nothing
+            assert drew_b == drew_s == (len(xs) > 0 and spec.label_noise.kind != "adversarial")
+            assert next_b == next_s
