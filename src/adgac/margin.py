@@ -62,9 +62,14 @@ def band_membership(w, x, b: float):
     return np.abs(proj) <= b
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a real 1-D vector: np.linalg.norm's own sqrt(v . v)."""
+    return math.sqrt(float(v.dot(v)))
+
+
 def project_to_ball(v: np.ndarray, center, radius: float) -> np.ndarray:
     offset = v - center
-    dist = float(np.linalg.norm(offset))
+    dist = _norm(offset)
     if dist <= radius:
         return v
     return center + offset * (radius / dist)
@@ -75,12 +80,15 @@ def project_to_feasible(v: np.ndarray, center, radius: float,
     """Alternating projections onto B(center, radius) intersected with B(0, 1)."""
     center = np.asarray(center, dtype=float)
     for _ in range(max_alternations):
-        v = project_to_ball(v, center, radius)
-        nv = float(np.linalg.norm(v))
-        if nv > 1.0:
-            v = v / nv
-        if (np.linalg.norm(v - center) <= radius + tol
-                and np.linalg.norm(v) <= 1.0 + tol):
+        u = project_to_ball(v, center, radius)
+        nrm = _norm(u)
+        if nrm > 1.0:
+            u = u / nrm
+        elif u is v:
+            # neither ball moved v, so it already lies in both
+            return v
+        v = u
+        if _norm(v - center) <= radius + tol and _norm(v) <= 1.0 + tol:
             break
     return v
 
@@ -112,29 +120,28 @@ def minimize_hinge(xs, ys, w_prev, radius: float, tau: float,
     if xs.shape[0] == 0:
         raise ValueError("cannot fit on an empty batch")
     w_prev = np.asarray(w_prev, dtype=float)
+    n = len(ys)
+    yx = xs * ys[:, None]
 
-    def value(v):
-        return float(np.mean(np.maximum(tau - ys * (xs @ v), 0.0)))
+    def margins(v):
+        return tau - ys * (xs @ v)
 
-    def grad(v):
-        active = (tau - ys * (xs @ v)) > 0
-        if not active.any():
-            return np.zeros_like(v)
-        return -(xs[active] * ys[active, None]).sum(axis=0) / len(ys)
+    def value(m):
+        # the pairwise sum np.mean takes, divided by n
+        return float(np.maximum(m, 0.0).sum()) / n
 
     v = project_to_feasible(w_prev.copy(), w_prev, radius)
-    best_v = v.copy()
-    best_f = value(v)
+    m = margins(v)
+    fv = value(m)
+    best_v, best_m, best_f = v, m, fv
     target = 0.0
     since_improve = 0
     last_improve = 0
     iterations = 0
     for t in range(max_iters):
         iterations = t + 1
-        fv = value(v)
         if fv < best_f - 1e-15:
-            best_f = fv
-            best_v = v.copy()
+            best_v, best_m, best_f = v, m, fv
             since_improve = 0
             last_improve = iterations
         else:
@@ -145,9 +152,9 @@ def minimize_hinge(xs, ys, w_prev, radius: float, tau: float,
             # level method: assume the floor sits near the best value seen
             target = 0.5 * (target + best_f)
             since_improve = 0
-            v = best_v.copy()
-            fv = best_f
-        g = grad(v)
+            v, m, fv = best_v, best_m, best_f
+        # no active row gives g = 0, which stops below
+        g = -yx[m > 0].sum(axis=0) / n
         gn2 = float(g @ g)
         if gn2 <= 1e-30:
             break
@@ -155,6 +162,8 @@ def minimize_hinge(xs, ys, w_prev, radius: float, tau: float,
         if step <= 0:
             step = 0.1 * fv / gn2 if fv > 0 else 1e-12
         v = project_to_feasible(v - step * g, w_prev, radius)
+        m = margins(v)
+        fv = value(m)
 
     degraded = (iterations >= max_iters and (iterations - last_improve) > patience
                 and best_f > 1e-12)

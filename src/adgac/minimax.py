@@ -103,8 +103,11 @@ class ScoreDistribution:
         return norm.ppf(q)
 
     def quantile_grid(self, n: int) -> np.ndarray:
-        """n equal-mass cell midpoints; never hits the boundary score 0 exactly
-        for even n only -- an odd n is shifted to keep cells off the origin."""
+        """n equal-mass cell midpoints (i + 1/2) / n mapped through the ppf.
+
+        For even n no cell sits on the boundary score 0.  For odd n the middle
+        cell is the median, score 0 exactly, and ``grid >= 0`` counts it positive.
+        """
         qs = (np.arange(n) + 0.5) / n
         return self.ppf(qs)
 
@@ -155,19 +158,15 @@ def construct_ghat(base: ScoreDistribution, nu_prime: float) -> GhatConstruction
     return GhatConstruction(base=base, nu_prime=nu_prime, a=a, b=b)
 
 
-def comparison_error_of(ghat, base: ScoreDistribution, n: int,
-                        chunk: int = 4096) -> float:
+def comparison_error_of(ghat, base: ScoreDistribution, n: int) -> float:
     """Quantile-grid estimate of 2 P[ghat(X) > ghat(X'), h*(X) = -1, h*(X') = +1]."""
     if n < 2:
         raise ValueError("need at least two grid cells")
     grid = base.quantile_grid(n)
     vals = np.asarray(ghat(grid), dtype=float)
-    neg_vals = vals[grid < 0]
-    pos_vals = vals[grid >= 0]
-    count = 0
-    for start in range(0, neg_vals.size, chunk):
-        block = neg_vals[start:start + chunk]
-        count += int(np.sum(block[:, None] > pos_vals[None, :]))
+    pos_sorted = np.sort(vals[grid >= 0])
+    # each negative cell inverts with the positive cells strictly below it
+    count = int(np.searchsorted(pos_sorted, vals[grid < 0], side="left").sum())
     return 2.0 * count / (n * n)
 
 

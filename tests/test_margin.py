@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from adgac import margin
@@ -35,6 +37,128 @@ def hinge_grid_minimum(xs, ys, w_prev, radius, tau, angle_step=1e-3, n_radii=96)
 def rotate(w, angle):
     c, s = math.cos(angle), math.sin(angle)
     return np.array([c * w[0] - s * w[1], s * w[0] + c * w[1]])
+
+
+def reference_project_to_feasible(v, center, radius, max_alternations=50, tol=1e-10):
+    """The alternating projection as first written, with np.linalg.norm throughout."""
+    center = np.asarray(center, dtype=float)
+    for _ in range(max_alternations):
+        offset = v - center
+        dist = float(np.linalg.norm(offset))
+        if dist > radius:
+            v = center + offset * (radius / dist)
+        nv = float(np.linalg.norm(v))
+        if nv > 1.0:
+            v = v / nv
+        if (np.linalg.norm(v - center) <= radius + tol
+                and np.linalg.norm(v) <= 1.0 + tol):
+            break
+    return v
+
+
+def reference_minimize_hinge(xs, ys, w_prev, radius, tau, max_iters=1500, patience=200):
+    """minimize_hinge's loop as first written: value and subgradient each
+    recompute xs @ v.  Returns the fit and the number of level restarts."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    w_prev = np.asarray(w_prev, dtype=float)
+
+    def value(v):
+        return float(np.mean(np.maximum(tau - ys * (xs @ v), 0.0)))
+
+    def grad(v):
+        active = (tau - ys * (xs @ v)) > 0
+        if not active.any():
+            return np.zeros_like(v)
+        return -(xs[active] * ys[active, None]).sum(axis=0) / len(ys)
+
+    v = reference_project_to_feasible(w_prev.copy(), w_prev, radius)
+    best_v = v.copy()
+    best_f = value(v)
+    target = 0.0
+    since_improve = 0
+    last_improve = 0
+    iterations = 0
+    restarts = 0
+    for t in range(max_iters):
+        iterations = t + 1
+        fv = value(v)
+        if fv < best_f - 1e-15:
+            best_f = fv
+            best_v = v.copy()
+            since_improve = 0
+            last_improve = iterations
+        else:
+            since_improve += 1
+        if best_f <= 1e-15:
+            break
+        if since_improve > patience:
+            target = 0.5 * (target + best_f)
+            since_improve = 0
+            v = best_v.copy()
+            fv = best_f
+            restarts += 1
+        g = grad(v)
+        gn2 = float(g @ g)
+        if gn2 <= 1e-30:
+            break
+        step = (fv - target) / gn2
+        if step <= 0:
+            step = 0.1 * fv / gn2 if fv > 0 else 1e-12
+        v = reference_project_to_feasible(v - step * g, w_prev, radius)
+
+    degraded = (iterations >= max_iters and (iterations - last_improve) > patience
+                and best_f > 1e-12)
+    fit = HingeFit(v=best_v, loss=best_f / tau, iterations=iterations, degraded=degraded)
+    return fit, restarts
+
+
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
+def noisy_batch(d, n, seed, flip=0.1):
+    """Gaussian points labeled by a random w*, a fraction flipped, and a start
+    direction perturbed away from w*."""
+    rng = np.random.default_rng(seed)
+    w_star = unit(rng.standard_normal(d))
+    w_prev = unit(w_star + 0.5 * rng.standard_normal(d) / math.sqrt(d))
+    xs = rng.standard_normal((n, d))
+    ys = np.where(xs @ w_star >= 0, 1, -1)
+    flips = rng.random(n) < flip
+    ys[flips] = -ys[flips]
+    return xs, ys, w_prev
+
+
+def hinge_case(name):
+    """(args, kwargs) of one minimize_hinge call."""
+    if name.startswith("d="):
+        d = int(name[2:])
+        xs, ys, w_prev = noisy_batch(d, 15 * d + 120, seed=d)
+        return (xs, ys, w_prev, 0.6, 0.05), {}
+    if name == "initial-direction":
+        # what fit_initial_direction passes: a seed batch, the unit mean of
+        # y x as the start, and a radius-2 ball so only the norm binds
+        xs, ys, _ = noisy_batch(5, 32, seed=11)
+        start = unit((xs * ys[:, None]).mean(axis=0))
+        return (xs, ys, start), dict(radius=2.0, tau=1.0, max_iters=800)
+    if name == "stalled":
+        xs = np.array([[1.0, 0.0], [1.0, 0.0]])
+        ys = np.array([1, -1])
+        return (xs, ys, np.array([1.0, 0.0]), 0.5, 0.5), dict(max_iters=50, patience=5)
+    if name == "zero-loss":
+        # separable with margin 0.3 about a w* inside the ball, but not by
+        # the start: the loop takes steps, then stops at loss 0
+        rng = np.random.default_rng(3)
+        w_star = unit(np.array([1.0, 0.3]))
+        xs = rng.standard_normal((100, 2))
+        xs = xs[np.abs(xs @ w_star) >= 0.3]
+        ys = np.where(xs @ w_star >= 0, 1, -1)
+        return (xs, ys, np.array([1.0, 0.0]), 0.5, 0.2), {}
+    if name == "level-restart":
+        xs, ys, w_prev = noisy_batch(5, 150, seed=12, flip=0.2)
+        return (xs, ys, w_prev, 0.6, 0.05), dict(patience=20)
+    raise KeyError(name)
 
 
 class TestHingeLoss:
@@ -117,6 +241,42 @@ class TestProjection:
             assert np.linalg.norm(out - center) <= radius + 1e-9
             assert np.linalg.norm(out) <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize("case", ["inside-both", "outside-ball", "outside-unit",
+                                      "outside-both"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_and_lands_in_both_balls(self, case, data):
+        d = data.draw(st.integers(1, 6), label="d")
+        direction = st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d).map(np.array)
+        c_dir = data.draw(direction.filter(lambda a: np.linalg.norm(a) >= 0.1), label="c_dir")
+        u = unit(data.draw(direction.filter(lambda a: np.linalg.norm(a) >= 0.1), label="u"))
+        center = data.draw(st.floats(0.0, 1.0), label="|center|") * unit(c_dir)
+        radius = data.draw(st.floats(0.01, 2.0), label="radius")
+        frac = data.draw(st.floats(0.01, 0.99), label="frac")
+        # distance from center along u to the unit sphere
+        cu = float(center @ u)
+        rho_unit = -cu + math.sqrt(max(cu * cu + 1.0 - float(center @ center), 0.0))
+        rho = {
+            "inside-both": frac * min(radius, rho_unit),
+            "outside-ball": radius + frac * (rho_unit - radius),
+            "outside-unit": rho_unit + frac * (radius - rho_unit),
+            "outside-both": max(radius, rho_unit) + 0.01 + 2.0 * frac,
+        }[case]
+        v = center + rho * u
+        in_ball = np.linalg.norm(v - center) <= radius
+        in_unit = np.linalg.norm(v) <= 1.0
+        kind = {(True, True): "inside-both", (False, True): "outside-ball",
+                (True, False): "outside-unit", (False, False): "outside-both"}
+        assume(kind[in_ball, in_unit] == case)
+
+        out = project_to_feasible(v.copy(), center, radius)
+        ref = reference_project_to_feasible(v.copy(), center, radius)
+        assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+        assert np.linalg.norm(out - center) <= radius + 1e-9
+        assert np.linalg.norm(out) <= 1.0 + 1e-9
+        if case == "inside-both":
+            assert out.tobytes() == v.tobytes()
+
 
 class TestMinimizeHinge:
     def test_zero_loss_fixed_point(self):
@@ -165,6 +325,28 @@ class TestMinimizeHinge:
         v = v / max(1.0, np.linalg.norm(v))
         oracle_loss = hinge_loss_batch(v, xs, ys, tau)
         assert fit.loss <= oracle_loss + 1e-3
+
+    @pytest.mark.parametrize("case", ["d=2", "d=5", "d=20", "initial-direction", "stalled",
+                                      "zero-loss", "level-restart"])
+    def test_matches_reference_loop(self, case):
+        # the rewritten loop computes each iterate's margins once; every
+        # iterate, and so the fit, must be the original loop's bit for bit
+        args, kwargs = hinge_case(case)
+        fit = minimize_hinge(*args, **kwargs)
+        ref, restarts = reference_minimize_hinge(*args, **kwargs)
+        np.testing.assert_array_equal(fit.v, ref.v)
+        assert fit.loss == ref.loss
+        assert fit.iterations == ref.iterations
+        assert fit.degraded == ref.degraded
+        max_iters = kwargs.get("max_iters", 1500)
+        if case == "stalled":
+            assert fit.degraded and fit.iterations == max_iters
+        if case == "zero-loss":
+            # the loop stops once the rescaled loss reaches 1e-15
+            tau = args[4]
+            assert fit.loss * tau <= 1e-15 and 1 < fit.iterations < max_iters
+        if case == "level-restart":
+            assert restarts > 0
 
     def test_degraded_flag_on_stalled_budget(self):
         # contradictory labels at a single point: the loss floor is 1 and no

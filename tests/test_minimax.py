@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adgac.minimax import (ScoreDistribution, best_threshold_error,
                            comparison_error_of, construct_ghat,
@@ -80,7 +82,42 @@ class TestGhatConstruction:
         assert ghat.b == pytest.approx(norm.ppf(0.6), abs=1e-9)
 
 
+class TestQuantileGrid:
+    @pytest.mark.parametrize("kind", ["uniform", "gaussian"])
+    def test_odd_grid_puts_a_positive_cell_on_zero(self, kind):
+        base = ScoreDistribution(kind)
+        for n in (3, 101, 2001):
+            grid = base.quantile_grid(n)
+            assert grid[n // 2] == 0.0
+            assert int(np.sum(grid >= 0)) == n // 2 + 1
+            # lift the zero cell above every score: counted negative, it
+            # would invert with every positive cell and cost a threshold 1/n
+            lifted = lambda t: np.where(t == 0.0, 10.0, t)
+            assert comparison_error_of(lifted, base, n) == 0.0
+            assert best_threshold_error(lifted, base, n)[0] == 0.0
+
+    @pytest.mark.parametrize("kind", ["uniform", "gaussian"])
+    def test_even_grid_avoids_zero(self, kind):
+        base = ScoreDistribution(kind)
+        for n in (2, 100, 2000):
+            grid = base.quantile_grid(n)
+            assert not np.any(grid == 0.0)
+            assert int(np.sum(grid >= 0)) == n // 2
+
+
 class TestComparisonError:
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["uniform", "gaussian"]),
+           values=st.lists(st.integers(-3, 3), min_size=2, max_size=40))
+    def test_matches_brute_force_pair_count(self, kind, values):
+        # few distinct values, so most grids carry ties across the classes
+        base = ScoreDistribution(kind)
+        n = len(values)
+        vals = np.array(values, dtype=float)
+        grid = base.quantile_grid(n)
+        inverted = sum(1 for a in vals[grid < 0] for b in vals[grid >= 0] if a > b)
+        assert comparison_error_of(lambda t: vals, base, n) == 2.0 * inverted / (n * n)
+
     def test_order_preserving_map_is_clean(self):
         base = ScoreDistribution("uniform")
         assert comparison_error_of(lambda t: t, base, 2000) == 0.0
