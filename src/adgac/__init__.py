@@ -2,11 +2,9 @@
 
 from .oracles import (ComparisonNoiseSpec, GroundTruth, LabelNoiseSpec, Oracle,
                       QueryCounters, ScenarioSpec, bayes_label, calibrate_band,
-                      gaussian_scenario, query_comparison, query_label,
-                      sample_unlabeled, score, uniform_scenario)
-from .core import (AdgacParams, AdgacResult, RankedGroups, adgac,
-                   group_binary_search, k_adv, k_tnc, noisy_quicksort,
-                   partition_groups)
+                      gaussian_scenario, sample_unlabeled, score, uniform_scenario)
+from .core import (AdgacParams, AdgacResult, RankedGroups, adgac, batch_size,
+                   group_binary_search, noisy_quicksort, partition_groups)
 from .hypotheses import (EmptyVersionSpaceError, ExplicitClass, LabeledDataset,
                          ThresholdClass, VersionSpace, empirical_error,
                          estimate_disagreement_coefficient,

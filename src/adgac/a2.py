@@ -9,6 +9,7 @@ the labeling oracle directly for every retained instance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import core
 from .hypotheses import LabeledDataset, ThresholdClass, VersionSpace
-from .oracles import Oracle, TSYBAKOV
+from .oracles import Oracle
 
 
 def _is_monotone_step(xs, ys) -> bool:
@@ -89,17 +90,13 @@ def vc_bound_u(n: float, gamma: float, d: float, c0: float = 1.0) -> float:
     return c0 * (d * math.log(n / d) + math.log(1.0 / gamma)) / n
 
 
-_smallest_n_cache: dict[tuple, int] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _smallest_n_for_bound(eps_i: float, gamma: float, d: float, c0: float, cap: int) -> int:
-    """Smallest integer n >= d with vc_bound_u(n, gamma, d, c0) <= eps_i."""
-    key = (eps_i, gamma, d, c0)
-    if key in _smallest_n_cache:
-        n = _smallest_n_cache[key]
-        if n > cap:
-            raise BudgetExceededError(f"round needs n={n} > cap {cap}")
-        return n
+    """Smallest integer n >= d with vc_bound_u(n, gamma, d, c0) <= eps_i.
+
+    Raises BudgetExceededError when no n <= cap qualifies; a raise is not
+    cached, so every call over the cap raises.
+    """
     start = int(math.ceil(d))
     lo = start
     block = 1024
@@ -109,9 +106,7 @@ def _smallest_n_for_bound(eps_i: float, gamma: float, d: float, c0: float, cap: 
         vals = c0 * (d * np.log(ns / d) + math.log(1.0 / gamma)) / ns
         ok = np.flatnonzero(vals <= eps_i)
         if ok.size:
-            n = int(ns[ok[0]])
-            _smallest_n_cache[key] = n
-            return n
+            return int(ns[ok[0]])
         lo = hi
         block *= 4
     raise BudgetExceededError(f"no n <= {cap} meets the deviation bound at eps_i={eps_i:.4g}")
@@ -141,13 +136,6 @@ def _round_count(eps: float) -> int:
     return max(1, math.ceil(math.log2(1.0 / eps)))
 
 
-def _noise_kappa(spec) -> float:
-    noise = spec.label_noise
-    if noise.kind == TSYBAKOV and noise.kappa > 1.0:
-        return noise.kappa
-    return 1.0
-
-
 def run_a2_adgac(spec, klass, params: RunParams,
                  rng: np.random.Generator | None = None,
                  oracle: Oracle | None = None) -> RunResult:
@@ -173,7 +161,7 @@ def _run_rounds(spec, klass, params: RunParams, use_comparisons: bool,
         rng = np.random.default_rng(spec.seed)
     if oracle is None:
         oracle = Oracle(spec, rng)
-    kappa = _noise_kappa(spec)
+    kappa = spec.label_noise.effective_kappa
     rounds = _round_count(params.eps)
     gamma = params.delta / (4.0 * math.log2(1.0 / params.eps))
     space = VersionSpace(klass)
@@ -193,11 +181,8 @@ def _run_rounds(spec, klass, params: RunParams, use_comparisons: bool,
         labels_before, comps_before = oracle.counters.snapshot()
         if len(subset) > 0:
             if use_comparisons:
-                if kappa > 1.0:
-                    k_i = core.k_tnc(eps_i, gamma, kappa, params.c3)
-                else:
-                    k_i = core.k_adv(eps_i, gamma, params.c3)
-                result = core.adgac(subset, n_i, eps_i, gamma, oracle, rng, k=k_i)
+                result = core.adgac(subset, n_i, eps_i, gamma, oracle, rng,
+                                    kappa=kappa, c3=params.c3)
                 dataset = LabeledDataset(subset, result.labels, provenance="adgac-predicted")
                 counts = klass.error_counts(dataset.xs, dataset.ys)
                 space = space.filter_by_counts(counts, n_i * eps_i)

@@ -21,8 +21,8 @@ import numpy as np
 from . import a2, core, margin as margin_mod
 from .hypotheses import ThresholdClass
 from .oracles import (ADVERSARIAL, BAND_ADVERSARIAL, GAUSSIAN, MASSART, PERFECT,
-                      TSYBAKOV, UNIFORM, ComparisonNoiseSpec, LabelNoiseSpec,
-                      Oracle, ScenarioSpec, bayes_label, gaussian_scenario,
+                      UNIFORM, ComparisonNoiseSpec, LabelNoiseSpec, Oracle,
+                      ScenarioSpec, bayes_label, gaussian_scenario,
                       sample_unlabeled, uniform_scenario)
 
 CSV_HEADER = "seed,method,epsilon,delta,err,err_se,labels,comparisons,rounds,wall_ms,flags"
@@ -93,6 +93,10 @@ class TrialReport:
         ])
 
 
+# field type (a string under postponed annotations) -> parser of its raw text
+_FROM_TEXT = {"str": lambda raw: raw.strip("'\""), "int": int, "float": float}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     method: str
@@ -161,23 +165,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text: str, constants: TunableConstants | None = None) -> "ExperimentConfig":
+        """Parse a flat config; each key converts by its field's declared type."""
         values = _parse_flat(text)
         kwargs: dict = {}
         const_kwargs: dict = {}
-        config_fields = {f.name: f for f in dataclasses.fields(cls)}
+        field_types = {f.name: f.type for f in dataclasses.fields(cls)}
         const_fields = {f.name for f in dataclasses.fields(TunableConstants)}
         for key, raw in values.items():
             if key in const_fields:
                 const_kwargs[key] = float(raw)
-                continue
-            if key not in config_fields:
-                raise ValueError(f"unknown config key {key!r}")
-            if key in ("method", "dist", "label_noise", "comp_noise", "out", "w_star"):
-                kwargs[key] = raw.strip("'\"")
-            elif key in ("trials", "seed", "d", "grid", "n_samples", "k"):
-                kwargs[key] = int(raw)
+            elif field_types.get(key) in _FROM_TEXT:
+                kwargs[key] = _FROM_TEXT[field_types[key]](raw)
             else:
-                kwargs[key] = float(raw)
+                raise ValueError(f"unknown config key {key!r}")
         base = constants or DEFAULT_CONSTANTS
         if const_kwargs:
             base = dataclasses.replace(base, **const_kwargs)
@@ -233,7 +233,7 @@ def _gate_flags(config: ExperimentConfig) -> list[str]:
     """Advisory flags when the configured noise exceeds the theory gates."""
     flags = []
     c = config.constants
-    kappa = config.kappa if (config.label_noise == TSYBAKOV and config.kappa > 1) else 1.0
+    kappa = config.label_noise_spec().effective_kappa
     if config.comp_noise == BAND_ADVERSARIAL and config.nu_prime > (
             c.C2 * config.eps ** (2 * kappa) * config.delta):
         flags.append("tolcomp-gate")
@@ -251,15 +251,12 @@ def run_single_trial(config: ExperimentConfig, trial_index: int) -> TrialReport:
     flags = _gate_flags(config)
     cst = config.constants
     started = time.perf_counter()
-    rounds = 0
 
     if config.method == "adgac-only":
         n = config.n_samples
         xs = oracle.sample(n)
-        k = config.k or None
-        kappa = config.kappa if (config.label_noise == TSYBAKOV and config.kappa > 1) else 1.0
-        result = core.adgac(xs, n, config.eps, config.delta, oracle, rng,
-                            k=k, kappa=kappa, c3=cst.C3)
+        result = core.adgac(xs, n, config.eps, config.delta, oracle, rng, k=config.k or None,
+                            kappa=spec.label_noise.effective_kappa, c3=cst.C3)
         truth = bayes_label(spec, xs)
         mism = int(np.sum(result.labels != truth))
         err = mism / n

@@ -36,9 +36,10 @@ def _add_scenario_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None, help="flat key = value config file")
     p.add_argument("--out", default=None, help="CSV output path")
-    p.add_argument("--constants", default=None, help="tunable constants file")
+    p.add_argument("--constants", dest="constants_file", default=None,
+                   help="tunable constants file")
     p.add_argument("--dist", default=None, choices=["uniform-interval", "isotropic-gaussian"])
-    p.add_argument("--dim", type=int, default=None)
+    p.add_argument("--dim", dest="d", type=int, default=None)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--w-star", default=None, choices=["random", "e1"])
     p.add_argument("--label-noise", default=None,
@@ -50,31 +51,22 @@ def _add_scenario_flags(p: argparse.ArgumentParser):
     p.add_argument("--comp-noise", default=None, choices=["perfect", "band-adversarial"])
     p.add_argument("--nu-prime", type=float, default=None)
     p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--n", type=int, default=None, help="sample size for adgac-run / erm")
+    p.add_argument("--n", dest="n_samples", type=int, default=None,
+                   help="sample size for adgac-run / erm")
     p.add_argument("--k", type=int, default=None, help="label batch size for adgac-run")
     p.add_argument("--min-success", type=float, default=None,
                    help="fail (exit 3) when the success rate falls below this")
 
 
-_FLAG_TO_FIELD = {
-    "eps": "eps", "delta": "delta", "trials": "trials", "seed": "seed",
-    "dist": "dist", "dim": "d", "threshold": "threshold", "w_star": "w_star",
-    "label_noise": "label_noise", "beta": "beta", "kappa": "kappa", "mu": "mu",
-    "nu": "nu", "comp_noise": "comp_noise", "nu_prime": "nu_prime",
-    "grid": "grid", "n": "n_samples", "k": "k", "out": "out",
-}
-
-
 def _build_config(args, method: str | None) -> bench.ExperimentConfig:
     constants = bench.DEFAULT_CONSTANTS
-    if args.constants:
-        with open(args.constants) as fh:
+    if args.constants_file:
+        with open(args.constants_file) as fh:
             constants = bench.TunableConstants.from_text(fh.read())
-    overrides = {}
-    for flag, fieldname in _FLAG_TO_FIELD.items():
-        val = getattr(args, flag, None)
-        if val is not None:
-            overrides[fieldname] = val
+    # each scenario flag's dest is the ExperimentConfig field it sets
+    fields = {f.name for f in dataclasses.fields(bench.ExperimentConfig)}
+    overrides = {name: val for name, val in vars(args).items()
+                 if name in fields and val is not None}
     if method is not None:
         overrides["method"] = method
     if args.config:

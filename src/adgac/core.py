@@ -23,9 +23,8 @@ class AdgacParams:
     """Parameters of one labeling invocation.
 
     n is the ambient sample count the error budget refers to, m the size of
-    the subset actually labeled.  The per-group label batch k is derived from
-    (eps, delta) unless supplied.  alpha * m = eps * n is the nominal group
-    size before rounding.
+    the subset actually labeled, k the per-group label batch.  alpha * m =
+    eps * n is the nominal group size before rounding.
     """
 
     n: int
@@ -214,7 +213,8 @@ def adgac(S, n: int, eps: float, delta: float, oracle, rng: np.random.Generator,
 
     S is the dataset to label (array of instances), n the ambient sample count
     for the error budget eps * n.  The oracle supplies pivot_comparator and
-    label_many and owns the counters.  Pass a truth_labeler to populate
+    label_many and owns the counters.  The label batch k is batch_size(eps,
+    delta, kappa, c3) unless given.  Pass a truth_labeler to populate
     per-group diagnostics (test mode only; it consumes no oracle queries).
     """
     m = len(S)
@@ -222,7 +222,7 @@ def adgac(S, n: int, eps: float, delta: float, oracle, rng: np.random.Generator,
         return AdgacResult(labels=np.empty(0, dtype=int), boundary_group=0, n_groups=0,
                            comparisons=0, label_queries=0, probes=0)
     if k is None:
-        k = k_tnc(eps, delta, kappa, c3) if kappa > 1.0 else k_adv(eps, delta, c3)
+        k = batch_size(eps, delta, kappa, c3)
     params = AdgacParams(n=n, m=m, eps=eps, delta=delta, k=k)
 
     order, comparisons = noisy_quicksort(S, oracle.pivot_comparator(S), rng)
@@ -244,26 +244,20 @@ def adgac(S, n: int, eps: float, delta: float, oracle, rng: np.random.Generator,
                        groups=groups)
 
 
-def k_tnc(eps: float, delta: float, kappa: float, c3: float = 1.0) -> int:
-    """Label batch size per probed group under power-law posterior noise."""
-    _check_k_domain(eps, delta, c3)
-    if kappa < 1.0:
-        raise ValueError("noise exponent must be >= 1")
-    val = c3 * math.log(math.log(1.0 / eps) / delta) * (1.0 / eps) ** (2.0 * kappa - 2.0)
-    return max(1, math.ceil(val))
+def batch_size(eps: float, delta: float, kappa: float = 1.0, c3: float = 1.0) -> int:
+    """Label batch size per probed group: c3 log(log(1/eps) / delta) (1/eps)^(2 kappa - 2).
 
-
-def k_adv(eps: float, delta: float, c3: float = 1.0) -> int:
-    """Label batch size per probed group under bounded adversarial label noise."""
-    _check_k_domain(eps, delta, c3)
-    val = c3 * math.log(math.log(1.0 / eps) / delta)
-    return max(1, math.ceil(val))
-
-
-def _check_k_domain(eps: float, delta: float, c3: float):
+    kappa is the label noise exponent (LabelNoiseSpec.effective_kappa);
+    kappa = 1, the bounded massart or adversarial case, makes the power
+    factor exactly 1.
+    """
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if c3 <= 0.0:
         raise ValueError("batch constant must be positive")
+    if kappa < 1.0:
+        raise ValueError("noise exponent must be >= 1")
+    val = c3 * math.log(math.log(1.0 / eps) / delta) * (1.0 / eps) ** (2.0 * kappa - 2.0)
+    return max(1, math.ceil(val))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import core
 from .hypotheses import LabeledDataset
-from .oracles import GAUSSIAN, Oracle, TSYBAKOV
+from .oracles import GAUSSIAN, Oracle
 
 
 class EmptyBandError(RuntimeError):
@@ -102,8 +102,7 @@ class HingeFit:
 
 
 def minimize_hinge(xs, ys, w_prev, radius: float, tau: float,
-                   slack: float | None = None, max_iters: int = 1500,
-                   patience: int = 200) -> HingeFit:
+                   max_iters: int = 1500, patience: int = 200) -> HingeFit:
     """Projected subgradient descent for the ball-constrained hinge loss.
 
     Works on the rescaled objective mean(max(tau - y (v . x), 0)) with
@@ -295,8 +294,7 @@ def run_margin_adgac(spec, params: MarginParams, w0=None,
         rng = np.random.default_rng(spec.seed)
     if oracle is None:
         oracle = Oracle(spec, rng)
-    label_kappa = spec.label_noise.kappa if (
-        spec.label_noise.kind == TSYBAKOV and spec.label_noise.kappa > 1.0) else 1.0
+    label_kappa = spec.label_noise.effective_kappa
     schedule = MarginSchedule(params, spec.d, label_kappa)
     gamma = params.delta / (8.0 * math.log2(1.0 / params.eps))
     flags: list[str] = []
@@ -311,13 +309,9 @@ def run_margin_adgac(spec, params: MarginParams, w0=None,
         if math.acos(cosine) > math.pi / 2.0:
             flags.append("w0-angle")
 
-    def batch_k(eps_k: float) -> int:
-        if label_kappa > 1.0:
-            return core.k_tnc(eps_k, gamma, label_kappa, params.batch_c3)
-        return core.k_adv(eps_k, gamma, params.batch_c3)
-
     def run_subroutine(subset, n_k, eps_k):
-        result = core.adgac(subset, n_k, eps_k, gamma, oracle, rng, k=batch_k(eps_k))
+        result = core.adgac(subset, n_k, eps_k, gamma, oracle, rng,
+                            kappa=label_kappa, c3=params.batch_c3)
         return LabeledDataset(subset, result.labels, provenance="adgac-predicted")
 
     # round 0: unrestricted sample labeled at the k = 0 budget
@@ -337,8 +331,7 @@ def run_margin_adgac(spec, params: MarginParams, w0=None,
         eps_k = schedule.eps_k(k)
 
         labels_before, comps_before = oracle.counters.snapshot()
-        fit = minimize_hinge(dataset.xs, dataset.ys, w, r_k, tau_k,
-                             slack=schedule.kappa_prec / 8.0, max_iters=params.hinge_iters)
+        fit = minimize_hinge(dataset.xs, dataset.ys, w, r_k, tau_k, max_iters=params.hinge_iters)
         if fit.degraded:
             flags.append(f"hinge-degraded-round-{k}")
         v = fit.v

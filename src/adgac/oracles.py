@@ -91,6 +91,12 @@ class LabelNoiseSpec:
         if self.nu < 0.0:
             raise ValueError("adversarial mass must be nonnegative")
 
+    @property
+    def effective_kappa(self) -> float:
+        """The noise exponent the batch and sample sizes use: kappa under
+        tsybakov noise with kappa > 1, else 1, the bounded-noise case."""
+        return self.kappa if self.kind == TSYBAKOV and self.kappa > 1.0 else 1.0
+
 
 @dataclass(frozen=True)
 class ComparisonNoiseSpec:
@@ -209,45 +215,16 @@ def bayes_label(spec: ScenarioSpec, x) -> np.ndarray | int:
     return np.where(np.asarray(g) >= 0, 1, -1)
 
 
-def label_positive_probability(spec: ScenarioSpec, x, band_radius: float | None = None) -> np.ndarray | float:
-    """P[Y = +1 | X = x] under the scenario's label noise.
-
-    For adversarial noise the answer is deterministic (0 or 1) given the
-    calibrated flip band; pass the radius to avoid recalibrating.
-    """
-    noise = spec.label_noise
-    g = np.asarray(score(spec, x), dtype=float)
-    if noise.kind == ADVERSARIAL:
-        if band_radius is None:
-            band_radius = calibrate_band(spec, noise.nu, "label")
-        eta = (_labels_from_scores(noise, g, band_radius, None) + 1) * 0.5
-    else:
-        eta = _eta(noise, g)
-    if eta.ndim == 0:
-        return float(eta)
-    return eta
-
-
 def _eta(noise: LabelNoiseSpec, g: np.ndarray) -> np.ndarray:
     """P[Y = +1] given scores g under massart or power-law noise; 1/2 at g == 0."""
     sgn = np.sign(g)
-    if noise.kind == TSYBAKOV and noise.kappa > 1.0:
+    if noise.effective_kappa > 1.0:
         return 0.5 + sgn * np.minimum(0.5, 0.5 * (np.abs(g) / noise.mu) ** (noise.kappa - 1.0))
     # massart, and the kappa == 1 tsybakov case which coincides with it
     return 0.5 + sgn * (0.5 - noise.beta)
 
 
-def query_label(spec: ScenarioSpec, x, counters: QueryCounters, rng: np.random.Generator,
-                band_radius: float | None = None) -> int:
-    """Ask the labeling oracle for one instance; increments counters.labels."""
-    counters.labels += 1
-    noise = spec.label_noise
-    if noise.kind == ADVERSARIAL and band_radius is None:
-        band_radius = calibrate_band(spec, noise.nu, "label")
-    return int(_labels_from_scores(noise, score(spec, x), band_radius, rng))
-
-
-def _labels_from_scores(noise: LabelNoiseSpec, g: np.ndarray, band: float | None,
+def _labels_from_scores(noise: LabelNoiseSpec, g: np.ndarray, band: float,
                         rng: np.random.Generator | None) -> np.ndarray:
     """The labeling oracle's rule on scores g, one score or a batch.
 
@@ -260,25 +237,6 @@ def _labels_from_scores(noise: LabelNoiseSpec, g: np.ndarray, band: float | None
         y = np.where(g >= 0, 1, -1)
         return np.where(np.abs(g) < band, -y, y)
     return np.where(rng.random(g.shape or None) < _eta(noise, g), 1, -1)
-
-
-def query_comparison(spec: ScenarioSpec, x, x_prime, counters: QueryCounters,
-                     band_radius: float | None = None) -> int:
-    """Ask which of two instances is more likely positive; +1 means the first.
-
-    Perfect kind answers sign(g(x) - g(x')) with ties broken to +1.  The
-    band-adversarial kind flips the answer when both scores fall inside the
-    calibrated band and the optimal labels disagree.  Increments
-    counters.comparisons.  Argument-order randomization is the caller's job.
-    """
-    counters.comparisons += 1
-    noise = spec.comparison_noise
-    band = 0.0
-    if noise.kind == BAND_ADVERSARIAL:
-        band = band_radius if band_radius is not None else calibrate_band(
-            spec, noise.nu_prime, "comparison")
-    below = _ranks_below(float(score(spec, x)), float(score(spec, x_prime)), True, band)
-    return -1 if below else 1
 
 
 def _ranks_below(g, g_pivot, elem_first, band: float):
@@ -342,17 +300,19 @@ def calibrate_band(spec: ScenarioSpec, target_mass: float, which: str = "label")
 
 
 class Oracle:
-    """Bundles one trial's scenario, rng stream, counters, and cached bands.
+    """The one query path: a trial's scenario, rng stream, counters and bands.
 
-    State is per-trial: concurrent trials must each own their instance.
+    The label and comparison bands are calibrated once, here, and every
+    answer reads them.  State is per-trial: concurrent trials must each own
+    their instance.
     """
 
     def __init__(self, spec: ScenarioSpec, rng: np.random.Generator | None = None):
         self.spec = spec
         self.rng = rng if rng is not None else np.random.default_rng(spec.seed)
         self.counters = QueryCounters()
-        self._label_band = None
-        self._comparison_band = None
+        self._label_band = 0.0
+        self._comparison_band = 0.0
         if spec.label_noise.kind == ADVERSARIAL and spec.label_noise.nu > 0:
             self._label_band = calibrate_band(spec, spec.label_noise.nu, "label")
         if spec.comparison_noise.kind == BAND_ADVERSARIAL and spec.comparison_noise.nu_prime > 0:
@@ -362,7 +322,10 @@ class Oracle:
         return sample_unlabeled(self.spec, n, self.rng)
 
     def label(self, x) -> int:
-        return query_label(self.spec, x, self.counters, self.rng, band_radius=self._label_band or 0.0)
+        """Ask the labeling oracle for one instance; adds 1 to counters.labels."""
+        self.counters.labels += 1
+        return int(_labels_from_scores(self.spec.label_noise, score(self.spec, x),
+                                       self._label_band, self.rng))
 
     def label_many(self, xs) -> np.ndarray:
         """Batch form of label: the answers of one label call per instance.
@@ -374,11 +337,31 @@ class Oracle:
         """
         g = score(self.spec, xs)
         self.counters.labels += len(g)
-        return _labels_from_scores(self.spec.label_noise, g, self._label_band or 0.0, self.rng)
+        return _labels_from_scores(self.spec.label_noise, g, self._label_band, self.rng)
+
+    def positive_probability(self, x) -> np.ndarray | float:
+        """P[Y = +1 | X = x] under the scenario's label noise; counts no query.
+
+        Under adversarial noise the answer is 0 or 1, from the calibrated band.
+        """
+        noise = self.spec.label_noise
+        g = np.asarray(score(self.spec, x), dtype=float)
+        if noise.kind == ADVERSARIAL:
+            eta = (_labels_from_scores(noise, g, self._label_band, None) + 1) * 0.5
+        else:
+            eta = _eta(noise, g)
+        return float(eta) if eta.ndim == 0 else eta
 
     def compare(self, x, x_prime) -> int:
-        return query_comparison(self.spec, x, x_prime, self.counters,
-                                band_radius=self._comparison_band or 0.0)
+        """Ask which of two instances is more likely positive; +1 means the first.
+
+        Answers by _ranks_below's rule with the calibrated band and adds 1 to
+        counters.comparisons.  Argument-order randomization is the caller's job.
+        """
+        self.counters.comparisons += 1
+        below = _ranks_below(float(score(self.spec, x)), float(score(self.spec, x_prime)),
+                             True, self._comparison_band)
+        return -1 if below else 1
 
     def pivot_comparator(self, S):
         """Batch form of compare for sorting the dataset S.
@@ -389,7 +372,7 @@ class Oracle:
         Each call adds len(idx) to counters.comparisons.
         """
         g = score(self.spec, S)
-        band = self._comparison_band or 0.0
+        band = self._comparison_band
         counters = self.counters
 
         def below(idx, pivot, elem_first):
@@ -397,6 +380,3 @@ class Oracle:
             return _ranks_below(g[idx], g[pivot], elem_first, band)
 
         return below
-
-    def bayes(self, x):
-        return bayes_label(self.spec, x)

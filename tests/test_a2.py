@@ -52,6 +52,17 @@ class TestChooseN:
         with pytest.raises(BudgetExceededError):
             choose_n_i(1, 0.05, 1.0, 0.1, params, kappa=1.0)
 
+    def test_cap_checked_on_every_cached_call(self):
+        args = (0.125, 0.0123, 1.0, 1.0)
+        n = a2._smallest_n_for_bound(*args, 10_000)
+        assert a2._smallest_n_for_bound(*args, 10_000) == n
+        # a cached answer over a smaller cap still raises, and the raise is
+        # not cached: it raises again, and the cap n answers
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError):
+                a2._smallest_n_for_bound(*args, n - 1)
+        assert a2._smallest_n_for_bound(*args, n) == n
+
 
 class TestRunA2:
     def test_singleton_class_returns_it_without_queries(self):
@@ -123,12 +134,12 @@ class TestRunA2:
         params = RunParams(eps=0.05, delta=0.1)
         gamma = params.delta / (4.0 * math.log2(1.0 / params.eps))
         res = run_a2_adgac(spec, klass, params)
-        from adgac.core import k_adv
+        from adgac.core import batch_size
         for t in res.trace:
             if t.subset_size == 0:
                 assert t.labels == 0
                 continue
-            k_i = k_adv(t.eps_i, gamma, params.c3)
+            k_i = batch_size(t.eps_i, gamma, 1.0, params.c3)
             groups = max(1, t.subset_size // max(1, round(t.eps_i * t.n_i)))
             # one extra batch can occur when every probe votes negative
             assert t.labels <= k_i * (math.ceil(math.log2(max(2, groups))) + 1)

@@ -46,7 +46,7 @@ def test_ac1_adgac_noiseless():
 
 def test_ac2_adgac_noise_gates():
     started = time.perf_counter()
-    k = core.k_adv(0.05, 0.1, C3)
+    k = core.batch_size(0.05, 0.1, 1.0, C3)
     cfg = ExperimentConfig(method="adgac-only", eps=0.05, delta=0.1, trials=100,
                            seed=42, n_samples=1000, k=k,
                            label_noise="massart", beta=0.2,
@@ -56,7 +56,7 @@ def test_ac2_adgac_noise_gates():
     elapsed = time.perf_counter() - started
     ok = good >= 90 and elapsed < 30.0
     _verdict("AC-2", ok,
-             f"k=k_adv={k}, mismatch<=50 in {good}/100 (need >= 90), {elapsed:.1f}s < 30s")
+             f"k=batch_size={k}, mismatch<=50 in {good}/100 (need >= 90), {elapsed:.1f}s < 30s")
 
 
 def test_ac3_a2_end_to_end():

@@ -147,6 +147,18 @@ class TestConfigFormat:
         again = ExperimentConfig.from_text(cfg.to_text())
         assert again == cfg
 
+    def test_every_field_parses_by_its_declared_type(self):
+        cfg = ExperimentConfig(method="margin-adgac", eps=0.2, delta=0.3, trials=2, seed=5,
+                               dist="isotropic-gaussian", d=3, threshold=0.25, w_star="e1",
+                               label_noise="tsybakov", beta=0.1, kappa=1.5, mu=0.5, nu=0.01,
+                               comp_noise="band-adversarial", nu_prime=1e-3, grid=11,
+                               n_samples=50, k=3, out="runs.csv")
+        again = ExperimentConfig.from_text(cfg.to_text())
+        assert again == cfg
+        for f in dataclasses.fields(ExperimentConfig):
+            if f.name != "constants":
+                assert type(getattr(again, f.name)).__name__ == f.type
+
     def test_comments_and_blanks_ignored(self):
         text = """
         # battery

@@ -1,9 +1,12 @@
 """Command-line surface: subcommands, config files, exit codes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from adgac.bench import CSV_HEADER, parse_report_csv
+from adgac import cli
+from adgac.bench import CSV_HEADER, ExperimentConfig, parse_report_csv
 from adgac.cli import EXIT_OK, EXIT_THRESHOLD, EXIT_USAGE, main
 
 
@@ -34,6 +37,21 @@ class TestExitCodes:
                    "--label-noise", "massart", "--beta", "0.4",
                    "--min-success", "1.0"])
         assert rc == EXIT_THRESHOLD
+
+
+class TestFlagsAreFields:
+    @pytest.mark.parametrize("command", ["adgac-run", "a2", "margin", "baseline-a2",
+                                         "erm", "bench"])
+    def test_every_config_field_is_a_flag_dest(self, command):
+        args = cli.build_parser().parse_args([command])
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert fields - {"method", "constants"} <= set(vars(args))
+
+    def test_renamed_flags_set_their_fields(self):
+        args = cli.build_parser().parse_args(
+            ["margin", "--dist", "isotropic-gaussian", "--dim", "3", "--n", "50"])
+        config = cli._build_config(args, "margin-adgac")
+        assert (config.d, config.n_samples) == (3, 50)
 
 
 class TestBatteries:

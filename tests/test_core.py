@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from adgac.core import (AdgacParams, DegenerateGroupingError, adgac,
-                        group_binary_search, k_adv, k_tnc, noisy_quicksort,
-                        partition_groups)
+from adgac.core import (AdgacParams, DegenerateGroupingError, adgac, batch_size,
+                        group_binary_search, noisy_quicksort, partition_groups)
 from adgac.oracles import (ComparisonNoiseSpec, LabelNoiseSpec, Oracle,
                            bayes_label, gaussian_scenario, uniform_scenario)
 
@@ -289,18 +288,21 @@ class TestAdgac:
 
 class TestBatchSizeFormulas:
     def test_kappa_one_collapses_to_adversarial_size(self):
-        assert k_tnc(0.07, 0.2, 1.0, 2.5) == k_adv(0.07, 0.2, 2.5)
+        # the bounded-noise size c3 log(log(1/eps) / delta), with no power factor
+        adversarial = math.ceil(2.5 * math.log(math.log(1.0 / 0.07) / 0.2))
+        assert batch_size(0.07, 0.2, 1.0, 2.5) == adversarial
+        assert batch_size(0.07, 0.2, c3=2.5) == adversarial
 
     def test_power_law_value(self):
         # C3 = 1, eps = 0.1, delta = 0.1, kappa = 1.5:
         # ceil(ln(ln 10 / 0.1) * 10) = ceil(31.366) = 32
-        assert k_tnc(0.1, 0.1, 1.5, 1.0) == 32
+        assert batch_size(0.1, 0.1, 1.5, 1.0) == 32
 
     def test_adversarial_value(self):
-        assert k_adv(0.1, 0.1, 1.0) == 4
+        assert batch_size(0.1, 0.1, 1.0, 1.0) == 4
 
     def test_at_least_one(self):
-        assert k_adv(0.4, 0.9, 0.01) == 1
+        assert batch_size(0.4, 0.9, 1.0, 0.01) == 1
 
     @pytest.mark.parametrize("eps,delta,kappa,c3", [
         (0.0, 0.1, 1.5, 1.0), (0.6, 0.1, 1.5, 1.0), (0.1, 0.0, 1.5, 1.0),
@@ -308,4 +310,4 @@ class TestBatchSizeFormulas:
     ])
     def test_domain_rejections(self, eps, delta, kappa, c3):
         with pytest.raises(ValueError):
-            k_tnc(eps, delta, kappa, c3)
+            batch_size(eps, delta, kappa, c3)

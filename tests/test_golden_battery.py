@@ -3,7 +3,9 @@
 The adgac-only, a2-adgac and margin-adgac rows were written before the
 quicksort took its comparisons in batches, by the scalar one-pair-per-call
 sort; the baseline-a2, passive-erm and adversarial-label rows were written
-before labels were asked in batches, by one scalar label call per instance.
+before labels were asked in batches, by one scalar label call per instance;
+the kappa > 1 and gate-flag rows were written before the batch size, the
+effective kappa and the oracle bands each got a single owner.
 A refactor that keeps the rng stream, the permutation and the query counts
 reproduces them exactly; a change that alters behaviour on purpose re-pins
 them and says why.
@@ -38,6 +40,17 @@ CONFIGS = [
     # adversarial label band: answers are deterministic and draw no randomness
     dict(method="adgac-only", eps=0.05, delta=0.1, trials=3, seed=71, n_samples=1000,
          label_noise="adversarial", nu=0.02),
+    # power-law labels with kappa > 1 through the learners' own batch size,
+    # and the comparison- and label-noise gate flags
+    dict(method="a2-adgac", eps=0.1, delta=0.1, trials=2, seed=81, grid=1001,
+         label_noise="tsybakov", kappa=1.5, mu=0.5),
+    dict(method="margin-adgac", eps=0.2, delta=0.2, trials=1, seed=91,
+         dist="isotropic-gaussian", d=3, label_noise="tsybakov", kappa=1.5, mu=0.5),
+    dict(method="adgac-only", eps=0.05, delta=0.1, trials=2, seed=101, n_samples=1000,
+         label_noise="tsybakov", kappa=1.5, mu=0.5,
+         comp_noise="band-adversarial", nu_prime=1e-3),
+    dict(method="baseline-a2", eps=0.1, delta=0.1, trials=1, seed=111, grid=1001,
+         label_noise="adversarial", nu=0.2),
 ]
 
 GOLDEN = [
@@ -66,6 +79,12 @@ GOLDEN = [
     "71,adgac-only,0.05,0.1,0.005,0.0022304708023195463,85,10478,1,",
     "72,adgac-only,0.05,0.1,0.003,0.001729450779872038,85,10671,1,",
     "73,adgac-only,0.05,0.1,0.001,0.001,85,10722,1,",
+    "81,a2-adgac,0.1,0.1,0.00471,0.0002165136462212024,849,13222,4,",
+    "82,a2-adgac,0.1,0.1,0.0115,0.0003371609407983078,731,11977,4,",
+    "91,margin-adgac,0.2,0.2,0.00067,8.182610219239335e-05,65,1706,5,hinge-degraded-round-4",
+    "101,adgac-only,0.05,0.1,0.061,0.0075682891065286355,250,10817,1,tolcomp-gate",
+    "102,adgac-only,0.05,0.1,0.046,0.006624499981130651,250,9993,1,tolcomp-gate",
+    "111,baseline-a2,0.1,0.1,0.10774,0.0009804697466010872,2350,0,4,tollabel-gate",
 ]
 
 

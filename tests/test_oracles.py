@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from adgac import oracles
 from adgac.oracles import (ComparisonNoiseSpec, LabelNoiseSpec, Oracle,
-                           QueryCounters, CalibrationError, bayes_label,
-                           calibrate_band, gaussian_scenario,
-                           label_positive_probability, query_comparison,
-                           query_label, sample_unlabeled, score,
+                           CalibrationError, bayes_label, calibrate_band,
+                           gaussian_scenario, sample_unlabeled, score,
                            uniform_scenario)
 
 
@@ -58,30 +57,28 @@ class TestScore:
 class TestLabelOracle:
     def test_massart_zero_flip_is_noiseless(self):
         spec = uniform_scenario(0.5, LabelNoiseSpec(kind="massart", beta=0.0))
-        rng = np.random.default_rng(3)
-        counters = QueryCounters()
-        xs = sample_unlabeled(spec, 500, rng)
+        oracle = Oracle(spec, np.random.default_rng(3))
+        xs = oracle.sample(500)
         for x in xs:
-            assert query_label(spec, x, counters, rng) == bayes_label(spec, x)
-        assert counters.labels == 500
+            assert oracle.label(x) == bayes_label(spec, x)
+        assert oracle.counters.labels == 500
 
     def test_massart_flip_rate(self):
         spec = uniform_scenario(0.5, LabelNoiseSpec(kind="massart", beta=0.2))
-        rng = np.random.default_rng(4)
-        counters = QueryCounters()
+        oracle = Oracle(spec, np.random.default_rng(4))
         x = 0.9  # optimal label +1
         n = 100_000
-        hits = sum(query_label(spec, x, counters, rng) == 1 for _ in range(n))
+        hits = sum(oracle.label(x) == 1 for _ in range(n))
         assert abs(hits / n - 0.8) < 0.01
 
     def test_power_law_posterior_is_half_at_boundary(self):
         spec = uniform_scenario(0.5, LabelNoiseSpec(kind="tsybakov", kappa=2.0, mu=1.0))
-        assert label_positive_probability(spec, 0.5) == 0.5
+        assert Oracle(spec).positive_probability(0.5) == 0.5
 
     def test_posterior_range_and_sign(self):
         spec = uniform_scenario(0.5, LabelNoiseSpec(kind="tsybakov", kappa=1.7, mu=0.4))
         xs = sample_unlabeled(spec, 2000, np.random.default_rng(5))
-        eta = label_positive_probability(spec, xs)
+        eta = Oracle(spec).positive_probability(xs)
         assert np.all((eta >= 0.0) & (eta <= 1.0))
         away = np.abs(eta - 0.5) > 1e-12
         assert np.all(np.sign(eta[away] - 0.5) == bayes_label(spec, xs[away]))
@@ -93,7 +90,7 @@ class TestLabelOracle:
         kappa, mu = 2.0, 1.0
         spec = uniform_scenario(0.5, LabelNoiseSpec(kind="tsybakov", kappa=kappa, mu=mu))
         xs = sample_unlabeled(spec, 200_000, np.random.default_rng(6))
-        eta = label_positive_probability(spec, xs)
+        eta = Oracle(spec).positive_probability(xs)
         # |g| uniform on [0, 1/2] with density 2
         effective = 2.0 * mu * 2.0 ** (1.0 / (kappa - 1.0))
         for t in np.linspace(0.01, 0.4, 12):
@@ -103,23 +100,21 @@ class TestLabelOracle:
 
     def test_adversarial_band_flip(self):
         spec = uniform_scenario(0.5, LabelNoiseSpec(kind="adversarial", nu=0.1))
-        rng = np.random.default_rng(7)
-        counters = QueryCounters()
+        oracle = Oracle(spec, np.random.default_rng(7))
         rho = calibrate_band(spec, 0.1, "label")
-        inside = query_label(spec, 0.5 + rho / 2, counters, rng)
-        outside = query_label(spec, 0.5 + 2 * rho, counters, rng)
+        inside = oracle.label(0.5 + rho / 2)
+        outside = oracle.label(0.5 + 2 * rho)
         # g == 0 ties to +1, and it lies inside the band, so it is flipped
-        tie = query_label(spec, 0.5, counters, rng)
+        tie = oracle.label(0.5)
         assert inside == -1 and outside == 1 and tie == -1
 
 
 class TestComparisonOracle:
     def test_perfect_sign_rule(self):
-        spec = uniform_scenario(0.0)
-        counters = QueryCounters()
-        assert query_comparison(spec, 0.7, 0.2, counters) == 1
-        assert query_comparison(spec, 0.2, 0.7, counters) == -1
-        assert counters.comparisons == 2
+        oracle = Oracle(uniform_scenario(0.0))
+        assert oracle.compare(0.7, 0.2) == 1
+        assert oracle.compare(0.2, 0.7) == -1
+        assert oracle.counters.comparisons == 2
 
     def test_zero_noise_band_matches_perfect(self):
         noise = ComparisonNoiseSpec(kind="band-adversarial", nu_prime=0.0)
@@ -127,10 +122,9 @@ class TestComparisonOracle:
         spec_perfect = uniform_scenario(0.5)
         rng = np.random.default_rng(8)
         pairs = rng.random((10_000, 2))
-        c1, c2 = QueryCounters(), QueryCounters()
+        band, perfect = Oracle(spec_band), Oracle(spec_perfect)
         for a, b in pairs:
-            assert (query_comparison(spec_band, a, b, c1)
-                    == query_comparison(spec_perfect, a, b, c2))
+            assert band.compare(a, b) == perfect.compare(a, b)
 
     def test_band_flip_mass(self):
         nu_prime = 0.01
@@ -154,14 +148,14 @@ class TestComparisonOracle:
         spec = uniform_scenario(0.5, comparison_noise=noise)
         rho = calibrate_band(spec, nu_prime, "comparison")
         rng = np.random.default_rng(10)
-        counters = QueryCounters()
+        oracle = Oracle(spec)
         for _ in range(5000):
             a, b = rng.random(2)
             ga, gb = score(spec, a), score(spec, b)
             expected = 1 if ga - gb >= 0 else -1
             if ((ga >= 0) != (gb >= 0)) and abs(ga) < rho and abs(gb) < rho:
                 expected = -expected
-            assert query_comparison(spec, a, b, counters, band_radius=rho) == expected
+            assert oracle.compare(a, b) == expected
 
 
 class TestCalibration:
@@ -186,6 +180,49 @@ class TestCalibration:
         # flipped-pair mass cannot exceed 2 P[+] P[-] = 1/2
         with pytest.raises(CalibrationError):
             calibrate_band(uniform_scenario(0.5), 0.75, "comparison")
+
+
+class TestSingleOwners:
+    def test_effective_kappa_only_for_power_law_above_one(self):
+        assert LabelNoiseSpec(kind="tsybakov", kappa=1.5).effective_kappa == 1.5
+        assert LabelNoiseSpec(kind="tsybakov", kappa=1.0).effective_kappa == 1.0
+        assert LabelNoiseSpec(kind="massart", beta=0.1, kappa=2.0).effective_kappa == 1.0
+        assert LabelNoiseSpec(kind="adversarial", nu=0.1, kappa=2.0).effective_kappa == 1.0
+
+    def test_bands_calibrated_once_in_init(self, monkeypatch):
+        spec = uniform_scenario(0.5, LabelNoiseSpec(kind="adversarial", nu=0.1),
+                                ComparisonNoiseSpec(kind="band-adversarial", nu_prime=0.02),
+                                seed=3)
+        rho_label = calibrate_band(spec, 0.1, "label")
+        rho_comp = calibrate_band(spec, 0.02, "comparison")
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1:])
+            return calibrate_band(*args)
+
+        monkeypatch.setattr(oracles, "calibrate_band", counting)
+        oracle = Oracle(spec)
+        assert sorted(calls) == [(0.02, "comparison"), (0.1, "label")]
+        Oracle(uniform_scenario(0.5, LabelNoiseSpec(kind="massart", beta=0.1)))
+        assert len(calls) == 2
+
+        def refuse(*args):
+            raise AssertionError("a query recalibrated a band")
+
+        monkeypatch.setattr(oracles, "calibrate_band", refuse)
+        inside, outside = 0.5 + rho_label / 2, 0.5 + 2 * rho_label
+        assert oracle.label(inside) == -1 and oracle.label(outside) == 1
+        np.testing.assert_array_equal(oracle.label_many(np.array([inside, outside])), [-1, 1])
+        assert oracle.positive_probability(inside) == 0.0
+        np.testing.assert_array_equal(oracle.positive_probability(np.array([inside, outside])),
+                                      [0.0, 1.0])
+        # opposite sides of the boundary, both inside the comparison band: flipped
+        a, b = 0.5 + rho_comp / 2, 0.5 - rho_comp / 2
+        assert oracle.compare(a, b) == -1
+        below = oracle.pivot_comparator(np.array([a, b]))
+        assert below(np.array([0]), 1, np.array([True])).tolist() == [True]
+        assert oracle.counters.snapshot() == (4, 2)
 
 
 class TestAccountingAndDeterminism:
