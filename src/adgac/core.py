@@ -64,10 +64,6 @@ class RankedGroups:
     def n_groups(self) -> int:
         return len(self.bounds)
 
-    def group_ranks(self, gi: int) -> np.ndarray:
-        start, end = self.bounds[gi]
-        return np.arange(start, end)
-
 
 @dataclass
 class AdgacResult:
@@ -86,43 +82,46 @@ class AdgacResult:
 def noisy_quicksort(items, comparator, rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Randomized-pivot quicksort driven by a batch pivot comparator.
 
-    comparator(idx, pivot, elem_first) answers, for each input index in idx,
-    whether the item ranks below the pivot item; where elem_first holds the
-    pair was asked as (item, pivot), elsewhere as (pivot, item).  Each
-    orientation is a fair coin, so an asymmetric comparator sees either
-    order with probability 1/2.  Oracle.pivot_comparator builds one.
+    comparator(idx, pivots, elem_first) says, pair by pair, whether item
+    idx[j] ranks below item pivots[j], asked as (item, pivot) where
+    elem_first[j] holds, else as (pivot, item); each orientation is a fair
+    coin.  Oracle.pivot_comparator builds one.
 
-    Each segment draws one rng.integers(lo, hi) for its pivot and then one
-    rng.random(k) for the orientations of its k pairs, which is the same
-    stream as k scalar rng.random() draws.  Lomuto's swaps are replayed on
-    the indices from one comparator call per segment.  Returns the
+    Each pass handles every segment of size >= 2 at one recursion depth,
+    left to right: one rng.integers(0, sizes) draws every pivot, uniform in
+    its segment, one rng.random(pairs) every orientation, and one comparator
+    call answers every pair.  Each segment is partitioned stably (the items
+    below its pivot, the pivot, the rest, each in their current order) into
+    its left and right parts, the next level's segments.  Returns the
     permutation (rank -> input index) and the exact comparison count.
     """
-    m = len(items)
-    order = np.arange(m)
-    comparisons = 0
-    # iterative to keep worst-case adversarial recursion off the interpreter stack
-    stack = [(0, m)]
-    while stack:
-        lo, hi = stack.pop()
-        if hi - lo <= 1:
-            continue
-        p = int(rng.integers(lo, hi))
-        order[p], order[hi - 1] = order[hi - 1], order[p]
-        below = comparator(order[lo:hi - 1], order[hi - 1], rng.random(hi - lo - 1) < 0.5)
-        comparisons += hi - lo - 1
-        # Lomuto's swaps, replayed on the indices; the pivot sits at seg[-1]
-        seg = order[lo:hi].tolist()
-        store = 0
-        for i in below.nonzero()[0].tolist():
-            seg[i], seg[store] = seg[store], seg[i]
-            store += 1
-        seg[store], seg[-1] = seg[-1], seg[store]
-        order[lo:hi] = seg
-        store += lo
-        stack.append((lo, store))
-        stack.append((store + 1, hi))
-    return order, comparisons
+    order, comparisons = np.arange(len(items)), 0
+    starts, sizes = np.array([0]), np.array([len(items)])
+    while True:
+        starts, sizes = starts[sizes > 1], sizes[sizes > 1]
+        if sizes.size == 0:
+            return order, comparisons
+        pivot_pos = starts + rng.integers(0, sizes)
+        # every position of every segment but its pivot, segments left to right
+        seg = np.repeat(np.arange(sizes.size), sizes)
+        pos = np.arange(seg.size) - (np.cumsum(sizes) - sizes - starts)[seg]
+        keep = pos != pivot_pos[seg]
+        pos, seg = pos[keep], seg[keep]
+        idx, pivots = order[pos], order[pivot_pos]
+        below = comparator(idx, pivots[seg], rng.random(pos.size) < 0.5)
+        comparisons += pos.size
+        # stable ranks: among the segment's pairs, and among its pairs below
+        pair_first = (np.cumsum(sizes - 1) - (sizes - 1))[seg]
+        rank = np.arange(pos.size) - pair_first
+        below_before = np.cumsum(below) - below
+        rank_below = below_before - below_before[pair_first]
+        n_below = np.bincount(seg[below], minlength=sizes.size)
+        new_pivot = starts + n_below
+        order[np.where(below, starts[seg] + rank_below,
+                       new_pivot[seg] + 1 + rank - rank_below)] = idx
+        order[new_pivot] = pivots
+        starts = np.column_stack((starts, new_pivot + 1)).ravel()
+        sizes = np.column_stack((n_below, sizes - n_below - 1)).ravel()
 
 
 def partition_groups(order: np.ndarray, params: AdgacParams,

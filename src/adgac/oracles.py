@@ -240,19 +240,20 @@ def _labels_from_scores(noise: LabelNoiseSpec, g: np.ndarray, band: float,
 
 
 def _ranks_below(g, g_pivot, elem_first, band: float):
-    """The comparison oracle's rule, seen from a fixed pivot.
+    """The comparison oracle's rule, seen from each pair's pivot.
 
     True where the oracle ranks an item scoring g below the pivot scoring
     g_pivot, asked as (item, pivot) where elem_first holds and as (pivot,
     item) elsewhere.  The answer to (a, b) is sign(g(a) - g(b)) with ties
     broken to +1, so a tie ranks whichever was asked first higher.  It is
     flipped when both scores lie within band of 0 on opposite sides; band 0
-    means no flips.  g and elem_first are scalars or equal-length arrays.
+    means no flips.  g, g_pivot and elem_first hold one entry per pair, or
+    are scalars that broadcast.
     """
     d = g - g_pivot  # g_pivot - g >= 0 exactly when d <= 0
     below = np.where(elem_first, d < 0, d <= 0)
-    if abs(g_pivot) < band:
-        below ^= (np.abs(g) < band) & ((g >= 0) != (g_pivot >= 0))
+    if band > 0:
+        below ^= (np.abs(g) < band) & (np.abs(g_pivot) < band) & ((g >= 0) != (g_pivot >= 0))
     return below
 
 
@@ -366,17 +367,17 @@ class Oracle:
     def pivot_comparator(self, S):
         """Batch form of compare for sorting the dataset S.
 
-        Scores S once and returns below(idx, pivot, elem_first): for each
-        index i in idx, whether compare(S[i], S[pivot]) answers -1 (where
-        elem_first holds) or compare(S[pivot], S[i]) answers +1 (elsewhere).
-        Each call adds len(idx) to counters.comparisons.
+        Scores S once and returns below(idx, pivots, elem_first): for each
+        pair (i, p) of idx and pivots (or one scalar pivot p), whether
+        compare(S[i], S[p]) answers -1 where elem_first holds, elsewhere
+        compare(S[p], S[i]) +1.  Each call adds len(idx) to counters.comparisons.
         """
         g = score(self.spec, S)
         band = self._comparison_band
         counters = self.counters
 
-        def below(idx, pivot, elem_first):
+        def below(idx, pivots, elem_first):
             counters.comparisons += len(idx)
-            return _ranks_below(g[idx], g[pivot], elem_first, band)
+            return _ranks_below(g[idx], g[pivots], elem_first, band)
 
         return below

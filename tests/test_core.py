@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from adgac.core import (AdgacParams, DegenerateGroupingError, adgac, batch_size,
                         group_binary_search, noisy_quicksort, partition_groups)
 from adgac.oracles import (ComparisonNoiseSpec, LabelNoiseSpec, Oracle,
-                           bayes_label, gaussian_scenario, uniform_scenario)
+                           bayes_label, calibrate_band, gaussian_scenario,
+                           uniform_scenario)
 
 
 def perfect_comparator(a, b):
@@ -18,10 +21,10 @@ def perfect_comparator(a, b):
 
 def batch_of(items, compare=perfect_comparator):
     """Lift a scalar comparator to the batch pivot API, one pair at a time."""
-    def below(idx, pivot, elem_first):
-        return np.array([compare(items[i], items[pivot]) == -1 if first
-                         else compare(items[pivot], items[i]) == 1
-                         for i, first in zip(idx, elem_first)], dtype=bool)
+    def below(idx, pivots, elem_first):
+        return np.array([compare(items[i], items[p]) == -1 if first
+                         else compare(items[p], items[i]) == 1
+                         for i, p, first in zip(idx, pivots, elem_first)], dtype=bool)
     return below
 
 
@@ -30,34 +33,33 @@ def labels_of(label):
     return lambda xs: np.array([label(x) for x in xs], dtype=int)
 
 
-def scalar_lomuto(items, compare, rng):
-    """Reference sort: one scalar compare and one rng.random() per pair."""
-    m = len(items)
-    order = np.arange(m)
+def level_reference(items, compare, rng):
+    """Reference sort in plain Python: the same draws per level as
+    noisy_quicksort, then one scalar compare per pair and list partitions."""
+    order = list(range(len(items)))
     comparisons = 0
-    stack = [(0, m)]
-    while stack:
-        lo, hi = stack.pop()
-        if hi - lo <= 1:
-            continue
-        p = int(rng.integers(lo, hi))
-        order[p], order[hi - 1] = order[hi - 1], order[p]
-        pivot = items[order[hi - 1]]
-        store = lo
-        for i in range(lo, hi - 1):
-            elem = items[order[i]]
-            if rng.random() < 0.5:
-                below = compare(elem, pivot) == -1
-            else:
-                below = compare(pivot, elem) == 1
-            comparisons += 1
-            if below:
-                order[i], order[store] = order[store], order[i]
-                store += 1
-        order[store], order[hi - 1] = order[hi - 1], order[store]
-        stack.append((lo, store))
-        stack.append((store + 1, hi))
-    return order, comparisons
+    segments = [(0, len(items))]
+    while True:
+        segments = [(start, size) for start, size in segments if size > 1]
+        if not segments:
+            return np.array(order, dtype=int), comparisons
+        offsets = rng.integers(0, [size for _, size in segments])
+        coins = iter(rng.random(sum(size - 1 for _, size in segments)) < 0.5)
+        next_segments = []
+        for (start, size), offset in zip(segments, offsets):
+            rest = order[start:start + size]
+            pivot = rest.pop(offset)
+            lower, upper = [], []
+            for i in rest:
+                if next(coins):
+                    below = compare(items[i], items[pivot]) == -1
+                else:
+                    below = compare(items[pivot], items[i]) == 1
+                comparisons += 1
+                (lower if below else upper).append(i)
+            order[start:start + size] = lower + [pivot] + upper
+            next_segments += [(start, len(lower)), (start + len(lower) + 1, len(upper))]
+        segments = next_segments
 
 
 class TestNoisyQuicksort:
@@ -106,9 +108,9 @@ class TestNoisyQuicksort:
     @pytest.mark.parametrize("world", [
         "uniform", "uniform-band", "uniform-duplicates", "gaussian-d20-band",
         "gaussian-d20-duplicates"])
-    def test_matches_scalar_lomuto(self, world):
-        # the batch sort must be the scalar sort: same permutation, same
-        # comparison count, and the same rng stream consumed
+    def test_matches_level_reference(self, world):
+        # the numpy level passes must be the plain-Python reference: same
+        # permutation, same comparison count, and the same rng stream consumed
         band = ComparisonNoiseSpec(kind="band-adversarial", nu_prime=0.02)
         if world.startswith("uniform"):
             spec = uniform_scenario(0.5, comparison_noise=band if "band" in world else None)
@@ -126,12 +128,41 @@ class TestNoisyQuicksort:
                 if batch:
                     order, comps = noisy_quicksort(xs, oracle.pivot_comparator(xs), oracle.rng)
                 else:
-                    order, comps = scalar_lomuto(xs, oracle.compare, oracle.rng)
+                    order, comps = level_reference(xs, oracle.compare, oracle.rng)
                 runs.append((order, comps, oracle.counters.comparisons, oracle.rng.random()))
             (order_s, comps_s, counted_s, next_s), (order_b, comps_b, counted_b, next_b) = runs
             np.testing.assert_array_equal(order_b, order_s)
             assert comps_b == comps_s == counted_b == counted_s
             assert next_b == next_s
+
+
+# few distinct scores, so most pairs tie and both orientations matter
+TIED_SCORES = st.lists(st.integers(-3, 3), max_size=200)
+BAND_WORLD = uniform_scenario(0.5, comparison_noise=ComparisonNoiseSpec(
+    kind="band-adversarial", nu_prime=0.02))
+BAND_RHO = calibrate_band(BAND_WORLD, 0.02, "comparison")
+
+
+class TestSortProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(scores=TIED_SCORES, seed=st.integers(0, 2**32 - 1))
+    def test_permutation_and_exact_count(self, scores, seed):
+        # every score inside the flip band, so the comparator is
+        # inconsistent across the boundary
+        oracle = Oracle(BAND_WORLD, np.random.default_rng(seed))
+        xs = 0.5 + np.array(scores, dtype=float) * BAND_RHO / 4
+        m = len(xs)
+        order, comps = noisy_quicksort(xs, oracle.pivot_comparator(xs), oracle.rng)
+        assert sorted(order.tolist()) == list(range(m))
+        assert comps == oracle.counters.comparisons <= m * (m - 1) // 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(scores=TIED_SCORES, seed=st.integers(0, 2**32 - 1))
+    def test_perfect_comparator_sorts_ties(self, scores, seed):
+        oracle = Oracle(uniform_scenario(0.5), np.random.default_rng(seed))
+        xs = np.array(scores, dtype=float)
+        order, _ = noisy_quicksort(xs, oracle.pivot_comparator(xs), oracle.rng)
+        assert np.all(np.diff(xs[order]) >= 0)
 
 
 class TestPartitionGroups:

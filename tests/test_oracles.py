@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from adgac import oracles
@@ -326,3 +328,29 @@ class TestLabelMany:
             # adversarial answers are deterministic and draw nothing
             assert drew_b == drew_s == (len(xs) > 0 and spec.label_noise.kind != "adversarial")
             assert next_b == next_s
+
+
+class TestPivotComparator:
+    BAND = ComparisonNoiseSpec(kind="band-adversarial", nu_prime=0.02)
+    WORLDS = {
+        "uniform-band": uniform_scenario(0.5, comparison_noise=BAND),
+        "gaussian-d20-band": gaussian_scenario(np.arange(1.0, 21.0), comparison_noise=BAND),
+    }
+
+    @settings(max_examples=50, deadline=None)
+    @given(world=st.sampled_from(sorted(WORLDS)), seed=st.integers(0, 2**32 - 1),
+           pairs=st.integers(0, 200))
+    def test_matches_one_compare_per_pair(self, world, seed, pairs):
+        # per-pair pivots, both orientations, on a sample with many exact
+        # ties: one batch call answers as one compare call per pair
+        oracle = Oracle(self.WORLDS[world], np.random.default_rng(seed))
+        xs = oracle.sample(40)[oracle.rng.integers(0, 40, size=60)]
+        idx, pivots = oracle.rng.integers(0, len(xs), size=(2, pairs))
+        elem_first = oracle.rng.random(pairs) < 0.5
+        below = oracle.pivot_comparator(xs)(idx, pivots, elem_first)
+        assert oracle.counters.comparisons == pairs
+        expected = [oracle.compare(xs[i], xs[p]) == -1 if first
+                    else oracle.compare(xs[p], xs[i]) == 1
+                    for i, p, first in zip(idx, pivots, elem_first)]
+        np.testing.assert_array_equal(below, np.array(expected, dtype=bool))
+        assert oracle.counters.comparisons == 2 * pairs
