@@ -14,7 +14,7 @@ from .a2 import (BudgetExceededError, RunParams, RunResult, choose_n_i,
                  run_a2_adgac, run_baseline_a2, vc_bound_u)
 from .margin import (EmptyBandError, HingeFit, MarginParams, MarginRunResult,
                      MarginSchedule, band_membership, fit_initial_direction,
-                     hinge_loss, hinge_loss_batch, hinge_subgradient,
+                     hinge_loss_batch, hinge_subgradient,
                      minimize_hinge, run_margin_adgac)
 from .minimax import (GhatConstruction, LemmaInstance, ScoreDistribution,
                       best_threshold_error, comparison_error_of, construct_ghat,

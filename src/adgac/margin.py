@@ -28,13 +28,6 @@ class InfeasibleIterateError(RuntimeError):
     """A round's hinge fit left its search ball, or its iterate is not a unit vector."""
 
 
-def hinge_loss(w, x, y, tau: float) -> float:
-    """max(1 - y (w . x) / tau, 0) for a single point."""
-    if tau <= 0:
-        raise ValueError("hinge scale tau must be positive")
-    return float(max(1.0 - y * float(np.dot(w, x)) / tau, 0.0))
-
-
 def hinge_loss_batch(w, xs, ys, tau: float) -> float:
     """Unweighted mean hinge loss over a labeled batch."""
     if tau <= 0:

@@ -8,10 +8,12 @@ counter exactly once, so query complexity can be audited after any experiment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.special import ndtri
 
 UNIFORM = "uniform-interval"
 GAUSSIAN = "isotropic-gaussian"
@@ -22,13 +24,6 @@ ADVERSARIAL = "adversarial"
 
 PERFECT = "perfect"
 BAND_ADVERSARIAL = "band-adversarial"
-
-# Band calibration runs on its own fixed stream so that trial randomness is
-# never consumed by setup work.
-_CALIBRATION_SEED = 0x5EEDCA1B
-_CALIBRATION_SAMPLES = 200_000
-_CALIBRATION_MASS_TOL = 1e-3
-
 
 class CalibrationError(ValueError):
     """Requested corruption mass is not achievable for this scenario."""
@@ -135,8 +130,12 @@ class ScenarioSpec:
             raise ValueError("dimension must be >= 1")
         if self.dist_kind == UNIFORM and self.d != 1:
             raise ValueError("uniform-interval scenarios are one-dimensional")
-        if self.ground_truth.kind == "threshold" and self.d != 1:
-            raise ValueError("threshold ground truth needs d = 1")
+        # calibrate_band's closed forms hold for exactly these two pairings
+        if self.ground_truth.kind != ("threshold" if self.dist_kind == UNIFORM else "halfspace"):
+            raise ValueError("uniform-interval worlds need a threshold ground truth, "
+                             "gaussian ones a halfspace")
+        if self.dist_kind == UNIFORM and not 0.0 <= self.ground_truth.threshold <= 1.0:
+            raise ValueError("uniform-interval threshold must lie in [0, 1]")
         if self.ground_truth.kind == "halfspace" and self.ground_truth.w.size != self.d:
             raise ValueError("halfspace direction dimension mismatch")
 
@@ -258,46 +257,37 @@ def _ranks_below(g, g_pivot, elem_first, band: float):
 
 
 def calibrate_band(spec: ScenarioSpec, target_mass: float, which: str = "label") -> float:
-    """Find the band radius realizing a target corruption mass.
+    """The band radius rho realizing a target corruption mass, exactly.
 
-    For labels the calibrated quantity is P[|g(X)| < rho]; for comparisons it
-    is the flipped-pair probability P[|g(X)| < rho, |g(X')| < rho,
-    h*(X) != h*(X')] over an i.i.d. pair.  Bisection on Monte Carlo estimates
-    with a fixed internal seed, to absolute mass tolerance 1e-3.
+    For labels the mass is P[|g(X)| < rho]; for comparisons it is the
+    flipped-pair probability P[|g(X)| < rho, |g(X')| < rho, h*(X) != h*(X')]
+    over an i.i.d. pair.  g(X) is Uniform(-t, 1 - t) on the uniform world and
+    N(0, 1) on the gaussian one, so each mass inverts in closed form.  A
+    target of 0 gives 0.0; one outside [0, max) raises CalibrationError.
     """
     if which not in ("label", "comparison"):
         raise ValueError(f"unknown calibration target {which!r}")
-    if not 0.0 <= target_mass < 1.0:
-        raise CalibrationError("target mass must lie in [0, 1)")
+    uniform = spec.dist_kind == UNIFORM
+    # distance from the boundary to the nearer end of the uniform world
+    m = min(spec.ground_truth.threshold, 1.0 - spec.ground_truth.threshold)
+    if which == "label":
+        top = 1.0
+    else:
+        top = 2.0 * m * (1.0 - m) if uniform else 0.5
     if target_mass == 0.0:
         return 0.0
-    rng = np.random.default_rng(_CALIBRATION_SEED)
-    g = np.asarray(score(spec, sample_unlabeled(spec, _CALIBRATION_SAMPLES, rng)))
-
+    if not 0.0 < target_mass < top:
+        raise CalibrationError(f"target {which} mass {target_mass} lies outside [0, {top:.6g})")
+    if not uniform:
+        # label mass 2 Phi(rho) - 1; comparison mass 2 (Phi(rho) - 1/2)^2
+        if which == "label":
+            return float(ndtri(0.5 * (1.0 + target_mass)))
+        return float(ndtri(0.5 + math.sqrt(0.5 * target_mass)))
     if which == "label":
-        def mass(rho):
-            return float(np.mean(np.abs(g) < rho))
-    else:
-        def mass(rho):
-            p_pos = float(np.mean((g >= 0) & (g < rho)))
-            p_neg = float(np.mean((g < 0) & (g > -rho)))
-            return 2.0 * p_pos * p_neg
-
-    hi = float(np.max(np.abs(g))) * (1.0 + 1e-9) + 1e-12
-    if mass(hi) < target_mass - _CALIBRATION_MASS_TOL:
-        raise CalibrationError(
-            f"target {which} mass {target_mass} exceeds achievable maximum {mass(hi):.4f}")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        m = mass(mid)
-        if abs(m - target_mass) <= _CALIBRATION_MASS_TOL:
-            return mid
-        if m < target_mass:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        # mass min(rho, t) + min(rho, 1 - t)
+        return 0.5 * target_mass if target_mass <= 2.0 * m else target_mass - m
+    # mass 2 min(rho, t) min(rho, 1 - t)
+    return math.sqrt(0.5 * target_mass) if target_mass <= 2.0 * m * m else target_mass / (2.0 * m)
 
 
 class Oracle:

@@ -6,7 +6,10 @@ orientation of one recursion depth in one call each.  The baseline-a2 and
 passive-erm rows never sort; they were written by one scalar label call per
 instance, before labels were asked in batches, except the gate-flag row at
 seed 111, first pinned when the batch size, the effective kappa and the
-oracle bands each got a single owner.
+oracle bands each got a single owner.  The rows at seeds 11-15, 21-23,
+31-33, 55, 56, 101, 102 and 111 were re-pinned when the band radii became
+exact closed-form inverses of their masses; seeds 71-73 have a label band
+too, but none of their labeled instances lies between the old and new radius.
 A refactor that keeps the rng stream, the permutation and the query counts
 reproduces them exactly; a change that alters behaviour on purpose re-pins
 them and says why.
@@ -55,26 +58,26 @@ CONFIGS = [
 ]
 
 GOLDEN = [
-    "11,adgac-only,0.05,0.1,0.02,0.004427188724235731,85,10285,1,",
-    "12,adgac-only,0.05,0.1,0.047,0.006692607862410586,85,11248,1,",
-    "13,adgac-only,0.05,0.1,0.031,0.0054807846153630225,85,10325,1,",
-    "14,adgac-only,0.05,0.1,0.027,0.00512552436341883,85,11925,1,",
-    "15,adgac-only,0.05,0.1,0.0149,0.0012115275481803952,85,155501,1,",
+    "11,adgac-only,0.05,0.1,0.02,0.004427188724235731,85,10195,1,",
+    "12,adgac-only,0.05,0.1,0.013,0.003582038525755969,85,11216,1,",
+    "13,adgac-only,0.05,0.1,0.017,0.004087909000944126,85,10336,1,",
+    "14,adgac-only,0.05,0.1,0.007,0.0026364749192814255,85,12134,1,",
+    "15,adgac-only,0.05,0.1,0.0111,0.0010477017705435073,85,167283,1,",
     "17,adgac-only,0.1,0.1,0.003,0.001729450779872038,400,10842,1,",
     "18,adgac-only,0.1,0.1,0.007,0.0026364749192814255,400,12758,1,",
-    "21,adgac-only,0.05,0.1,0.0455,0.004659922209651144,85,26930,1,tolcomp-gate",
-    "22,adgac-only,0.05,0.1,0.0525,0.004987171041783107,68,23820,1,tolcomp-gate",
-    "23,adgac-only,0.05,0.1,0.0545,0.005075911248239078,68,24813,1,tolcomp-gate",
-    "31,a2-adgac,0.05,0.1,0.00895,0.00029782373142515017,381,9750,5,",
-    "32,a2-adgac,0.05,0.1,0.00208,0.00014407198200899437,347,9078,5,",
-    "33,a2-adgac,0.05,0.1,0.00821,0.0002853523418512629,349,10329,5,",
+    "21,adgac-only,0.05,0.1,0.0455,0.004659922209651144,85,26876,1,tolcomp-gate",
+    "22,adgac-only,0.05,0.1,0.0385,0.004302194207610809,85,23701,1,tolcomp-gate",
+    "23,adgac-only,0.05,0.1,0.0455,0.004659922209651144,85,24983,1,tolcomp-gate",
+    "31,a2-adgac,0.05,0.1,0.00104,0.00010192734667399127,382,10136,5,",
+    "32,a2-adgac,0.05,0.1,0.00208,0.00014407198200899437,415,11229,5,",
+    "33,a2-adgac,0.05,0.1,0.01704,0.0004092632209226722,382,10776,5,",
     "41,margin-adgac,0.1,0.2,0.00026,5.098356597963701e-05,81,6953,6,hinge-degraded-round-6",
     "42,margin-adgac,0.1,0.2,0.00042,6.479379599930846e-05,82,7163,6,hinge-degraded-round-3",
     "51,baseline-a2,0.05,0.1,0.01449,0.0003778894004864386,1884,0,5,",
     "52,baseline-a2,0.05,0.1,0.015,0.0003843826218756514,1908,0,5,",
     "53,baseline-a2,0.05,0.1,0.01866,0.0004279229416612295,2019,0,5,",
-    "55,baseline-a2,0.05,0.1,0.01879,0.00042938253224834383,1615,0,5,",
-    "56,baseline-a2,0.05,0.1,0.01597,0.0003964209769928933,1603,0,5,",
+    "55,baseline-a2,0.05,0.1,0.01879,0.00042938253224834383,1602,0,5,",
+    "56,baseline-a2,0.05,0.1,0.01597,0.0003964209769928933,1610,0,5,",
     "61,passive-erm,0.05,0.1,0.02648,0.0005077283683230631,2000,0,1,",
     "62,passive-erm,0.05,0.1,0.0151,0.00038564219167513296,2000,0,1,",
     "71,adgac-only,0.05,0.1,0.005,0.0022304708023195463,85,10795,1,",
@@ -83,9 +86,9 @@ GOLDEN = [
     "81,a2-adgac,0.1,0.1,0.00201,0.00014163191377652144,843,12837,4,",
     "82,a2-adgac,0.1,0.1,0.00959,0.0003081887716968287,631,8870,4,",
     "91,margin-adgac,0.2,0.2,0.0016,0.0001263898730120416,67,1761,5,",
-    "101,adgac-only,0.05,0.1,0.039,0.006122009474020765,250,10743,1,tolcomp-gate",
-    "102,adgac-only,0.05,0.1,0.046,0.006624499981130651,250,10402,1,tolcomp-gate",
-    "111,baseline-a2,0.1,0.1,0.10774,0.0009804697466010872,2350,0,4,tollabel-gate",
+    "101,adgac-only,0.05,0.1,0.023,0.004740358636221525,250,10722,1,tolcomp-gate",
+    "102,adgac-only,0.05,0.1,0.02,0.004427188724235731,250,10530,1,tolcomp-gate",
+    "111,baseline-a2,0.1,0.1,0.10774,0.0009804697466010872,2346,0,4,tollabel-gate",
 ]
 
 

@@ -11,7 +11,7 @@ from scipy.stats import norm
 from adgac import margin
 from adgac.margin import (EmptyBandError, HingeFit, InfeasibleIterateError,
                           MarginParams, MarginSchedule, band_membership,
-                          fit_initial_direction, hinge_loss, hinge_loss_batch,
+                          fit_initial_direction, hinge_loss_batch,
                           hinge_subgradient, minimize_hinge, project_to_feasible,
                           run_margin_adgac)
 from adgac.oracles import LabelNoiseSpec, gaussian_scenario, sample_unlabeled
@@ -162,17 +162,20 @@ def hinge_case(name):
 
 
 class TestHingeLoss:
+    # one-row batches: the mean over one point is that point's hinge loss
     def test_flat_region(self):
-        assert hinge_loss(np.array([1.0, 0.0]), np.array([2.0, 0.0]), 1, tau=1.0) == 0.0
+        assert hinge_loss_batch(np.array([1.0, 0.0]), np.array([[2.0, 0.0]]), np.array([1]),
+                                tau=1.0) == 0.0
 
     def test_boundary_point_loses_one(self):
         w = np.array([1.0, 0.0])
-        x = np.array([0.0, 3.0])
-        assert hinge_loss(w, x, 1, tau=0.5) == 1.0
-        assert hinge_loss(w, x, -1, tau=2.0) == 1.0
+        x = np.array([[0.0, 3.0]])
+        assert hinge_loss_batch(w, x, np.array([1]), tau=0.5) == 1.0
+        assert hinge_loss_batch(w, x, np.array([-1]), tau=2.0) == 1.0
 
     def test_direct_value(self):
-        assert hinge_loss(np.array([1.0, 0.0]), np.array([0.5, 0.0]), -1, tau=1.0) == 1.5
+        assert hinge_loss_batch(np.array([1.0, 0.0]), np.array([[0.5, 0.0]]), np.array([-1]),
+                                tau=1.0) == 1.5
 
     def test_batch_is_mean(self):
         xs = np.array([[0.5, 0.0], [2.0, 0.0]])
@@ -181,8 +184,9 @@ class TestHingeLoss:
         assert hinge_loss_batch(w, xs, ys, 1.0) == pytest.approx((1.5 + 0.0) / 2)
 
     def test_nonpositive_tau_rejected(self):
-        with pytest.raises(ValueError):
-            hinge_loss(np.array([1.0]), np.array([1.0]), 1, tau=0.0)
+        for tau in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                hinge_loss_batch(np.array([1.0]), np.array([[1.0]]), np.array([1]), tau=tau)
 
     def test_dominates_zero_one_loss(self):
         rng = np.random.default_rng(0)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -34,6 +34,26 @@ class TestSampling:
         assert sample_unlabeled(uniform_scenario(), 7, np.random.default_rng(0)).shape == (7,)
         assert sample_unlabeled(gaussian_scenario([0.6, 0.8]), 7,
                                 np.random.default_rng(0)).shape == (7, 2)
+
+
+class TestScenarioSpec:
+    @pytest.mark.parametrize("t", [1.5, -0.1, float("nan")])
+    def test_uniform_threshold_outside_unit_interval_rejected(self, t):
+        with pytest.raises(ValueError):
+            uniform_scenario(t)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_uniform_threshold_endpoints_build(self, t):
+        assert uniform_scenario(t).ground_truth.threshold == t
+
+    def test_ground_truth_matches_world(self):
+        # the band's closed forms know only these pairings
+        with pytest.raises(ValueError):
+            oracles.ScenarioSpec(dist_kind=oracles.GAUSSIAN, d=1,
+                                 ground_truth=oracles.GroundTruth(kind="threshold"))
+        with pytest.raises(ValueError):
+            oracles.ScenarioSpec(dist_kind=oracles.UNIFORM, d=1, ground_truth=oracles.GroundTruth(
+                kind="halfspace", direction=(1.0,)))
 
 
 class TestScore:
@@ -142,7 +162,7 @@ class TestComparisonOracle:
         flipped = opposite & (np.abs(ga) < rho) & (np.abs(gb) < rho)
         est = flipped.mean()
         se = np.sqrt(nu_prime * (1 - nu_prime) / n)
-        assert abs(est - nu_prime) <= 3 * se + 1.5e-3  # mass tolerance from calibration
+        assert abs(est - nu_prime) <= 3 * se
 
     def test_band_rule_matches_query_calls(self):
         nu_prime = 0.02
@@ -161,27 +181,79 @@ class TestComparisonOracle:
 
 
 class TestCalibration:
-    def test_zero_target(self):
-        assert calibrate_band(uniform_scenario(0.5), 0.0, "label") == 0.0
 
     def test_uniform_label_band_closed_form(self):
         # P[|x - 0.5| < rho] = 2 rho, so a 0.1 target sits at rho = 0.05
         rho = calibrate_band(uniform_scenario(0.5), 0.1, "label")
-        assert abs(rho - 0.05) < 2e-3
+        assert abs(rho - 0.05) < 1e-12
 
     def test_gaussian_label_band_inverse_cdf(self):
         rho = calibrate_band(gaussian_scenario([1.0]), 0.1, "label")
-        assert abs(rho - norm.ppf(0.55)) < 3e-3
+        assert abs(rho - norm.ppf(0.55)) < 1e-12
 
     def test_uniform_comparison_band_closed_form(self):
         # flipped-pair mass 2 rho^2 for rho <= 1/2, so 0.02 sits at rho = 0.1
         rho = calibrate_band(uniform_scenario(0.5), 0.02, "comparison")
-        assert abs(rho - 0.1) < 5e-3
+        assert abs(rho - 0.1) < 1e-12
 
     def test_unachievable_mass_rejected(self):
         # flipped-pair mass cannot exceed 2 P[+] P[-] = 1/2
         with pytest.raises(CalibrationError):
             calibrate_band(uniform_scenario(0.5), 0.75, "comparison")
+
+    @staticmethod
+    def _realized_mass(spec, rho, which):
+        """P[0 <= g < rho] and P[-rho < g < 0], combined as the oracle uses them."""
+        if spec.dist_kind == oracles.UNIFORM:
+            # g is x - t with x uniform on [0, 1]: the lengths of [t, t + rho)
+            # and (t - rho, t) inside [0, 1]
+            t = spec.ground_truth.threshold
+            pos, neg = min(rho, 1.0 - t), min(rho, t)
+        else:
+            pos = neg = norm.cdf(rho) - 0.5
+        return pos + neg if which == "label" else 2.0 * pos * neg
+
+    @staticmethod
+    def _max_mass(spec, which):
+        if which == "label":
+            return 1.0
+        if spec.dist_kind == oracles.GAUSSIAN:
+            return 0.5
+        t = spec.ground_truth.threshold
+        return 2.0 * t * (1.0 - t)
+
+    WORLDS = st.one_of(st.floats(0.0, 1.0).map(uniform_scenario),
+                       st.just(gaussian_scenario([1.0, 2.0, 3.0, 4.0, 5.0])))
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=WORLDS, which=st.sampled_from(["label", "comparison"]))
+    def test_zero_target(self, spec, which):
+        # on every world, even where the comparison maximum is 0 (t = 0, 1)
+        assert calibrate_band(spec, 0.0, which) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=WORLDS, which=st.sampled_from(["label", "comparison"]),
+           frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_realized_mass_equals_target(self, spec, which, frac):
+        top = self._max_mass(spec, which)
+        target = frac * top
+        # 100 times below the smallest mass the lab configures: further down,
+        # the gaussian check's cdf difference loses the digits the bound asks for
+        assume(target >= 1e-6)
+        rho = calibrate_band(spec, target, which)
+        assert rho > 0.0
+        assert self._realized_mass(spec, rho, which) == pytest.approx(target, rel=1e-9, abs=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=WORLDS, which=st.sampled_from(["label", "comparison"]),
+           excess=st.floats(0.0, 10.0), below=st.floats(0.0, 10.0, exclude_min=True))
+    def test_out_of_range_targets_rejected(self, spec, which, excess, below):
+        top = self._max_mass(spec, which)
+        if top + excess > 0.0:  # a zero target is met on every world, by band 0
+            with pytest.raises(CalibrationError):
+                calibrate_band(spec, top + excess, which)
+        with pytest.raises(CalibrationError):
+            calibrate_band(spec, -below, which)
 
 
 class TestSingleOwners:
