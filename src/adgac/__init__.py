@@ -5,11 +5,7 @@ from .oracles import (ComparisonNoiseSpec, GroundTruth, LabelNoiseSpec, Oracle,
                       gaussian_scenario, sample_unlabeled, score, uniform_scenario)
 from .core import (AdgacParams, AdgacResult, RankedGroups, adgac, batch_size,
                    group_binary_search, noisy_quicksort, partition_groups)
-from .hypotheses import (EmptyVersionSpaceError, ExplicitClass, LabeledDataset,
-                         ThresholdClass, VersionSpace, empirical_error,
-                         estimate_disagreement_coefficient,
-                         estimate_disagreement_mass, filter_version_space,
-                         in_disagreement_region)
+from .hypotheses import EmptyVersionSpaceError, ExplicitClass, ThresholdClass, VersionSpace
 from .a2 import (BudgetExceededError, RunParams, RunResult, choose_n_i,
                  run_a2_adgac, run_baseline_a2, vc_bound_u)
 from .margin import (EmptyBandError, HingeFit, MarginParams, MarginRunResult,

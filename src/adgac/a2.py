@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .hypotheses import LabeledDataset, ThresholdClass, VersionSpace
+from .hypotheses import ThresholdClass, VersionSpace
 from .oracles import Oracle
 
 
@@ -79,15 +79,25 @@ class RunResult:
     flags: list[str] = field(default_factory=list)
 
 
-def vc_bound_u(n: float, gamma: float, d: float, c0: float = 1.0) -> float:
-    """Uniform deviation bound c0 * (d log(n/d) + log(1/gamma)) / n."""
-    if d < 1 or n < d:
+def vc_bound_u(n, gamma: float, d: float, c0: float = 1.0):
+    """Uniform deviation bound c0 * (d log(n/d) + log(1/gamma)) / n, elementwise in n."""
+    if d < 1 or np.any(np.asarray(n) < d):
         raise ValueError("need n >= d >= 1")
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     if c0 <= 0:
         raise ValueError("c0 must be positive")
-    return c0 * (d * math.log(n / d) + math.log(1.0 / gamma)) / n
+    return c0 * (d * np.log(n / d) + math.log(1.0 / gamma)) / n
+
+
+def _round_eps(i: int) -> float:
+    """Round i's error target eps_i = 2^-(i+2)."""
+    return 2.0 ** -(i + 2)
+
+
+def _round_gamma(eps: float, delta: float) -> float:
+    """Per-round failure share delta / (4 log2(1/eps))."""
+    return delta / (4.0 * math.log2(1.0 / eps))
 
 
 @functools.lru_cache(maxsize=None)
@@ -103,8 +113,7 @@ def _smallest_n_for_bound(eps_i: float, gamma: float, d: float, c0: float, cap: 
     while lo <= cap:
         hi = min(lo + block, cap + 1)
         ns = np.arange(lo, hi, dtype=float)
-        vals = c0 * (d * np.log(ns / d) + math.log(1.0 / gamma)) / ns
-        ok = np.flatnonzero(vals <= eps_i)
+        ok = np.flatnonzero(vc_bound_u(ns, gamma, d, c0) <= eps_i)
         if ok.size:
             return int(ns[ok[0]])
         lo = hi
@@ -122,9 +131,9 @@ def choose_n_i(i: int, eps: float, d: float, delta: float, params: RunParams,
     """
     if i < 1:
         raise ValueError("rounds are 1-indexed")
-    eps_i = 2.0 ** -(i + 2)
-    gamma = delta / (4.0 * math.log2(1.0 / eps))
-    n_u = _smallest_n_for_bound(eps_i, gamma, d, params.c0, params.max_round_samples)
+    eps_i = _round_eps(i)
+    n_u = _smallest_n_for_bound(eps_i, _round_gamma(eps, delta), d, params.c0,
+                                params.max_round_samples)
     term = params.tnc_mult * (1.0 / eps_i) ** (2.0 * kappa - 1.0) * math.log(1.0 / delta)
     n = int(math.ceil(params.n_mult * max(n_u, term)))
     if n > params.max_round_samples:
@@ -163,7 +172,7 @@ def _run_rounds(spec, klass, params: RunParams, use_comparisons: bool,
         oracle = Oracle(spec, rng)
     kappa = spec.label_noise.effective_kappa
     rounds = _round_count(params.eps)
-    gamma = params.delta / (4.0 * math.log2(1.0 / params.eps))
+    gamma = _round_gamma(params.eps, params.delta)
     space = VersionSpace(klass)
     trace: list[RoundTrace] = []
     flags: list[str] = []
@@ -173,7 +182,7 @@ def _run_rounds(spec, klass, params: RunParams, use_comparisons: bool,
         if params.early_exit_singleton and len(space) == 1:
             flags.append(f"early-exit-round-{i}")
             break
-        eps_i = 2.0 ** -(i + 2)
+        eps_i = _round_eps(i)
         n_i = choose_n_i(i, params.eps, klass.vc_dim, params.delta, params, kappa)
         s_tilde = oracle.sample(n_i)
         mask = space.dis_mask(s_tilde)
@@ -183,16 +192,14 @@ def _run_rounds(spec, klass, params: RunParams, use_comparisons: bool,
             if use_comparisons:
                 result = core.adgac(subset, n_i, eps_i, gamma, oracle, rng,
                                     kappa=kappa, c3=params.c3)
-                dataset = LabeledDataset(subset, result.labels, provenance="adgac-predicted")
-                counts = klass.error_counts(dataset.xs, dataset.ys)
+                counts = klass.error_counts(subset, result.labels)
                 space = space.filter_by_counts(counts, n_i * eps_i)
                 if isinstance(klass, ThresholdClass) and _is_monotone_step(subset, result.labels):
                     if not space.is_contiguous():
                         raise NonContiguousVersionSpaceError(
                             f"round {i}: monotone-step labels must keep an interval alive")
             else:
-                dataset = LabeledDataset(subset, oracle.label_many(subset), provenance="oracle-direct")
-                counts = klass.error_counts(dataset.xs, dataset.ys)
+                counts = klass.error_counts(subset, oracle.label_many(subset))
                 alive_min = counts[space.alive].min()
                 space = space.filter_by_counts(counts - alive_min, n_i * eps_i)
         labels_after, comps_after = oracle.counters.snapshot()

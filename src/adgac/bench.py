@@ -27,8 +27,6 @@ from .oracles import (ADVERSARIAL, BAND_ADVERSARIAL, GAUSSIAN, MASSART, PERFECT,
 
 CSV_HEADER = "seed,method,epsilon,delta,err,err_se,labels,comparisons,rounds,wall_ms,flags"
 
-METHODS = ("adgac-only", "a2-adgac", "margin-adgac", "baseline-a2", "passive-erm")
-
 _ERR_MC_SAMPLES = 100_000
 _ERR_MC_SALT = 0x5A17
 
@@ -123,13 +121,16 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
+            raise ValueError(f"unknown method {self.method!r}; choose from {list(METHODS)}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if self.method == "margin-adgac" and self.dist != GAUSSIAN:
-            raise ValueError("margin-adgac requires the isotropic-gaussian scenario")
-        if self.method in ("a2-adgac", "baseline-a2") and self.dist != UNIFORM:
-            raise ValueError(f"{self.method} batteries run on the uniform-interval scenario")
+        if self.dist not in (UNIFORM, GAUSSIAN):
+            raise ValueError(f"unknown world {self.dist!r}; choose from {[UNIFORM, GAUSSIAN]}")
+        world = METHODS[self.method][0]
+        if world not in (None, self.dist):
+            raise ValueError(f"{self.method} batteries run on the {world} scenario")
+        # an invalid world is a usage error here, not one failed row per trial
+        self.scenario(self.seed)
 
     def label_noise_spec(self) -> LabelNoiseSpec:
         return LabelNoiseSpec(kind=self.label_noise, beta=self.beta, kappa=self.kappa,
@@ -138,7 +139,7 @@ class ExperimentConfig:
     def comparison_noise_spec(self) -> ComparisonNoiseSpec:
         return ComparisonNoiseSpec(kind=self.comp_noise, nu_prime=self.nu_prime)
 
-    def scenario(self, seed: int, rng: np.random.Generator | None = None) -> ScenarioSpec:
+    def scenario(self, seed: int) -> ScenarioSpec:
         if self.dist == UNIFORM:
             return uniform_scenario(self.threshold, self.label_noise_spec(),
                                     self.comparison_noise_spec(), seed=seed)
@@ -242,6 +243,60 @@ def _gate_flags(config: ExperimentConfig) -> list[str]:
     return flags
 
 
+def _run_adgac_only(config: ExperimentConfig, spec: ScenarioSpec, rng, oracle: Oracle):
+    n = config.n_samples
+    xs = oracle.sample(n)
+    result = core.adgac(xs, n, config.eps, config.delta, oracle, rng, k=config.k or None,
+                        kappa=spec.label_noise.effective_kappa, c3=config.constants.C3)
+    err = int(np.sum(result.labels != bayes_label(spec, xs))) / n
+    return err, math.sqrt(max(err * (1 - err), 1.0 / n) / n), 1, []
+
+
+def _run_disagreement(learner, config: ExperimentConfig, spec: ScenarioSpec, rng,
+                      oracle: Oracle):
+    cst = config.constants
+    klass = ThresholdClass(np.linspace(0.0, 1.0, config.grid))
+    params = a2.RunParams(eps=config.eps, delta=config.delta, c0=cst.c0, c3=cst.C3,
+                          n_mult=cst.n_mult, tnc_mult=cst.tnc_mult)
+    result = learner(spec, klass, params, rng=rng, oracle=oracle)
+    idx = result.hypothesis_index
+    err, err_se = measure_error(lambda pts: klass.predict(idx, pts), spec, spec.seed)
+    return err, err_se, result.rounds_run, result.flags
+
+
+def _run_margin(config: ExperimentConfig, spec: ScenarioSpec, rng, oracle: Oracle):
+    cst = config.constants
+    params = margin_mod.MarginParams(eps=config.eps, delta=config.delta,
+                                     c1=cst.c1, c2=cst.c2, c3=cst.c3, c4=cst.c4,
+                                     c1p=cst.c1p, batch_c3=cst.C3,
+                                     n_mult=cst.n_mult_margin)
+    result = margin_mod.run_margin_adgac(spec, params, rng=rng, oracle=oracle,
+                                         w_star=spec.ground_truth.w)
+    w_hat = result.w_hat
+    err, err_se = measure_error(
+        lambda pts: np.where(np.asarray(pts) @ w_hat >= 0, 1, -1), spec, spec.seed)
+    return err, err_se, result.rounds_run, result.flags
+
+
+def _run_passive_erm(config: ExperimentConfig, spec: ScenarioSpec, rng, oracle: Oracle):
+    klass = ThresholdClass(np.linspace(0.0, 1.0, config.grid))
+    idx, _ = passive_erm(spec, klass, config.n_samples, rng=rng, oracle=oracle)
+    err, err_se = measure_error(lambda pts: klass.predict(idx, pts), spec, spec.seed)
+    return err, err_se, 1, []
+
+
+# method -> (the world it runs on, None for either; its runner).  A runner
+# returns (err, err_se, rounds, flags) and reaches every learner through its
+# module at call time, so a rebound module attribute is the one it calls.
+METHODS = {
+    "adgac-only": (None, _run_adgac_only),
+    "a2-adgac": (UNIFORM, lambda *args: _run_disagreement(a2.run_a2_adgac, *args)),
+    "margin-adgac": (GAUSSIAN, _run_margin),
+    "baseline-a2": (UNIFORM, lambda *args: _run_disagreement(a2.run_baseline_a2, *args)),
+    "passive-erm": (UNIFORM, _run_passive_erm),
+}
+
+
 def run_single_trial(config: ExperimentConfig, trial_index: int) -> TrialReport:
     """Run one fully independent trial at seed = base seed + trial index."""
     seed = config.seed + trial_index
@@ -249,55 +304,14 @@ def run_single_trial(config: ExperimentConfig, trial_index: int) -> TrialReport:
     rng = np.random.default_rng(seed)
     oracle = Oracle(spec, rng)
     flags = _gate_flags(config)
-    cst = config.constants
     started = time.perf_counter()
-
-    if config.method == "adgac-only":
-        n = config.n_samples
-        xs = oracle.sample(n)
-        result = core.adgac(xs, n, config.eps, config.delta, oracle, rng, k=config.k or None,
-                            kappa=spec.label_noise.effective_kappa, c3=cst.C3)
-        truth = bayes_label(spec, xs)
-        mism = int(np.sum(result.labels != truth))
-        err = mism / n
-        err_se = math.sqrt(max(err * (1 - err), 1.0 / n) / n)
-        rounds = 1
-    elif config.method in ("a2-adgac", "baseline-a2"):
-        klass = ThresholdClass(np.linspace(0.0, 1.0, config.grid))
-        params = a2.RunParams(eps=config.eps, delta=config.delta, c0=cst.c0, c3=cst.C3,
-                              n_mult=cst.n_mult, tnc_mult=cst.tnc_mult)
-        runner = a2.run_a2_adgac if config.method == "a2-adgac" else a2.run_baseline_a2
-        result = runner(spec, klass, params, rng=rng, oracle=oracle)
-        idx = result.hypothesis_index
-        err, err_se = measure_error(lambda pts: klass.predict(idx, pts), spec, seed)
-        rounds = result.rounds_run
-        flags.extend(result.flags)
-    elif config.method == "margin-adgac":
-        params = margin_mod.MarginParams(eps=config.eps, delta=config.delta,
-                                         c1=cst.c1, c2=cst.c2, c3=cst.c3, c4=cst.c4,
-                                         c1p=cst.c1p, batch_c3=cst.C3,
-                                         n_mult=cst.n_mult_margin)
-        result = margin_mod.run_margin_adgac(spec, params, rng=rng, oracle=oracle,
-                                             w_star=spec.ground_truth.w)
-        w_hat = result.w_hat
-        err, err_se = measure_error(
-            lambda pts: np.where(np.asarray(pts) @ w_hat >= 0, 1, -1), spec, seed)
-        rounds = result.rounds_run
-        flags.extend(result.flags)
-    elif config.method == "passive-erm":
-        klass = ThresholdClass(np.linspace(0.0, 1.0, config.grid))
-        idx, _ = passive_erm(spec, klass, config.n_samples, rng=rng, oracle=oracle)
-        err, err_se = measure_error(lambda pts: klass.predict(idx, pts), spec, seed)
-        rounds = 1
-    else:  # pragma: no cover - guarded by the config validator
-        raise ValueError(config.method)
-
+    err, err_se, rounds, run_flags = METHODS[config.method][1](config, spec, rng, oracle)
     wall_ms = (time.perf_counter() - started) * 1e3
     return TrialReport(seed=seed, method=config.method, epsilon=config.eps,
                        delta=config.delta, err=err, err_se=err_se,
                        labels=oracle.counters.labels,
                        comparisons=oracle.counters.comparisons,
-                       rounds=rounds, wall_ms=wall_ms, flags=";".join(flags))
+                       rounds=rounds, wall_ms=wall_ms, flags=";".join(flags + run_flags))
 
 
 def run_trials(config: ExperimentConfig) -> tuple[list[TrialReport], dict]:

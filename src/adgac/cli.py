@@ -58,30 +58,28 @@ def _add_scenario_flags(p: argparse.ArgumentParser):
                    help="fail (exit 3) when the success rate falls below this")
 
 
-def _build_config(args, method: str | None) -> bench.ExperimentConfig:
+def _build_config(args) -> bench.ExperimentConfig:
     constants = bench.DEFAULT_CONSTANTS
     if args.constants_file:
         with open(args.constants_file) as fh:
             constants = bench.TunableConstants.from_text(fh.read())
-    # each scenario flag's dest is the ExperimentConfig field it sets
+    # each scenario flag's dest, and a battery's method, is the ExperimentConfig field it sets
     fields = {f.name for f in dataclasses.fields(bench.ExperimentConfig)}
     overrides = {name: val for name, val in vars(args).items()
                  if name in fields and val is not None}
-    if method is not None:
-        overrides["method"] = method
     if args.config:
         with open(args.config) as fh:
             config = bench.ExperimentConfig.from_text(fh.read(), constants=constants)
         if overrides:
             config = dataclasses.replace(config, **overrides)
         return config
-    if method is None:
+    if "method" not in overrides:
         raise _UsageError("bench requires --config")
     return bench.ExperimentConfig(constants=constants, **overrides)
 
 
-def _run_battery(args, method: str | None) -> int:
-    config = _build_config(args, method)
+def _run_battery(args) -> int:
+    config = _build_config(args)
     reports, summary = bench.run_trials(config)
     if config.out:
         files = bench.emit_report(reports, config.out, config=config, summary=summary)
@@ -144,11 +142,11 @@ def build_parser() -> _Parser:
                          ("erm", "passive-erm")]:
         p = sub.add_parser(name, help=f"run the {method} battery")
         _add_scenario_flags(p)
-        p.set_defaults(func=lambda a, m=method: _run_battery(a, m))
+        p.set_defaults(func=_run_battery, method=method)
 
     p = sub.add_parser("bench", help="run a battery described by a config file")
     _add_scenario_flags(p)
-    p.set_defaults(func=lambda a: _run_battery(a, None))
+    p.set_defaults(func=_run_battery)
 
     p = sub.add_parser("lemma-check", help="verify the prefix-suffix inequality numerically")
     p.add_argument("--instances", type=int, default=10_000)

@@ -9,7 +9,7 @@ emits a monotone-step labeling of the whole dataset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,9 +56,6 @@ class RankedGroups:
 
     order: np.ndarray                 # rank -> original index
     bounds: list[tuple[int, int]]     # per-group [start, end) over ranks
-    # test-mode diagnostics, populated when a ground-truth labeler is supplied
-    group_majorities: np.ndarray | None = None   # mu(S_i)
-    group_minority_fractions: np.ndarray | None = None  # q(S_i)
 
     @property
     def n_groups(self) -> int:
@@ -70,13 +67,9 @@ class AdgacResult:
     """Predicted labels aligned to the input order, plus exact accounting."""
 
     labels: np.ndarray
-    boundary_group: int
     n_groups: int
-    comparisons: int
     label_queries: int
-    probes: int
     groups: RankedGroups | None = None
-    flags: list[str] = field(default_factory=list)
 
 
 def noisy_quicksort(items, comparator, rng: np.random.Generator) -> tuple[np.ndarray, int]:
@@ -124,8 +117,7 @@ def noisy_quicksort(items, comparator, rng: np.random.Generator) -> tuple[np.nda
         sizes = np.column_stack((n_below, sizes - n_below - 1)).ravel()
 
 
-def partition_groups(order: np.ndarray, params: AdgacParams,
-                     truth_labeler=None, items=None) -> RankedGroups:
+def partition_groups(order: np.ndarray, params: AdgacParams) -> RankedGroups:
     """Split the sorted ranking into contiguous groups of the nominal size.
 
     All groups have size max(1, round(alpha * m)); a nonzero remainder is
@@ -144,19 +136,7 @@ def partition_groups(order: np.ndarray, params: AdgacParams,
     else:
         bounds = [(i * g, (i + 1) * g) for i in range(full - 1)]
         bounds.append(((full - 1) * g, m))
-    groups = RankedGroups(order=order, bounds=bounds)
-    if truth_labeler is not None and items is not None:
-        maj = np.empty(len(bounds), dtype=int)
-        frac = np.empty(len(bounds), dtype=float)
-        for gi, (s, e) in enumerate(bounds):
-            ys = np.asarray([truth_labeler(items[j]) for j in order[s:e]])
-            pos = int(np.sum(ys > 0))
-            neg = ys.size - pos
-            maj[gi] = 1 if pos - neg >= 0 else -1
-            frac[gi] = min(pos, neg) / ys.size
-        groups.group_majorities = maj
-        groups.group_minority_fractions = frac
-    return groups
+    return RankedGroups(order=order, bounds=bounds)
 
 
 def group_binary_search(groups: RankedGroups, items, label_query, k: int,
@@ -206,27 +186,24 @@ def group_binary_search(groups: RankedGroups, items, label_query, k: int,
 
 
 def adgac(S, n: int, eps: float, delta: float, oracle, rng: np.random.Generator,
-          k: int | None = None, kappa: float = 1.0, c3: float = 1.0,
-          truth_labeler=None) -> AdgacResult:
+          k: int | None = None, kappa: float = 1.0, c3: float = 1.0) -> AdgacResult:
     """Label a dataset with comparisons plus a few label batches.
 
     S is the dataset to label (array of instances), n the ambient sample count
     for the error budget eps * n.  The oracle supplies pivot_comparator and
     label_many and owns the counters.  The label batch k is batch_size(eps,
-    delta, kappa, c3) unless given.  Pass a truth_labeler to populate
-    per-group diagnostics (test mode only; it consumes no oracle queries).
+    delta, kappa, c3) unless given.
     """
     m = len(S)
     if m == 0:
-        return AdgacResult(labels=np.empty(0, dtype=int), boundary_group=0, n_groups=0,
-                           comparisons=0, label_queries=0, probes=0)
+        return AdgacResult(labels=np.empty(0, dtype=int), n_groups=0, label_queries=0)
     if k is None:
         k = batch_size(eps, delta, kappa, c3)
     params = AdgacParams(n=n, m=m, eps=eps, delta=delta, k=k)
 
-    order, comparisons = noisy_quicksort(S, oracle.pivot_comparator(S), rng)
-    groups = partition_groups(order, params, truth_labeler=truth_labeler, items=S)
-    t, label_count, votes, probes = group_binary_search(groups, S, oracle.label_many, k, rng)
+    order, _ = noisy_quicksort(S, oracle.pivot_comparator(S), rng)
+    groups = partition_groups(order, params)
+    t, label_count, votes, _ = group_binary_search(groups, S, oracle.label_many, k, rng)
 
     majority = 1 if votes[t] >= 0 else -1
     yhat = np.empty(m, dtype=int)
@@ -238,8 +215,7 @@ def adgac(S, n: int, eps: float, delta: float, oracle, rng: np.random.Generator,
         else:
             val = majority
         yhat[groups.order[s:e]] = val
-    return AdgacResult(labels=yhat, boundary_group=t, n_groups=groups.n_groups,
-                       comparisons=comparisons, label_queries=label_count, probes=probes,
+    return AdgacResult(labels=yhat, n_groups=groups.n_groups, label_queries=label_count,
                        groups=groups)
 
 

@@ -9,35 +9,12 @@ scans.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .oracles import sample_unlabeled
 
 
 class EmptyVersionSpaceError(RuntimeError):
     """Filtering removed every hypothesis; constants or noise are misconfigured."""
-
-
-@dataclass(frozen=True)
-class LabeledDataset:
-    """Instances with labels plus a provenance flag.
-
-    provenance is "oracle-direct" when labels came straight from the labeling
-    oracle and "adgac-predicted" when they are batch-labeling predictions.
-    """
-
-    xs: np.ndarray
-    ys: np.ndarray
-    provenance: str = "oracle-direct"
-
-    def __post_init__(self):
-        if len(self.xs) != len(self.ys):
-            raise ValueError("instances and labels must align")
-
-    def __len__(self) -> int:
-        return len(self.xs)
 
 
 class ThresholdClass:
@@ -167,63 +144,3 @@ class VersionSpace:
             mask |= diff & undecided
             undecided &= ~diff
         return mask
-
-
-def empirical_error(predict_fn, dataset: LabeledDataset) -> float:
-    """Fraction of labeled points the hypothesis disagrees with."""
-    if len(dataset) == 0:
-        raise ValueError("empirical error over an empty dataset is undefined")
-    preds = np.asarray(predict_fn(dataset.xs))
-    return float(np.mean(preds != dataset.ys))
-
-
-def in_disagreement_region(space: VersionSpace, x) -> bool:
-    """Exact membership test for a single instance."""
-    xs = np.asarray(x)
-    if xs.ndim == 0:
-        xs = xs[None]
-    elif xs.ndim == 1 and not isinstance(space.klass, ThresholdClass):
-        xs = xs[None, :]
-    return bool(space.dis_mask(xs)[0])
-
-
-def filter_version_space(space: VersionSpace, dataset: LabeledDataset,
-                         threshold: float) -> VersionSpace:
-    """Filter on weighted empirical error |W| * err_W(h) against a count threshold."""
-    counts = space.klass.error_counts(dataset.xs, dataset.ys)
-    return space.filter_by_counts(counts, threshold)
-
-
-def estimate_disagreement_mass(space: VersionSpace, spec, n_mc: int,
-                               rng: np.random.Generator) -> tuple[float, float]:
-    """Monte Carlo mass of the disagreement region, with its standard error."""
-    if n_mc < 1:
-        raise ValueError("need at least one Monte Carlo sample")
-    xs = sample_unlabeled(spec, n_mc, rng)
-    hits = space.dis_mask(xs)
-    p = float(np.mean(hits))
-    se = math.sqrt(max(p * (1.0 - p), 1.0 / n_mc) / n_mc)
-    return p, se
-
-
-def estimate_disagreement_coefficient(klass, star_predict, spec, radii, n_mc: int,
-                                      rng: np.random.Generator) -> float:
-    """Diagnostic estimate of sup_r P[DIS(ball(h*, r))] / r over a finite grid.
-
-    Reported only; nothing in the learners consumes it.  Hypothesis distances
-    to h* and region masses are both Monte Carlo estimates on a shared sample.
-    """
-    xs = sample_unlabeled(spec, n_mc, rng)
-    star = np.asarray(star_predict(xs))
-    dists = np.array([float(np.mean(klass.predict(i, xs) != star)) for i in range(len(klass))])
-    best = 0.0
-    for r in radii:
-        if r <= 0:
-            raise ValueError("radii must be positive")
-        ball = np.flatnonzero(dists <= r)
-        if ball.size == 0:
-            continue
-        space = VersionSpace(klass, np.isin(np.arange(len(klass)), ball))
-        mass = float(np.mean(space.dis_mask(xs)))
-        best = max(best, mass / r)
-    return best

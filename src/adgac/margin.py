@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .hypotheses import LabeledDataset
 from .oracles import GAUSSIAN, Oracle
 
 
@@ -173,13 +172,11 @@ class MarginParams:
     c3: float = 1.0
     c4: float = 2.0
     c1p: float = 1.0
-    kappa_prec: float | None = None   # default 1 / (4 c1p M)
     batch_c3: float = 5.0             # label batch constant for the subroutine
     n_mult: float = 0.4
     min_round_samples: int = 64   # keeps early-round bands from coming up empty
     seed_batch: int = 32
     max_round_samples: int = 5_000_000
-    hinge_iters: int = 1500
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0 or not 0.0 < self.delta < 1.0:
@@ -198,8 +195,7 @@ class MarginSchedule:
         self.d = d
         self.label_kappa = label_kappa
         self.M = max(2.0 / (params.c2 * math.pi), 2.0)
-        self.kappa_prec = (params.kappa_prec if params.kappa_prec is not None
-                           else 1.0 / (4.0 * params.c1p * self.M))
+        self.kappa_prec = 1.0 / (4.0 * params.c1p * self.M)
         if not 0.0 < self.kappa_prec < 0.5:
             raise ValueError("precision constant must lie in (0, 1/2)")
         self.rounds = max(1, math.ceil(math.log2(4.0 / params.eps)))
@@ -302,18 +298,16 @@ def run_margin_adgac(spec, params: MarginParams, w0=None,
         if math.acos(cosine) > math.pi / 2.0:
             flags.append("w0-angle")
 
-    def run_subroutine(subset, n_k, eps_k):
-        result = core.adgac(subset, n_k, eps_k, gamma, oracle, rng,
-                            kappa=label_kappa, c3=params.batch_c3)
-        return LabeledDataset(subset, result.labels, provenance="adgac-predicted")
+    def adgac_labels(subset, n_k, eps_k):
+        return core.adgac(subset, n_k, eps_k, gamma, oracle, rng,
+                          kappa=label_kappa, c3=params.batch_c3).labels
 
     # round 0: unrestricted sample labeled at the k = 0 budget
     n1 = schedule.n(1)
     if n1 > params.max_round_samples:
         raise EmptyBandError(f"round 0 needs n={n1} > cap {params.max_round_samples}")
-    sample = oracle.sample(n1)
-    eps0 = schedule.eps_k(0)
-    dataset = run_subroutine(sample, n1, eps0)
+    xs = oracle.sample(n1)
+    ys = adgac_labels(xs, n1, schedule.eps_k(0))
 
     trace: list[MarginRoundTrace] = []
     iterates = [w.copy()]
@@ -324,7 +318,7 @@ def run_margin_adgac(spec, params: MarginParams, w0=None,
         eps_k = schedule.eps_k(k)
 
         labels_before, comps_before = oracle.counters.snapshot()
-        fit = minimize_hinge(dataset.xs, dataset.ys, w, r_k, tau_k, max_iters=params.hinge_iters)
+        fit = minimize_hinge(xs, ys, w, r_k, tau_k)
         if fit.degraded:
             flags.append(f"hinge-degraded-round-{k}")
         v = fit.v
@@ -345,14 +339,14 @@ def run_margin_adgac(spec, params: MarginParams, w0=None,
         if n_k > params.max_round_samples:
             raise EmptyBandError(f"round {k} needs n={n_k} > cap {params.max_round_samples}")
         fresh = oracle.sample(n_k)
-        band = fresh[band_membership(w, fresh, b_k)]
-        if len(band) == 0:
+        xs = fresh[band_membership(w, fresh, b_k)]
+        if len(xs) == 0:
             raise EmptyBandError(
                 f"band |w.x| <= {b_k:.4g} caught no samples at n={n_k}; increase n_mult")
-        dataset = run_subroutine(band, n_k, eps_k)
+        ys = adgac_labels(xs, n_k, eps_k)
         labels_after, comps_after = oracle.counters.snapshot()
         trace.append(MarginRoundTrace(round=k, b_k=b_k, r_k=r_k, tau_k=tau_k,
-                                      band_size=len(band), loss=fit.loss,
+                                      band_size=len(xs), loss=fit.loss,
                                       labels=labels_after - labels_before,
                                       comparisons=comps_after - comps_before))
 

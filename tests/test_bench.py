@@ -87,9 +87,15 @@ class TestBatteryDeterminism:
         assert summary["labels_total"] == sum(r.labels for r in reports)
         assert summary["comparisons_total"] == sum(r.comparisons for r in reports)
 
-    def test_incompatible_method_fails_fast(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(method="margin-adgac", dist="uniform-interval")
+    @pytest.mark.parametrize("method", [m for m, (world, _) in bench.METHODS.items() if world])
+    def test_incompatible_method_fails_fast(self, method):
+        other = {"uniform-interval": "isotropic-gaussian", "isotropic-gaussian": "uniform-interval"}
+        with pytest.raises(ValueError, match="batteries run on"):
+            ExperimentConfig(method=method, dist=other[bench.METHODS[method][0]])
+
+    def test_unknown_world_rejected(self):
+        with pytest.raises(ValueError, match="unknown world"):
+            ExperimentConfig(method="adgac-only", dist="isotropic-gausian")
 
     def test_trial_error_recorded_not_fatal(self):
         # an unachievable comparison mass breaks calibration inside the trial

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from adgac import cli
+from adgac import bench, cli
 from adgac.bench import CSV_HEADER, ExperimentConfig, parse_report_csv
 from adgac.cli import EXIT_OK, EXIT_THRESHOLD, EXIT_USAGE, main
 
@@ -30,6 +30,16 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "comparison error" in out and "best threshold" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["adgac-run", "--threshold", "1.5"],
+        ["adgac-run", "--beta", "0.7"],
+        ["margin", "--dist", "isotropic-gaussian", "--dim", "0"],
+        ["erm", "--dist", "isotropic-gaussian", "--dim", "3"],
+    ], ids=["threshold-1.5", "beta-0.7", "dim-0", "erm-gaussian"])
+    def test_invalid_world_is_usage_error(self, argv, capsys):
+        assert main(argv + ["--trials", "2"]) == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+
     def test_min_success_gate(self, capsys):
         # an impossible gate trips the acceptance exit code
         rc = main(["adgac-run", "--trials", "1", "--n", "200", "--k", "3",
@@ -39,9 +49,11 @@ class TestExitCodes:
         assert rc == EXIT_THRESHOLD
 
 
+BATTERIES = ["adgac-run", "a2", "margin", "baseline-a2", "erm"]
+
+
 class TestFlagsAreFields:
-    @pytest.mark.parametrize("command", ["adgac-run", "a2", "margin", "baseline-a2",
-                                         "erm", "bench"])
+    @pytest.mark.parametrize("command", BATTERIES + ["bench"])
     def test_every_config_field_is_a_flag_dest(self, command):
         args = cli.build_parser().parse_args([command])
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -50,8 +62,12 @@ class TestFlagsAreFields:
     def test_renamed_flags_set_their_fields(self):
         args = cli.build_parser().parse_args(
             ["margin", "--dist", "isotropic-gaussian", "--dim", "3", "--n", "50"])
-        config = cli._build_config(args, "margin-adgac")
+        config = cli._build_config(args)
         assert (config.d, config.n_samples) == (3, 50)
+
+    def test_batteries_run_exactly_the_method_table(self):
+        parser = cli.build_parser()
+        assert {parser.parse_args([c]).method for c in BATTERIES} == set(bench.METHODS)
 
 
 class TestBatteries:

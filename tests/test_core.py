@@ -305,11 +305,13 @@ class TestAdgac:
         spec = uniform_scenario(0.5)
         oracle = Oracle(spec, np.random.default_rng(7))
         xs = oracle.sample(200)
-        result = adgac(xs, 200, 0.1, 0.1, oracle, oracle.rng, k=3,
-                       truth_labeler=lambda x: bayes_label(spec, x))
-        q = result.groups.group_minority_fractions
-        mu = result.groups.group_majorities
-        assert q is not None and mu is not None
+        result = adgac(xs, 200, 0.1, 0.1, oracle, oracle.rng, k=3)
+        # per group, the majority mu(S_i) and minority fraction q(S_i) of the optimal labels
+        truth = np.asarray(bayes_label(spec, xs))
+        pos = np.array([np.sum(truth[result.groups.order[s:e]] > 0) for s, e in result.groups.bounds])
+        size = np.array([e - s for s, e in result.groups.bounds])
+        mu = np.where(2 * pos >= size, 1, -1)
+        q = np.minimum(pos, size - pos) / size
         assert np.all((q >= 0) & (q <= 0.5))
         assert set(np.unique(mu)) <= {-1, 1}
         # the majority labels themselves form a monotone step

@@ -1,14 +1,12 @@
-"""Version spaces, empirical error, and disagreement-region membership."""
+"""Version spaces, empirical error counts, and disagreement-region membership."""
+
+import math
 
 import numpy as np
 import pytest
 
-from adgac.hypotheses import (EmptyVersionSpaceError, ExplicitClass,
-                              LabeledDataset, ThresholdClass, VersionSpace,
-                              empirical_error, estimate_disagreement_coefficient,
-                              estimate_disagreement_mass, filter_version_space,
-                              in_disagreement_region)
-from adgac.oracles import gaussian_scenario, uniform_scenario
+from adgac.hypotheses import EmptyVersionSpaceError, ExplicitClass, ThresholdClass, VersionSpace
+from adgac.oracles import gaussian_scenario, sample_unlabeled, uniform_scenario
 
 
 def make_random_class(rng, size=50):
@@ -21,45 +19,50 @@ def make_random_class(rng, size=50):
     return ExplicitClass(preds)
 
 
+def in_region(space, x):
+    return bool(space.dis_mask(np.array([x]))[0])
+
+
+def region_mass(space, spec, n_mc, seed):
+    """Monte Carlo mass of the disagreement region, with its standard error."""
+    p = float(np.mean(space.dis_mask(sample_unlabeled(spec, n_mc, np.random.default_rng(seed)))))
+    return p, math.sqrt(max(p * (1.0 - p), 1.0 / n_mc) / n_mc)
+
+
 class TestEmpiricalError:
     def test_full_agreement(self):
-        data = LabeledDataset(np.array([0.1, 0.9]), np.array([-1, 1]))
-        assert empirical_error(lambda xs: np.where(np.asarray(xs) > 0.5, 1, -1), data) == 0.0
+        counts = ThresholdClass([0.5]).error_counts(np.array([0.1, 0.9]), np.array([-1, 1]))
+        assert list(counts) == [0]
 
     def test_constant_on_balanced_data(self):
-        data = LabeledDataset(np.array([0.1, 0.2, 0.8, 0.9]), np.array([-1, -1, 1, 1]))
-        assert empirical_error(lambda xs: np.ones(len(xs), dtype=int), data) == 0.5
+        klass = ExplicitClass([lambda xs: np.ones(len(xs), dtype=int)])
+        counts = klass.error_counts(np.array([0.1, 0.2, 0.8, 0.9]), np.array([-1, -1, 1, 1]))
+        assert counts[0] / 4 == 0.5
 
     def test_matches_exhaustive_recount(self):
         rng = np.random.default_rng(0)
         xs = rng.random(20)
         ys = rng.choice([-1, 1], 20)
-        data = LabeledDataset(xs, ys)
         klass = ThresholdClass(np.linspace(0.1, 0.9, 9))
         counts = klass.error_counts(xs, ys)
         for i, t in enumerate(klass.grid):
             brute = sum((1 if x > t else -1) != y for x, y in zip(xs, ys))
             assert counts[i] == brute
-            assert empirical_error(lambda p, i=i: klass.predict(i, p), data) == brute / 20
-
-    def test_empty_dataset_rejected(self):
-        data = LabeledDataset(np.empty(0), np.empty(0, dtype=int))
-        with pytest.raises(ValueError):
-            empirical_error(lambda xs: xs, data)
+            assert np.mean(klass.predict(i, xs) != ys) == brute / 20
 
 
 class TestDisagreementRegion:
     def test_singleton_never_disagrees(self):
         space = VersionSpace(ThresholdClass([0.5]))
-        assert not in_disagreement_region(space, 0.1)
-        assert not in_disagreement_region(space, 0.9)
+        assert not in_region(space, 0.1)
+        assert not in_region(space, 0.9)
 
     def test_threshold_interval_rule(self):
         space = VersionSpace(ThresholdClass([0.3, 0.7]))
-        assert in_disagreement_region(space, 0.5)
-        assert not in_disagreement_region(space, 0.9)
-        assert in_disagreement_region(space, 0.7)   # right endpoint included
-        assert not in_disagreement_region(space, 0.3)
+        assert in_region(space, 0.5)
+        assert not in_region(space, 0.9)
+        assert in_region(space, 0.7)   # right endpoint included
+        assert not in_region(space, 0.3)
 
     def test_matches_pairwise_brute_force(self):
         rng = np.random.default_rng(1)
@@ -79,16 +82,16 @@ class TestFiltering:
     def test_huge_threshold_keeps_everything(self):
         klass = ThresholdClass(np.linspace(0, 1, 11))
         space = VersionSpace(klass)
-        data = LabeledDataset(np.array([0.2, 0.8]), np.array([-1, 1]))
-        out = filter_version_space(space, data, threshold=3)
+        counts = klass.error_counts(np.array([0.2, 0.8]), np.array([-1, 1]))
+        out = space.filter_by_counts(counts, threshold=3)
         assert len(out) == len(space)
 
     def test_zero_threshold_rejects_all(self):
         klass = ThresholdClass(np.linspace(0, 1, 11))
         space = VersionSpace(klass)
-        data = LabeledDataset(np.array([0.2, 0.8]), np.array([-1, 1]))
+        counts = klass.error_counts(np.array([0.2, 0.8]), np.array([-1, 1]))
         with pytest.raises(EmptyVersionSpaceError):
-            filter_version_space(space, data, threshold=0)
+            space.filter_by_counts(counts, threshold=0)
 
     def test_strict_removal_rule(self):
         # hand-built error counts {0, 1, 2, 3, 4}: threshold 2 keeps {0, 1}
@@ -103,9 +106,8 @@ class TestFiltering:
         space = VersionSpace(klass)
         xs = np.array([0.1, 0.2, 0.3, 0.7, 0.8, 0.9])
         ys = np.array([-1, -1, -1, 1, 1, 1])
-        data = LabeledDataset(xs, ys)
-        out = filter_version_space(space, data, threshold=1)
         counts = klass.error_counts(xs, ys)
+        out = space.filter_by_counts(counts, threshold=1)
         assert set(out.indices) == set(np.flatnonzero(counts == 0))
 
     def test_contiguity_preserved_under_monotone_step_labels(self):
@@ -114,7 +116,7 @@ class TestFiltering:
         rng = np.random.default_rng(2)
         xs = np.sort(rng.random(100))
         ys = np.where(np.arange(100) < 37, -1, 1)  # monotone step in x
-        out = filter_version_space(space, LabeledDataset(xs, ys), threshold=5)
+        out = space.filter_by_counts(klass.error_counts(xs, ys), threshold=5)
         assert out.is_contiguous()
 
 
@@ -122,13 +124,13 @@ class TestDisagreementMass:
     def test_singleton_mass_zero(self):
         spec = uniform_scenario()
         space = VersionSpace(ThresholdClass([0.5]))
-        est, se = estimate_disagreement_mass(space, spec, 1000, np.random.default_rng(3))
+        est, se = region_mass(space, spec, 1000, 3)
         assert est == 0.0
 
     def test_threshold_interval_mass(self):
         spec = uniform_scenario()
         space = VersionSpace(ThresholdClass([0.3, 0.7]))
-        est, se = estimate_disagreement_mass(space, spec, 200_000, np.random.default_rng(4))
+        est, se = region_mass(space, spec, 200_000, 4)
         assert abs(est - 0.4) <= 3 * se
 
     def test_orthogonal_halfspace_pair_mass(self):
@@ -140,17 +142,6 @@ class TestDisagreementMass:
             lambda xs: np.where(np.asarray(xs) @ w2 >= 0, 1, -1),
         ])
         space = VersionSpace(klass)
-        est, se = estimate_disagreement_mass(space, spec, 200_000, np.random.default_rng(5))
+        est, se = region_mass(space, spec, 200_000, 5)
         assert abs(est - 0.5) <= 3 * se  # angle / pi = 1/2
 
-
-class TestDisagreementCoefficient:
-    def test_threshold_coefficient_is_order_two(self):
-        # under uniform(0,1) the disagreement ball of radius r around the
-        # truth spans about 2r of mass, so the ratio sits near 2
-        spec = uniform_scenario(0.5)
-        klass = ThresholdClass(np.linspace(0, 1, 201))
-        theta = estimate_disagreement_coefficient(
-            klass, lambda xs: np.where(np.asarray(xs) > 0.5, 1, -1), spec,
-            radii=[0.05, 0.1, 0.2], n_mc=50_000, rng=np.random.default_rng(6))
-        assert 1.5 <= theta <= 2.5
