@@ -56,6 +56,8 @@ class RunParams:
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0 or not 0.0 < self.delta < 1.0:
             raise ValueError("eps and delta must lie in (0, 1)")
+        if _round_gamma(self.eps, self.delta) >= 1.0:
+            raise ValueError("per-round failure share delta / (4 log2(1/eps)) must be below 1")
 
 
 @dataclass

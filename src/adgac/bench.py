@@ -126,11 +126,13 @@ class ExperimentConfig:
             raise ValueError("need at least one trial")
         if self.dist not in (UNIFORM, GAUSSIAN):
             raise ValueError(f"unknown world {self.dist!r}; choose from {[UNIFORM, GAUSSIAN]}")
-        world = METHODS[self.method][0]
+        world, params, _ = METHODS[self.method]
         if world not in (None, self.dist):
             raise ValueError(f"{self.method} batteries run on the {world} scenario")
-        # an invalid world is a usage error here, not one failed row per trial
+        # an invalid world, or an eps or delta the method's parameters reject,
+        # is a usage error here, not one failed row per trial
         self.scenario(self.seed)
+        params(self)
 
     def label_noise_spec(self) -> LabelNoiseSpec:
         return LabelNoiseSpec(kind=self.label_noise, beta=self.beta, kappa=self.kappa,
@@ -243,33 +245,47 @@ def _gate_flags(config: ExperimentConfig) -> list[str]:
     return flags
 
 
-def _run_adgac_only(config: ExperimentConfig, spec: ScenarioSpec, rng, oracle: Oracle):
+def _adgac_only_params(config: ExperimentConfig) -> core.AdgacParams:
     n = config.n_samples
+    k = config.k or core.batch_size(config.eps, config.delta,
+                                    config.label_noise_spec().effective_kappa,
+                                    config.constants.C3)
+    return core.AdgacParams(n=n, m=n, eps=config.eps, delta=config.delta, k=k)
+
+
+def _run_adgac_only(config: ExperimentConfig, params: core.AdgacParams, spec: ScenarioSpec,
+                    rng, oracle: Oracle):
+    n = params.n
     xs = oracle.sample(n)
-    result = core.adgac(xs, n, config.eps, config.delta, oracle, rng, k=config.k or None,
-                        kappa=spec.label_noise.effective_kappa, c3=config.constants.C3)
+    result = core.adgac(xs, n, params.eps, params.delta, oracle, rng, k=params.k)
     err = int(np.sum(result.labels != bayes_label(spec, xs))) / n
     return err, math.sqrt(max(err * (1 - err), 1.0 / n) / n), 1, []
 
 
-def _run_disagreement(learner, config: ExperimentConfig, spec: ScenarioSpec, rng,
-                      oracle: Oracle):
+def _disagreement_params(config: ExperimentConfig) -> a2.RunParams:
     cst = config.constants
+    return a2.RunParams(eps=config.eps, delta=config.delta, c0=cst.c0, c3=cst.C3,
+                        n_mult=cst.n_mult, tnc_mult=cst.tnc_mult)
+
+
+def _run_disagreement(learner, config: ExperimentConfig, params: a2.RunParams,
+                      spec: ScenarioSpec, rng, oracle: Oracle):
     klass = ThresholdClass(np.linspace(0.0, 1.0, config.grid))
-    params = a2.RunParams(eps=config.eps, delta=config.delta, c0=cst.c0, c3=cst.C3,
-                          n_mult=cst.n_mult, tnc_mult=cst.tnc_mult)
     result = learner(spec, klass, params, rng=rng, oracle=oracle)
     idx = result.hypothesis_index
     err, err_se = measure_error(lambda pts: klass.predict(idx, pts), spec, spec.seed)
     return err, err_se, result.rounds_run, result.flags
 
 
-def _run_margin(config: ExperimentConfig, spec: ScenarioSpec, rng, oracle: Oracle):
+def _margin_params(config: ExperimentConfig) -> margin_mod.MarginParams:
     cst = config.constants
-    params = margin_mod.MarginParams(eps=config.eps, delta=config.delta,
-                                     c1=cst.c1, c2=cst.c2, c3=cst.c3, c4=cst.c4,
-                                     c1p=cst.c1p, batch_c3=cst.C3,
-                                     n_mult=cst.n_mult_margin)
+    return margin_mod.MarginParams(eps=config.eps, delta=config.delta,
+                                   c1=cst.c1, c2=cst.c2, c3=cst.c3, c4=cst.c4,
+                                   c1p=cst.c1p, batch_c3=cst.C3, n_mult=cst.n_mult_margin)
+
+
+def _run_margin(config: ExperimentConfig, params: margin_mod.MarginParams,
+                spec: ScenarioSpec, rng, oracle: Oracle):
     result = margin_mod.run_margin_adgac(spec, params, rng=rng, oracle=oracle,
                                          w_star=spec.ground_truth.w)
     w_hat = result.w_hat
@@ -278,22 +294,26 @@ def _run_margin(config: ExperimentConfig, spec: ScenarioSpec, rng, oracle: Oracl
     return err, err_se, result.rounds_run, result.flags
 
 
-def _run_passive_erm(config: ExperimentConfig, spec: ScenarioSpec, rng, oracle: Oracle):
+def _run_passive_erm(config: ExperimentConfig, params: None, spec: ScenarioSpec, rng,
+                     oracle: Oracle):
     klass = ThresholdClass(np.linspace(0.0, 1.0, config.grid))
     idx, _ = passive_erm(spec, klass, config.n_samples, rng=rng, oracle=oracle)
     err, err_se = measure_error(lambda pts: klass.predict(idx, pts), spec, spec.seed)
     return err, err_se, 1, []
 
 
-# method -> (the world it runs on, None for either; its runner).  A runner
-# returns (err, err_se, rounds, flags) and reaches every learner through its
-# module at call time, so a rebound module attribute is the one it calls.
+# method -> (the world it runs on, None for either; its learner parameters,
+# built from the config and checked there; its runner).  A runner returns
+# (err, err_se, rounds, flags) and reaches every learner through its module at
+# call time, so a rebound module attribute is the one it calls.
 METHODS = {
-    "adgac-only": (None, _run_adgac_only),
-    "a2-adgac": (UNIFORM, lambda *args: _run_disagreement(a2.run_a2_adgac, *args)),
-    "margin-adgac": (GAUSSIAN, _run_margin),
-    "baseline-a2": (UNIFORM, lambda *args: _run_disagreement(a2.run_baseline_a2, *args)),
-    "passive-erm": (UNIFORM, _run_passive_erm),
+    "adgac-only": (None, _adgac_only_params, _run_adgac_only),
+    "a2-adgac": (UNIFORM, _disagreement_params,
+                 lambda *args: _run_disagreement(a2.run_a2_adgac, *args)),
+    "margin-adgac": (GAUSSIAN, _margin_params, _run_margin),
+    "baseline-a2": (UNIFORM, _disagreement_params,
+                    lambda *args: _run_disagreement(a2.run_baseline_a2, *args)),
+    "passive-erm": (UNIFORM, lambda config: None, _run_passive_erm),
 }
 
 
@@ -304,8 +324,9 @@ def run_single_trial(config: ExperimentConfig, trial_index: int) -> TrialReport:
     rng = np.random.default_rng(seed)
     oracle = Oracle(spec, rng)
     flags = _gate_flags(config)
+    _, params, runner = METHODS[config.method]
     started = time.perf_counter()
-    err, err_se, rounds, run_flags = METHODS[config.method][1](config, spec, rng, oracle)
+    err, err_se, rounds, run_flags = runner(config, params(config), spec, rng, oracle)
     wall_ms = (time.perf_counter() - started) * 1e3
     return TrialReport(seed=seed, method=config.method, epsilon=config.eps,
                        delta=config.delta, err=err, err_se=err_se,

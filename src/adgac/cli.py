@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -94,20 +95,24 @@ def _run_battery(args) -> int:
 
 
 def _cmd_lemma_check(args) -> int:
+    if args.instances < 0 or args.max_n < 1:
+        raise _UsageError("need --instances >= 0 and --max-n >= 1")
     rng = np.random.default_rng(args.seed)
-    worst_gap = -float("inf")
-    for _ in range(args.instances):
-        n = int(rng.integers(1, args.max_n + 1))
-        inst = minimax.make_lemma_instance(rng.random(n), rng.random(n))
-        fmin, _ = minimax.lemma_min_f(inst)  # raises on violation
-        bound = (2 * inst.n * inst.t / (inst.n + 1)) ** 0.5
-        worst_gap = max(worst_gap, fmin - bound)
-    print(f"{args.instances} random instances: bound holds, worst slack {-worst_gap:.3e}")
+    xs = np.zeros((args.instances, args.max_n))
+    ys = np.zeros_like(xs)
+    ns = np.empty(args.instances, dtype=int)
+    for r in range(args.instances):
+        n = ns[r] = int(rng.integers(1, args.max_n + 1))
+        rng.random(out=xs[r, :n])  # the draws of rng.random(n), written in place
+        rng.random(out=ys[r, :n])
+    stack = minimax.make_lemma_instance(xs, ys, ns=ns)
+    fmin, _ = minimax.lemma_min_f(stack)  # raises on violation
+    worst_slack = (stack.bound - fmin).min(initial=float("inf"))
+    print(f"{args.instances} random instances: bound holds, worst slack {worst_slack:.3e}")
     for n in range(1, args.max_n + 1):
         inst = minimax.equality_instance(n)
         fmin, _ = minimax.lemma_min_f(inst)
-        bound = (2 * inst.n * inst.t / (inst.n + 1)) ** 0.5
-        gap = abs(fmin - bound)
+        gap = abs(fmin - inst.bound)
         print(f"equality n={n}: |min - bound| = {gap:.3e}")
         if gap > 1e-9:
             print("equality configuration missed the bound")
@@ -133,6 +138,7 @@ def _cmd_minimax_check(args) -> int:
 
 
 def build_parser() -> _Parser:
+    """The whole argument tree; ``main`` builds it once per process."""
     parser = _Parser(prog="adgac",
                      description="interactive-learning trial batteries and numerical checks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -162,10 +168,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

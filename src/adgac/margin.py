@@ -181,9 +181,16 @@ class MarginParams:
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0 or not 0.0 < self.delta < 1.0:
             raise ValueError("eps and delta must lie in (0, 1)")
+        if self.gamma >= 1.0:
+            raise ValueError("per-round failure share delta / (8 log2(1/eps)) must be below 1")
         for name in ("c1", "c2", "c3", "c4", "c1p", "n_mult"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"constant {name} must be positive")
+
+    @property
+    def gamma(self) -> float:
+        """Per-round failure share delta / (8 log2(1/eps)) given to each labeling."""
+        return self.delta / (8.0 * math.log2(1.0 / self.eps))
 
 
 class MarginSchedule:
@@ -285,7 +292,6 @@ def run_margin_adgac(spec, params: MarginParams, w0=None,
         oracle = Oracle(spec, rng)
     label_kappa = spec.label_noise.effective_kappa
     schedule = MarginSchedule(params, spec.d, label_kappa)
-    gamma = params.delta / (8.0 * math.log2(1.0 / params.eps))
     flags: list[str] = []
 
     if w0 is None:
@@ -299,7 +305,7 @@ def run_margin_adgac(spec, params: MarginParams, w0=None,
             flags.append("w0-angle")
 
     def adgac_labels(subset, n_k, eps_k):
-        return core.adgac(subset, n_k, eps_k, gamma, oracle, rng,
+        return core.adgac(subset, n_k, eps_k, params.gamma, oracle, rng,
                           kappa=label_kappa, c3=params.batch_c3).labels
 
     # round 0: unrestricted sample labeled at the k = 0 budget

@@ -14,7 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
+
+
+def _lemma_bound(n, t):
+    """The bound sqrt(2 n t / (n + 1)) on min_k f(k), elementwise in n and t."""
+    return np.sqrt(2.0 * n * t / (n + 1.0))
 
 
 @dataclass(frozen=True)
@@ -29,43 +34,103 @@ class LemmaInstance:
     def n(self) -> int:
         return len(self.xs)
 
+    @property
+    def bound(self) -> float:
+        return float(_lemma_bound(self.n, self.t))
 
-def make_lemma_instance(xs, ys, t: float | None = None) -> LemmaInstance:
-    """Validate entries and default t to the achieved constraint value."""
+
+@dataclass(frozen=True)
+class LemmaStack:
+    """Lemma instances as rows: row r is xs[r, :ns[r]], ys[r, :ns[r]] with
+    constraint t[r], and zeros past ns[r]."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    ns: np.ndarray
+    t: np.ndarray
+
+    @property
+    def bound(self) -> np.ndarray:
+        # each row's own n: the padded width would weaken the bound
+        return _lemma_bound(self.ns, self.t)
+
+
+def _lemma_stack(xs, ys, ns, t) -> LemmaStack:
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1 or xs.size == 0:
+    ns = np.asarray(ns, dtype=int)
+    if (xs.shape != ys.shape or xs.ndim != 2 or ns.shape != xs.shape[:1]
+            or (ns < 1).any() or (ns > xs.shape[1]).any()):
         raise ValueError("need two equal-length non-empty sequences")
     if (xs < 0).any() or (ys < 0).any():
         raise ValueError("entries must be nonnegative")
-    # sum_i x_i * (y_i + ... + y_n) via a reversed cumulative sum
-    tail = np.cumsum(ys[::-1])[::-1]
-    achieved = float(np.dot(xs, tail))
+    padding = np.arange(xs.shape[1]) >= ns[:, None]
+    if xs[padding].any() or ys[padding].any():
+        raise ValueError("entries past a row's length must be zero")
+    # sum_i x_i * (y_i + ... + y_n) via a reversed cumulative sum, one np.dot
+    # per row over the row's own length: np.dot's summation order can change
+    # with the vector length, so a padded row could differ from its instance
+    # in the last bit
+    tail = np.cumsum(ys[:, ::-1], axis=1)[:, ::-1]
+    achieved = np.array([np.dot(x[:n], y[:n]) for x, y, n in zip(xs, tail, ns.tolist())],
+                        dtype=float)
     if t is None:
         t = achieved
-    elif achieved > t + 1e-12 * max(1.0, abs(t)):
-        raise ValueError(f"constraint violated: achieved {achieved:.6g} > t {t:.6g}")
-    return LemmaInstance(xs=tuple(xs), ys=tuple(ys), t=t)
+    else:
+        t = np.broadcast_to(np.asarray(t, dtype=float), achieved.shape)
+        over = achieved > t + 1e-12 * np.maximum(1.0, np.abs(t))
+        if over.any():
+            r = int(np.argmax(over))
+            raise ValueError(f"constraint violated: achieved {achieved[r]:.6g} > t {t[r]:.6g}")
+    return LemmaStack(xs=xs, ys=ys, ns=ns, t=t)
 
 
-def lemma_min_f(instance: LemmaInstance) -> tuple[float, int]:
+def make_lemma_instance(xs, ys, t: float | None = None, ns=None):
+    """Validate entries and default t to the achieved constraint value.
+
+    With ``ns``, xs and ys are 2-D stacks of rows zero-padded past each row's
+    length ns[r], t is per row, and the result is a LemmaStack; one instance
+    is the one-row case of the same check.
+    """
+    if ns is not None:
+        return _lemma_stack(xs, ys, ns, t)
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError("need two equal-length non-empty sequences")
+    stack = _lemma_stack(xs[None], ys[None], [xs.size], t)
+    return LemmaInstance(xs=tuple(xs), ys=tuple(ys), t=float(stack.t[0]))
+
+
+def lemma_min_f(instance):
     """Exact minimum over k of x_1+...+x_k + y_{k+1}+...+y_n, with its argmin.
 
     Also asserts the bound min_k f(k) <= sqrt(2 n t / (n + 1)) + 1e-9; a
-    violation would be a counterexample and raises immediately.
+    violation would be a counterexample and raises immediately.  A LemmaStack
+    gets one minimum and argmin per row, as arrays.
     """
-    xs = np.asarray(instance.xs)
-    ys = np.asarray(instance.ys)
-    n = instance.n
-    cx = np.concatenate(([0.0], np.cumsum(xs)))
-    cy = np.concatenate(([0.0], np.cumsum(ys)))
-    f = cx + (cy[-1] - cy)
-    k = int(np.argmin(f))
-    fmin = float(f[k])
-    bound = math.sqrt(2.0 * n * instance.t / (n + 1.0))
-    if fmin > bound + 1e-9:
-        raise AssertionError(f"inequality violated: min f = {fmin:.12g} > bound {bound:.12g}")
-    return fmin, k
+    stack = instance
+    if isinstance(instance, LemmaInstance):
+        stack = LemmaStack(xs=np.asarray(instance.xs, dtype=float)[None],
+                           ys=np.asarray(instance.ys, dtype=float)[None],
+                           ns=np.array([instance.n]), t=np.array([instance.t], dtype=float))
+    rows = stack.xs.shape[0]
+    zero = np.zeros((rows, 1))
+    cx = np.concatenate((zero, np.cumsum(stack.xs, axis=1)), axis=1)
+    cy = np.concatenate((zero, np.cumsum(stack.ys, axis=1)), axis=1)
+    f = cx + (cy[:, -1:] - cy)
+    # past a row's length f stays at f(n), so argmin keeps the first minimizer, k <= n
+    k = np.argmin(f, axis=1)
+    fmin = f[np.arange(rows), k]
+    bound = stack.bound
+    violated = fmin > bound + 1e-9
+    if violated.any():
+        r = int(np.argmax(violated))
+        raise AssertionError(
+            f"inequality violated: min f = {fmin[r]:.12g} > bound {bound[r]:.12g}")
+    if stack is instance:
+        return fmin, k
+    return float(fmin[0]), int(k[0])
 
 
 def equality_instance(n: int, t: float = 1.0) -> LemmaInstance:
@@ -94,13 +159,13 @@ class ScoreDistribution:
         t = np.asarray(t, dtype=float)
         if self.kind == "uniform":
             return np.clip((t + self.half_width) / (2.0 * self.half_width), 0.0, 1.0)
-        return norm.cdf(t)
+        return ndtr(t)
 
     def ppf(self, q):
         q = np.asarray(q, dtype=float)
         if self.kind == "uniform":
             return q * 2.0 * self.half_width - self.half_width
-        return norm.ppf(q)
+        return ndtri(q)
 
     def quantile_grid(self, n: int) -> np.ndarray:
         """n equal-mass cell midpoints (i + 1/2) / n mapped through the ppf.

@@ -87,7 +87,7 @@ class TestBatteryDeterminism:
         assert summary["labels_total"] == sum(r.labels for r in reports)
         assert summary["comparisons_total"] == sum(r.comparisons for r in reports)
 
-    @pytest.mark.parametrize("method", [m for m, (world, _) in bench.METHODS.items() if world])
+    @pytest.mark.parametrize("method", [m for m, (world, *_) in bench.METHODS.items() if world])
     def test_incompatible_method_fails_fast(self, method):
         other = {"uniform-interval": "isotropic-gaussian", "isotropic-gaussian": "uniform-interval"}
         with pytest.raises(ValueError, match="batteries run on"):

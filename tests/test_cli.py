@@ -40,6 +40,33 @@ class TestExitCodes:
         assert main(argv + ["--trials", "2"]) == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["adgac-run", "--eps", "0.7", "--n", "200"],
+        ["adgac-run", "--delta", "1.0", "--n", "200"],
+        ["a2", "--eps", "0.9", "--delta", "0.7"],
+        ["baseline-a2", "--eps", "0.9", "--delta", "0.7"],
+        ["margin", "--dist", "isotropic-gaussian", "--eps", "0.95", "--delta", "0.7"],
+    ], ids=["adgac-eps-0.7", "adgac-delta-1", "a2-eps-0.9", "baseline-eps-0.9",
+            "margin-eps-0.95"])
+    def test_eps_delta_every_trial_rejects_is_usage_error(self, argv, capsys):
+        assert main(argv + ["--trials", "2"]) == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+
+    def test_given_batch_size_lifts_the_half_eps_limit(self, capsys):
+        # with --k the batch-size formula, and its eps < 1/2, is never used
+        assert main(["adgac-run", "--eps", "0.7", "--k", "3", "--n", "200"]) == EXIT_OK
+
+    def test_negative_instance_count_is_usage_error(self, capsys):
+        assert main(["lemma-check", "--instances", "-5"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage error" in captured.err
+
+    def test_zero_max_n_is_usage_error(self, capsys):
+        assert main(["lemma-check", "--max-n", "0"]) == EXIT_USAGE
+
+    def test_parser_built_once(self):
+        assert cli._parser() is cli._parser()
+
     def test_min_success_gate(self, capsys):
         # an impossible gate trips the acceptance exit code
         rc = main(["adgac-run", "--trials", "1", "--n", "200", "--k", "3",
@@ -135,3 +162,51 @@ class TestBatteries:
         rc = main(["baseline-a2", "--trials", "1", "--eps", "0.1", "--delta", "0.2",
                    "--grid", "101", "--seed", "2"])
         assert rc == EXIT_OK
+
+
+def _equality_lines(max_n):
+    gaps = ["0.000e+00"] * 6 + ["2.220e-16", "0.000e+00"]
+    return "".join(f"equality n={n}: |min - bound| = {gaps[n - 1]}\n"
+                   for n in range(1, max_n + 1))
+
+
+class TestCheckGoldens:
+    """stdout pinned byte for byte, as printed by the per-instance lemma loop
+    and the scipy.stats gaussian before the batched scan replaced them."""
+
+    @pytest.mark.parametrize("seed,slack", [("0", "1.983e-03"), ("7", "1.316e-03"),
+                                            ("12345", "4.453e-04")])
+    def test_lemma_check(self, seed, slack, capsys):
+        assert main(["lemma-check", "--instances", "1000", "--seed", seed]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            f"1000 random instances: bound holds, worst slack {slack}\n" + _equality_lines(8))
+
+    @pytest.mark.parametrize("max_n", ["8", "3"])
+    def test_lemma_check_no_instances(self, max_n, capsys):
+        argv = ["lemma-check", "--instances", "0", "--max-n", max_n]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "0 random instances: bound holds, worst slack inf\n" + _equality_lines(int(max_n)))
+
+    @pytest.mark.parametrize("base,nu,out", [
+        ("uniform", "0.01",
+         "interval [-0.1, 0.1]  grid 4000\n"
+         "comparison error  0.009977  (target 0.010000 +- 1.0e-03)\n"
+         "best threshold    0.099750 at t = -0.09975  (target 0.100000 +- 1.0e-03)\n"),
+        ("uniform", "0.0025",
+         "interval [-0.05, 0.05]  grid 4000\n"
+         "comparison error  0.002491  (target 0.002500 +- 1.0e-03)\n"
+         "best threshold    0.049750 at t = -0.04975  (target 0.050000 +- 1.0e-03)\n"),
+        ("gaussian", "0.01",
+         "interval [-0.253347, 0.253347]  grid 4000\n"
+         "comparison error  0.009977  (target 0.010000 +- 1.0e-03)\n"
+         "best threshold    0.099750 at t = -0.252714  (target 0.100000 +- 1.0e-03)\n"),
+        ("gaussian", "0.0025",
+         "interval [-0.125661, 0.125661]  grid 4000\n"
+         "comparison error  0.002491  (target 0.002500 +- 1.0e-03)\n"
+         "best threshold    0.049750 at t = -0.125033  (target 0.050000 +- 1.0e-03)\n"),
+    ])
+    def test_minimax_check(self, base, nu, out, capsys):
+        argv = ["minimax-check", "--grid", "4000", "--nu-prime", nu, "--base", base]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == out

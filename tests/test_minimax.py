@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adgac.minimax import (ScoreDistribution, best_threshold_error,
-                           comparison_error_of, construct_ghat,
+from adgac.minimax import (LemmaInstance, LemmaStack, ScoreDistribution,
+                           best_threshold_error, comparison_error_of, construct_ghat,
                            equality_instance, lemma_min_f, make_lemma_instance)
 
 
@@ -45,6 +45,76 @@ class TestLemmaScan:
     def test_constraint_violation_rejected(self):
         with pytest.raises(ValueError):
             make_lemma_instance([1.0, 1.0], [1.0, 1.0], t=0.5)
+
+
+def _reference_scan(xs, ys):
+    """One instance the direct way: t, min_k f(k), its first argmin, the bound."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    n = len(xs)
+    t = float(np.dot(xs, np.cumsum(ys[::-1])[::-1]))
+    cx = np.concatenate(([0.0], np.cumsum(xs)))
+    cy = np.concatenate(([0.0], np.cumsum(ys)))
+    f = cx + (cy[-1] - cy)
+    k = int(np.argmin(f))
+    return t, float(f[k]), k, math.sqrt(2.0 * n * t / (n + 1.0))
+
+
+class TestLemmaStack:
+    def _padded(self, seed, max_n, rows=600):
+        rng = np.random.default_rng(seed)
+        xs, ys = np.zeros((rows, max_n)), np.zeros((rows, max_n))
+        ns = rng.integers(1, max_n + 1, size=rows)
+        for r, n in enumerate(ns):
+            xs[r, :n] = rng.random(n) * (rng.random(n) > 0.3)  # about 30 % zero entries
+            ys[r, :n] = rng.random(n) * (rng.random(n) > 0.3)
+        return xs, ys, ns
+
+    @pytest.mark.parametrize("seed,max_n", [(0, 8), (1, 8), (2, 24)])
+    def test_rows_match_the_per_instance_rule_bit_for_bit(self, seed, max_n):
+        # width 24 reaches np.dot's blocked summation (16 entries and up)
+        xs, ys, ns = self._padded(seed, max_n)
+        stack = make_lemma_instance(xs, ys, ns=ns)
+        fmin, k = lemma_min_f(stack)
+        bound = stack.bound
+        for r, n in enumerate(ns):
+            t_ref, fmin_ref, k_ref, bound_ref = _reference_scan(xs[r, :n], ys[r, :n])
+            assert (stack.t[r], fmin[r], k[r], bound[r]) == (t_ref, fmin_ref, k_ref, bound_ref)
+            inst = make_lemma_instance(xs[r, :n], ys[r, :n])
+            assert (inst.t, *lemma_min_f(inst), inst.bound) == (t_ref, fmin_ref, k_ref, bound_ref)
+
+    def test_one_instance_results_are_scalars(self):
+        inst = make_lemma_instance([0.5, 0.25], [0.0, 1.0])
+        assert isinstance(inst, LemmaInstance) and type(inst.t) is float
+        fmin, k = lemma_min_f(inst)
+        assert type(fmin) is float and type(k) is int
+        assert isinstance(make_lemma_instance([[0.5]], [[1.0]], ns=[1]), LemmaStack)
+
+    def test_empty_stack(self):
+        stack = make_lemma_instance(np.zeros((0, 8)), np.zeros((0, 8)), ns=np.zeros(0, int))
+        fmin, k = lemma_min_f(stack)
+        assert fmin.shape == k.shape == stack.bound.shape == (0,)
+
+    @pytest.mark.parametrize("ns", [[0, 2], [3, 2], [2]], ids=["row-empty", "row-too-long",
+                                                             "count-mismatch"])
+    def test_bad_row_lengths_rejected(self, ns):
+        with pytest.raises(ValueError, match="non-empty"):
+            make_lemma_instance(np.ones((2, 2)), np.ones((2, 2)), ns=ns)
+
+    def test_nonzero_padding_rejected(self):
+        with pytest.raises(ValueError, match="past a row's length"):
+            make_lemma_instance([[1.0, 0.0], [1.0, 2.0]], [[1.0, 3.0], [1.0, 1.0]], ns=[1, 2])
+
+    def test_row_constraint_violation_rejected(self):
+        with pytest.raises(ValueError, match="constraint violated"):
+            make_lemma_instance([[1.0, 0.0], [1.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]],
+                                t=[1.0, 0.5], ns=[1, 2])
+
+    def test_row_violation_raises(self):
+        # t below the achieved value: the bound is too small for the row's minimum
+        stack = LemmaStack(xs=np.array([[1.0, 0.0]]), ys=np.array([[1.0, 0.0]]),
+                           ns=np.array([1]), t=np.array([0.1]))
+        with pytest.raises(AssertionError, match="inequality violated"):
+            lemma_min_f(stack)
 
 
 class TestGhatConstruction:
@@ -103,6 +173,33 @@ class TestQuantileGrid:
             grid = base.quantile_grid(n)
             assert not np.any(grid == 0.0)
             assert int(np.sum(grid >= 0)) == n // 2
+
+
+class TestGaussianIsScipyNorm:
+    """The gaussian cdf and ppf are scipy.stats.norm's, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=20))
+    def test_cdf(self, ts):
+        from scipy.stats import norm
+        ts = np.array(ts + [-np.inf, np.inf, 0.0, -0.0])
+        got = ScoreDistribution("gaussian").cdf(ts)
+        assert got.tobytes() == norm.cdf(ts).tobytes()
+        for t in ts:
+            assert np.float64(ScoreDistribution("gaussian").cdf(t)).tobytes() == \
+                np.float64(norm.cdf(t)).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    def test_ppf(self, qs):
+        from scipy.stats import norm
+        qs = np.array(qs + [0.0, 1.0, 0.5, 5e-324, 1.0 - 2.0 ** -53])
+        got = ScoreDistribution("gaussian").ppf(qs)
+        assert got.tobytes() == norm.ppf(qs).tobytes()
+        assert got[-5] == -np.inf and got[-4] == np.inf
+        for q in qs:
+            assert np.float64(ScoreDistribution("gaussian").ppf(q)).tobytes() == \
+                np.float64(norm.ppf(q)).tobytes()
 
 
 class TestComparisonError:

@@ -1,6 +1,9 @@
 """Rules on the package source itself, checked by parsing it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import adgac
@@ -20,3 +23,14 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of the package's import time and tens of MB;
+    # only scipy.special is needed.  This process has loaded it already, so
+    # ask a fresh interpreter.
+    src = str(Path(adgac.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", "import adgac, sys; print('scipy.stats' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
