@@ -19,6 +19,10 @@ from . import core
 from .hypotheses import ThresholdClass, VersionSpace
 from .oracles import Oracle
 
+# whole-run query budgets; a run past either raises BudgetExceededError
+MAX_LABELS = 10_000_000
+MAX_COMPARISONS = 100_000_000
+
 
 def _is_monotone_step(xs, ys) -> bool:
     """True when labels sorted by instance value change sign at most once, -1 to +1."""
@@ -40,7 +44,7 @@ class NonContiguousVersionSpaceError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunParams:
-    """Target error, failure probability, constants, and budget caps."""
+    """Target error, failure probability, constants, and the per-round sample cap."""
 
     eps: float
     delta: float
@@ -49,8 +53,6 @@ class RunParams:
     n_mult: float = 1.0
     tnc_mult: float = 1.0
     max_round_samples: int = 2_000_000
-    max_labels: int = 10_000_000
-    max_comparisons: int = 100_000_000
     early_exit_singleton: bool = True
 
     def __post_init__(self):
@@ -210,9 +212,9 @@ def _run_rounds(spec, klass, params: RunParams, use_comparisons: bool,
                                 labels=labels_after - labels_before,
                                 comparisons=comps_after - comps_before,
                                 survivors=len(space)))
-        if oracle.counters.labels > params.max_labels:
+        if oracle.counters.labels > MAX_LABELS:
             raise BudgetExceededError("label budget exhausted")
-        if oracle.counters.comparisons > params.max_comparisons:
+        if oracle.counters.comparisons > MAX_COMPARISONS:
             raise BudgetExceededError("comparison budget exhausted")
 
     return RunResult(hypothesis_index=space.first_index,

@@ -36,7 +36,6 @@ class TunableConstants:
     """Leading constants left unstated by the guarantees, frozen by a one-time
     calibration battery (see README); serialized with every report."""
 
-    C1: float = 0.5      # largest eps the gates cover
     C2: float = 1.0      # comparison-noise gate nu' <= C2 eps^(2 kappa) delta
     C3: float = 5.0      # label batch multiplier in k formulas
     C4: float = 1.0      # adversarial label gate nu <= C4 eps
@@ -245,7 +244,15 @@ def _gate_flags(config: ExperimentConfig) -> list[str]:
     return flags
 
 
+def _at_least_one(config: ExperimentConfig, *names: str) -> None:
+    """Reject a sample size or threshold grid below 1 before any trial runs."""
+    for name in names:
+        if getattr(config, name) < 1:
+            raise ValueError(f"{name} must be at least 1")
+
+
 def _adgac_only_params(config: ExperimentConfig) -> core.AdgacParams:
+    _at_least_one(config, "n_samples")
     n = config.n_samples
     k = config.k or core.batch_size(config.eps, config.delta,
                                     config.label_noise_spec().effective_kappa,
@@ -263,6 +270,7 @@ def _run_adgac_only(config: ExperimentConfig, params: core.AdgacParams, spec: Sc
 
 
 def _disagreement_params(config: ExperimentConfig) -> a2.RunParams:
+    _at_least_one(config, "grid")
     cst = config.constants
     return a2.RunParams(eps=config.eps, delta=config.delta, c0=cst.c0, c3=cst.C3,
                         n_mult=cst.n_mult, tnc_mult=cst.tnc_mult)
@@ -313,7 +321,8 @@ METHODS = {
     "margin-adgac": (GAUSSIAN, _margin_params, _run_margin),
     "baseline-a2": (UNIFORM, _disagreement_params,
                     lambda *args: _run_disagreement(a2.run_baseline_a2, *args)),
-    "passive-erm": (UNIFORM, lambda config: None, _run_passive_erm),
+    "passive-erm": (UNIFORM, lambda config: _at_least_one(config, "n_samples", "grid"),
+                    _run_passive_erm),
 }
 
 

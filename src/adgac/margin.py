@@ -18,6 +18,12 @@ import numpy as np
 from . import core
 from .oracles import GAUSSIAN, Oracle
 
+SEED_BATCH = 32                  # labeled points the initial direction is fitted to
+SEED_FIT_ITERS = 800             # hinge steps of that fit
+MAX_ROUND_SAMPLES = 5_000_000    # a round needing more raises EmptyBandError
+_MAX_ALTERNATIONS = 50
+_FEASIBLE_TOL = 1e-10
+
 
 class EmptyBandError(RuntimeError):
     """A round's band contained no samples; raise the sample-size multiplier."""
@@ -67,11 +73,10 @@ def project_to_ball(v: np.ndarray, center, radius: float) -> np.ndarray:
     return center + offset * (radius / dist)
 
 
-def project_to_feasible(v: np.ndarray, center, radius: float,
-                        max_alternations: int = 50, tol: float = 1e-10) -> np.ndarray:
+def project_to_feasible(v: np.ndarray, center, radius: float) -> np.ndarray:
     """Alternating projections onto B(center, radius) intersected with B(0, 1)."""
     center = np.asarray(center, dtype=float)
-    for _ in range(max_alternations):
+    for _ in range(_MAX_ALTERNATIONS):
         u = project_to_ball(v, center, radius)
         nrm = _norm(u)
         if nrm > 1.0:
@@ -80,7 +85,7 @@ def project_to_feasible(v: np.ndarray, center, radius: float,
             # neither ball moved v, so it already lies in both
             return v
         v = u
-        if _norm(v - center) <= radius + tol and _norm(v) <= 1.0 + tol:
+        if _norm(v - center) <= radius + _FEASIBLE_TOL and _norm(v) <= 1.0 + _FEASIBLE_TOL:
             break
     return v
 
@@ -175,8 +180,6 @@ class MarginParams:
     batch_c3: float = 5.0             # label batch constant for the subroutine
     n_mult: float = 0.4
     min_round_samples: int = 64   # keeps early-round bands from coming up empty
-    seed_batch: int = 32
-    max_round_samples: int = 5_000_000
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0 or not 0.0 < self.delta < 1.0:
@@ -257,8 +260,9 @@ class MarginRunResult:
     iterates: list[np.ndarray] = field(default_factory=list)
 
 
-def fit_initial_direction(xs, ys, max_iters: int = 800) -> np.ndarray:
-    """Unit-sphere hinge minimizer of a small seed batch (margin scale 1)."""
+def fit_initial_direction(xs, ys) -> np.ndarray:
+    """Unit-sphere hinge minimizer of a small seed batch (margin scale 1),
+    started from the unit mean of y x, or from e1 when that mean vanishes."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     start = (xs * ys[:, None]).mean(axis=0)
@@ -269,7 +273,7 @@ def fit_initial_direction(xs, ys, max_iters: int = 800) -> np.ndarray:
     else:
         start = start / nrm
     # B(start, 2) contains the whole unit ball, so only the norm constraint binds
-    fit = minimize_hinge(xs, ys, start, radius=2.0, tau=1.0, max_iters=max_iters)
+    fit = minimize_hinge(xs, ys, start, radius=2.0, tau=1.0, max_iters=SEED_FIT_ITERS)
     v = fit.v
     nv = float(np.linalg.norm(v))
     return v / nv if nv > 1e-12 else start
@@ -295,7 +299,7 @@ def run_margin_adgac(spec, params: MarginParams, w0=None,
     flags: list[str] = []
 
     if w0 is None:
-        seed_xs = oracle.sample(params.seed_batch)
+        seed_xs = oracle.sample(SEED_BATCH)
         w0 = fit_initial_direction(seed_xs, oracle.label_many(seed_xs))
     w = np.asarray(w0, dtype=float)
     w = w / np.linalg.norm(w)
@@ -310,8 +314,8 @@ def run_margin_adgac(spec, params: MarginParams, w0=None,
 
     # round 0: unrestricted sample labeled at the k = 0 budget
     n1 = schedule.n(1)
-    if n1 > params.max_round_samples:
-        raise EmptyBandError(f"round 0 needs n={n1} > cap {params.max_round_samples}")
+    if n1 > MAX_ROUND_SAMPLES:
+        raise EmptyBandError(f"round 0 needs n={n1} > cap {MAX_ROUND_SAMPLES}")
     xs = oracle.sample(n1)
     ys = adgac_labels(xs, n1, schedule.eps_k(0))
 
@@ -342,8 +346,8 @@ def run_margin_adgac(spec, params: MarginParams, w0=None,
         iterates.append(w.copy())
 
         n_k = schedule.n(k)
-        if n_k > params.max_round_samples:
-            raise EmptyBandError(f"round {k} needs n={n_k} > cap {params.max_round_samples}")
+        if n_k > MAX_ROUND_SAMPLES:
+            raise EmptyBandError(f"round {k} needs n={n_k} > cap {MAX_ROUND_SAMPLES}")
         fresh = oracle.sample(n_k)
         xs = fresh[band_membership(w, fresh, b_k)]
         if len(xs) == 0:

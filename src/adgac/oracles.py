@@ -214,17 +214,8 @@ def bayes_label(spec: ScenarioSpec, x) -> np.ndarray | int:
     return np.where(np.asarray(g) >= 0, 1, -1)
 
 
-def _eta(noise: LabelNoiseSpec, g: np.ndarray) -> np.ndarray:
-    """P[Y = +1] given scores g under massart or power-law noise; 1/2 at g == 0."""
-    sgn = np.sign(g)
-    if noise.effective_kappa > 1.0:
-        return 0.5 + sgn * np.minimum(0.5, 0.5 * (np.abs(g) / noise.mu) ** (noise.kappa - 1.0))
-    # massart, and the kappa == 1 tsybakov case which coincides with it
-    return 0.5 + sgn * (0.5 - noise.beta)
-
-
 def _labels_from_scores(noise: LabelNoiseSpec, g: np.ndarray, band: float,
-                        rng: np.random.Generator | None) -> np.ndarray:
+                        rng: np.random.Generator) -> np.ndarray:
     """The labeling oracle's rule on scores g, one score or a batch.
 
     Adversarial noise answers sign(g), ties to +1, flipped where |g| < band,
@@ -235,7 +226,13 @@ def _labels_from_scores(noise: LabelNoiseSpec, g: np.ndarray, band: float,
     if noise.kind == ADVERSARIAL:
         y = np.where(g >= 0, 1, -1)
         return np.where(np.abs(g) < band, -y, y)
-    return np.where(rng.random(g.shape or None) < _eta(noise, g), 1, -1)
+    # eta = P[Y = +1], 1/2 at g == 0; massart covers the kappa == 1 power law too
+    sgn = np.sign(g)
+    if noise.effective_kappa > 1.0:
+        eta = 0.5 + sgn * np.minimum(0.5, 0.5 * (np.abs(g) / noise.mu) ** (noise.kappa - 1.0))
+    else:
+        eta = 0.5 + sgn * (0.5 - noise.beta)
+    return np.where(rng.random(g.shape or None) < eta, 1, -1)
 
 
 def _ranks_below(g, g_pivot, elem_first, band: float):
@@ -329,19 +326,6 @@ class Oracle:
         g = score(self.spec, xs)
         self.counters.labels += len(g)
         return _labels_from_scores(self.spec.label_noise, g, self._label_band, self.rng)
-
-    def positive_probability(self, x) -> np.ndarray | float:
-        """P[Y = +1 | X = x] under the scenario's label noise; counts no query.
-
-        Under adversarial noise the answer is 0 or 1, from the calibrated band.
-        """
-        noise = self.spec.label_noise
-        g = np.asarray(score(self.spec, x), dtype=float)
-        if noise.kind == ADVERSARIAL:
-            eta = (_labels_from_scores(noise, g, self._label_band, None) + 1) * 0.5
-        else:
-            eta = _eta(noise, g)
-        return float(eta) if eta.ndim == 0 else eta
 
     def compare(self, x, x_prime) -> int:
         """Ask which of two instances is more likely positive; +1 means the first.

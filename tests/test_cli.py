@@ -52,6 +52,17 @@ class TestExitCodes:
         assert main(argv + ["--trials", "2"]) == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["adgac-run", "--n", "0"],
+        ["erm", "--n", "0"],
+        ["a2", "--grid", "0", "--eps", "0.2"],
+        ["baseline-a2", "--grid", "0", "--eps", "0.2"],
+        ["erm", "--grid", "0"],
+    ], ids=["adgac-n-0", "erm-n-0", "a2-grid-0", "baseline-grid-0", "erm-grid-0"])
+    def test_empty_sample_or_grid_is_usage_error(self, argv, capsys):
+        assert main(argv + ["--trials", "2"]) == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+
     def test_given_batch_size_lifts_the_half_eps_limit(self, capsys):
         # with --k the batch-size formula, and its eps < 1/2, is never used
         assert main(["adgac-run", "--eps", "0.7", "--k", "3", "--n", "200"]) == EXIT_OK

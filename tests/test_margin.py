@@ -141,7 +141,7 @@ def hinge_case(name):
         # y x as the start, and a radius-2 ball so only the norm binds
         xs, ys, _ = noisy_batch(5, 32, seed=11)
         start = unit((xs * ys[:, None]).mean(axis=0))
-        return (xs, ys, start), dict(radius=2.0, tau=1.0, max_iters=800)
+        return (xs, ys, start), dict(radius=2.0, tau=1.0, max_iters=margin.SEED_FIT_ITERS)
     if name == "stalled":
         xs = np.array([[1.0, 0.0], [1.0, 0.0]])
         ys = np.array([1, -1])
@@ -482,12 +482,22 @@ class TestRunMargin:
         assert np.linalg.norm(w0) == pytest.approx(1.0)
         assert math.acos(float(np.clip(w0 @ w_star, -1, 1))) < math.pi / 2
 
+    def test_initial_direction_is_seed_fit_from_unit_mean(self):
+        args, kwargs = hinge_case("initial-direction")
+        fit = minimize_hinge(*args, **kwargs)
+        np.testing.assert_array_equal(fit_initial_direction(*args[:2]),
+                                      fit.v / np.linalg.norm(fit.v))
+
+    def test_initial_direction_zero_mean_falls_back_to_e1(self):
+        w0 = fit_initial_direction(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1, -1]))
+        np.testing.assert_array_equal(w0, [1.0, 0.0])
+
     def test_massart_run_completes_with_accounting(self):
         w_star = np.array([1.0, 0.0, 0.0])
         spec = gaussian_scenario(w_star, LabelNoiseSpec(kind="massart", beta=0.2), seed=4)
         params = MarginParams(eps=0.1, delta=0.2)
         res = run_margin_adgac(spec, params, w_star=w_star)
         # total = seed batch + round 0 (not traced) + traced rounds
-        assert res.labels >= params.seed_batch + sum(t.labels for t in res.trace)
+        assert res.labels >= margin.SEED_BATCH + sum(t.labels for t in res.trace)
         assert res.comparisons >= sum(t.comparisons for t in res.trace)
         assert len(res.trace) == res.rounds_run

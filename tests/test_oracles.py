@@ -1,5 +1,8 @@
 """Oracle behavior: sampling, noise models, calibration, and accounting."""
 
+import copy
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +14,28 @@ from adgac.oracles import (ComparisonNoiseSpec, LabelNoiseSpec, Oracle,
                            CalibrationError, bayes_label, calibrate_band,
                            gaussian_scenario, sample_unlabeled, score,
                            uniform_scenario)
+
+
+def eta_reference(noise, g: float, band: float = 0.0) -> float:
+    """P[Y = +1] at score g as each label-noise model defines it, in plain Python."""
+    if noise.kind == "adversarial":
+        # sign(g), ties to +1, flipped inside the band
+        return 1.0 if (g >= 0) != (abs(g) < band) else 0.0
+    if g == 0:
+        return 0.5
+    if noise.kind == "tsybakov" and noise.kappa > 1:
+        return 0.5 + math.copysign(min(0.5, 0.5 * (abs(g) / noise.mu) ** (noise.kappa - 1)), g)
+    return 0.5 + math.copysign(0.5 - noise.beta, g)
+
+
+def eta_checked_against(oracle, xs, band: float = 0.0) -> np.ndarray:
+    """The reference eta at each instance, after checking that oracle.label_many
+    answers +1 exactly where its next uniform draw falls below it."""
+    g = score(oracle.spec, xs)
+    eta = np.array([eta_reference(oracle.spec.label_noise, float(gi), band) for gi in g])
+    draws = copy.deepcopy(oracle.rng).random(len(g))
+    np.testing.assert_array_equal(oracle.label_many(xs), np.where(draws < eta, 1, -1))
+    return eta
 
 
 class TestSampling:
@@ -95,12 +120,12 @@ class TestLabelOracle:
 
     def test_power_law_posterior_is_half_at_boundary(self):
         spec = uniform_scenario(0.5, LabelNoiseSpec(kind="tsybakov", kappa=2.0, mu=1.0))
-        assert Oracle(spec).positive_probability(0.5) == 0.5
+        assert eta_checked_against(Oracle(spec), np.array([0.5])).tolist() == [0.5]
 
     def test_posterior_range_and_sign(self):
         spec = uniform_scenario(0.5, LabelNoiseSpec(kind="tsybakov", kappa=1.7, mu=0.4))
         xs = sample_unlabeled(spec, 2000, np.random.default_rng(5))
-        eta = Oracle(spec).positive_probability(xs)
+        eta = eta_checked_against(Oracle(spec), xs)
         assert np.all((eta >= 0.0) & (eta <= 1.0))
         away = np.abs(eta - 0.5) > 1e-12
         assert np.all(np.sign(eta[away] - 0.5) == bayes_label(spec, xs[away]))
@@ -112,7 +137,7 @@ class TestLabelOracle:
         kappa, mu = 2.0, 1.0
         spec = uniform_scenario(0.5, LabelNoiseSpec(kind="tsybakov", kappa=kappa, mu=mu))
         xs = sample_unlabeled(spec, 200_000, np.random.default_rng(6))
-        eta = Oracle(spec).positive_probability(xs)
+        eta = eta_checked_against(Oracle(spec), xs)
         # |g| uniform on [0, 1/2] with density 2
         effective = 2.0 * mu * 2.0 ** (1.0 / (kappa - 1.0))
         for t in np.linspace(0.01, 0.4, 12):
@@ -287,10 +312,9 @@ class TestSingleOwners:
         monkeypatch.setattr(oracles, "calibrate_band", refuse)
         inside, outside = 0.5 + rho_label / 2, 0.5 + 2 * rho_label
         assert oracle.label(inside) == -1 and oracle.label(outside) == 1
-        np.testing.assert_array_equal(oracle.label_many(np.array([inside, outside])), [-1, 1])
-        assert oracle.positive_probability(inside) == 0.0
-        np.testing.assert_array_equal(oracle.positive_probability(np.array([inside, outside])),
-                                      [0.0, 1.0])
+        # label_many answers [-1, 1] exactly when the reference eta is [0, 1]
+        eta = eta_checked_against(oracle, np.array([inside, outside]), band=rho_label)
+        np.testing.assert_array_equal(eta, [0.0, 1.0])
         # opposite sides of the boundary, both inside the comparison band: flipped
         a, b = 0.5 + rho_comp / 2, 0.5 - rho_comp / 2
         assert oracle.compare(a, b) == -1

@@ -1,12 +1,14 @@
 """Rules on the package source itself, checked by parsing it."""
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import adgac
+from adgac.bench import TunableConstants
 
 SOURCES = sorted(Path(adgac.__file__).parent.glob("*.py"))
 
@@ -34,3 +36,18 @@ def test_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", "import adgac, sys; print('scipy.stats' in sys.modules)"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_every_tunable_constant_is_read():
+    # a constant no code reads lets a constants file set it to no effect
+    read = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        skip = {id(node) for cls in ast.walk(tree)
+                if isinstance(cls, ast.ClassDef) and cls.name == "TunableConstants"
+                for node in ast.walk(cls)}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                 and id(node) not in skip}
+    fields = {f.name for f in dataclasses.fields(TunableConstants)}
+    assert sorted(fields - read) == []
