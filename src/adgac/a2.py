@@ -22,6 +22,7 @@ from .oracles import Oracle
 # whole-run query budgets; a run past either raises BudgetExceededError
 MAX_LABELS = 10_000_000
 MAX_COMPARISONS = 100_000_000
+MAX_ROUND_SAMPLES = 2_000_000    # a round needing more raises BudgetExceededError
 
 
 def _is_monotone_step(xs, ys) -> bool:
@@ -44,7 +45,7 @@ class NonContiguousVersionSpaceError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunParams:
-    """Target error, failure probability, constants, and the per-round sample cap."""
+    """Target error, failure probability, and constants."""
 
     eps: float
     delta: float
@@ -52,7 +53,6 @@ class RunParams:
     c3: float = 5.0
     n_mult: float = 1.0
     tnc_mult: float = 1.0
-    max_round_samples: int = 2_000_000
     early_exit_singleton: bool = True
 
     def __post_init__(self):
@@ -137,11 +137,11 @@ def choose_n_i(i: int, eps: float, d: float, delta: float, params: RunParams,
         raise ValueError("rounds are 1-indexed")
     eps_i = _round_eps(i)
     n_u = _smallest_n_for_bound(eps_i, _round_gamma(eps, delta), d, params.c0,
-                                params.max_round_samples)
+                                MAX_ROUND_SAMPLES)
     term = params.tnc_mult * (1.0 / eps_i) ** (2.0 * kappa - 1.0) * math.log(1.0 / delta)
     n = int(math.ceil(params.n_mult * max(n_u, term)))
-    if n > params.max_round_samples:
-        raise BudgetExceededError(f"round {i} needs n={n} > cap {params.max_round_samples}")
+    if n > MAX_ROUND_SAMPLES:
+        raise BudgetExceededError(f"round {i} needs n={n} > cap {MAX_ROUND_SAMPLES}")
     return n
 
 

@@ -9,6 +9,7 @@ echoed config as sidecar files.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import math
 import os
@@ -91,7 +92,7 @@ class TrialReport:
 
 
 # field type (a string under postponed annotations) -> parser of its raw text
-_FROM_TEXT = {"str": lambda raw: raw.strip("'\""), "int": int, "float": float}
+_FROM_TEXT = {"str": str, "int": int, "float": float}
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,8 @@ class ExperimentConfig:
 
 
 def _parse_flat(text: str) -> dict[str, str]:
-    """Parse the flat `key = value` config format with `#` comments."""
+    """Parse the flat `key = value` config format with `#` comments; a quoted
+    value is a Python string literal, which may hold `#` and escapes."""
     out: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
@@ -196,8 +198,17 @@ def _parse_flat(text: str) -> dict[str, str]:
             continue
         if "=" not in stripped:
             raise ValueError(f"line {lineno}: expected `key = value`, got {line!r}")
-        key, val = stripped.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if val.startswith(("'", '"')):
+            try:
+                val = ast.literal_eval(val)
+            except (SyntaxError, ValueError):
+                val = None
+            if not isinstance(val, str):
+                raise ValueError(f"line {lineno}: bad quoted value in {line!r}")
+        else:
+            val = val.split("#", 1)[0].rstrip()
+        out[key] = val
     return out
 
 
@@ -364,25 +375,15 @@ def summarize(reports: list[TrialReport], eps: float) -> dict:
     labels = np.array([r.labels for r in reports], dtype=float)
     comps = np.array([r.comparisons for r in reports], dtype=float)
     ok = ~np.isnan(errs)
-    def quartiles(v):
-        if v.size == 0:
-            return (float("nan"),) * 3
-        return tuple(float(q) for q in np.percentile(v, [25, 50, 75]))
     # failed trials count against the battery, not just the valid ones
     succ = float(np.sum(errs[ok] <= eps)) / len(reports) if len(reports) else 0.0
-    return {
-        "trials": len(reports),
-        "failed_trials": int(np.sum(~ok)),
-        "success_rate": succ,
-        "err_q25": quartiles(errs[ok])[0], "err_median": quartiles(errs[ok])[1],
-        "err_q75": quartiles(errs[ok])[2],
-        "labels_q25": quartiles(labels)[0], "labels_median": quartiles(labels)[1],
-        "labels_q75": quartiles(labels)[2],
-        "comparisons_q25": quartiles(comps)[0], "comparisons_median": quartiles(comps)[1],
-        "comparisons_q75": quartiles(comps)[2],
-        "labels_total": int(labels.sum()),
-        "comparisons_total": int(comps.sum()),
-    }
+    out = {"trials": len(reports), "failed_trials": int(np.sum(~ok)), "success_rate": succ}
+    for name, v in (("err", errs[ok]), ("labels", labels), ("comparisons", comps)):
+        q = np.percentile(v, [25, 50, 75]) if v.size else [float("nan")] * 3
+        out[f"{name}_q25"], out[f"{name}_median"], out[f"{name}_q75"] = map(float, q)
+    out["labels_total"] = int(labels.sum())
+    out["comparisons_total"] = int(comps.sum())
+    return out
 
 
 def summary_table(summary: dict) -> str:

@@ -52,14 +52,20 @@ class AdgacParams:
 
 @dataclass
 class RankedGroups:
-    """A sorted permutation of the input plus contiguous group boundaries."""
+    """A sorted permutation of the input in contiguous groups of `size` ranks;
+    the last group also takes the remainder, so it runs to m."""
 
     order: np.ndarray                 # rank -> original index
-    bounds: list[tuple[int, int]]     # per-group [start, end) over ranks
+    size: int
 
     @property
     def n_groups(self) -> int:
-        return len(self.bounds)
+        return max(1, len(self.order) // self.size) if len(self.order) else 0
+
+    def span(self, gi: int) -> tuple[int, int]:
+        """Group gi's [start, end) over ranks."""
+        end = len(self.order) if gi == self.n_groups - 1 else (gi + 1) * self.size
+        return gi * self.size, end
 
 
 @dataclass
@@ -123,20 +129,12 @@ def partition_groups(order: np.ndarray, params: AdgacParams) -> RankedGroups:
     All groups have size max(1, round(alpha * m)); a nonzero remainder is
     merged into the last group, so its size lies in [g, 2g).
     """
-    m = len(order)
-    if m == 0:
-        return RankedGroups(order=order, bounds=[])
-    g = params.group_size
+    if len(order) == 0:
+        return RankedGroups(order=order, size=1)
     if params.alpha * params.m < 1.0 and params.m > params.n:
         raise DegenerateGroupingError(
             f"nominal group size {params.alpha * params.m:.3g} < 1 with m={params.m} > n={params.n}")
-    full = m // g
-    if full <= 1:
-        bounds = [(0, m)]
-    else:
-        bounds = [(i * g, (i + 1) * g) for i in range(full - 1)]
-        bounds.append(((full - 1) * g, m))
-    return RankedGroups(order=order, bounds=bounds)
+    return RankedGroups(order=order, size=params.group_size)
 
 
 def group_binary_search(groups: RankedGroups, items, label_query, k: int,
@@ -162,7 +160,7 @@ def group_binary_search(groups: RankedGroups, items, label_query, k: int,
 
     def probe(gi: int) -> int:
         nonlocal label_count, probes
-        start, end = groups.bounds[gi]
+        start, end = groups.span(gi)
         size = end - start
         take = min(k, size)
         ranks = rng.choice(size, size=take, replace=False) + start
@@ -205,16 +203,11 @@ def adgac(S, n: int, eps: float, delta: float, oracle, rng: np.random.Generator,
     groups = partition_groups(order, params)
     t, label_count, votes, _ = group_binary_search(groups, S, oracle.label_many, k, rng)
 
-    majority = 1 if votes[t] >= 0 else -1
+    start, end = groups.span(t)
+    # over ranks: -1 before group t, its majority on it, +1 after it
     yhat = np.empty(m, dtype=int)
-    for gi, (s, e) in enumerate(groups.bounds):
-        if gi < t:
-            val = -1
-        elif gi > t:
-            val = 1
-        else:
-            val = majority
-        yhat[groups.order[s:e]] = val
+    yhat[groups.order] = np.repeat([-1, 1 if votes[t] >= 0 else -1, 1],
+                                   [start, end - start, m - end])
     return AdgacResult(labels=yhat, n_groups=groups.n_groups, label_queries=label_count,
                        groups=groups)
 

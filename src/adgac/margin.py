@@ -21,8 +21,7 @@ from .oracles import GAUSSIAN, Oracle
 SEED_BATCH = 32                  # labeled points the initial direction is fitted to
 SEED_FIT_ITERS = 800             # hinge steps of that fit
 MAX_ROUND_SAMPLES = 5_000_000    # a round needing more raises EmptyBandError
-_MAX_ALTERNATIONS = 50
-_FEASIBLE_TOL = 1e-10
+MIN_ROUND_SAMPLES = 64           # keeps early-round bands from coming up empty
 
 
 class EmptyBandError(RuntimeError):
@@ -65,28 +64,20 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
-def project_to_ball(v: np.ndarray, center, radius: float) -> np.ndarray:
+def project_to_feasible(v: np.ndarray, center, radius: float) -> np.ndarray:
+    """Pull v into B(c, r), c = center and r = radius, then rescale it into B(0, 1).
+
+    For |c| <= 1 that lands in both balls: rescaling u of B(c, r) with |u| > 1 keeps it
+    there, as |u - c|^2 - |u/|u| - c|^2 = (|u| - 1)(|u| + 1 - 2 u.c/|u|) > 0.
+    """
+    center = np.asarray(center, dtype=float)
     offset = v - center
     dist = _norm(offset)
-    if dist <= radius:
-        return v
-    return center + offset * (radius / dist)
-
-
-def project_to_feasible(v: np.ndarray, center, radius: float) -> np.ndarray:
-    """Alternating projections onto B(center, radius) intersected with B(0, 1)."""
-    center = np.asarray(center, dtype=float)
-    for _ in range(_MAX_ALTERNATIONS):
-        u = project_to_ball(v, center, radius)
-        nrm = _norm(u)
-        if nrm > 1.0:
-            u = u / nrm
-        elif u is v:
-            # neither ball moved v, so it already lies in both
-            return v
-        v = u
-        if _norm(v - center) <= radius + _FEASIBLE_TOL and _norm(v) <= 1.0 + _FEASIBLE_TOL:
-            break
+    if dist > radius:
+        v = center + offset * (radius / dist)
+    nrm = _norm(v)
+    if nrm > 1.0:
+        v = v / nrm
     return v
 
 
@@ -116,6 +107,8 @@ def minimize_hinge(xs, ys, w_prev, radius: float, tau: float,
     if xs.shape[0] == 0:
         raise ValueError("cannot fit on an empty batch")
     w_prev = np.asarray(w_prev, dtype=float)
+    if not _norm(w_prev) <= 1.0 + 1e-12:  # a unit vector's rounding passes, NaN fails
+        raise ValueError("w_prev must lie in the unit ball")
     n = len(ys)
     yx = xs * ys[:, None]
 
@@ -179,7 +172,6 @@ class MarginParams:
     c1p: float = 1.0
     batch_c3: float = 5.0             # label batch constant for the subroutine
     n_mult: float = 0.4
-    min_round_samples: int = 64   # keeps early-round bands from coming up empty
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0 or not 0.0 < self.delta < 1.0:
@@ -233,7 +225,7 @@ class MarginSchedule:
         main = (self.d / self.b(kk)) * math.log(max(math.e, self.d * kk / p.delta)) ** 3
         term = (1.0 / p.eps) ** (2.0 * self.label_kappa - 1.0) * math.log(1.0 / p.delta)
         n = int(math.ceil(p.n_mult * max(main, term)))
-        return max(n, p.min_round_samples)
+        return max(n, MIN_ROUND_SAMPLES)
 
 
 @dataclass

@@ -47,8 +47,9 @@ class TestChooseN:
         ns = [choose_n_i(i, 0.01, 1.0, 0.1, params, kappa=1.0) for i in range(1, 6)]
         assert all(b >= 2 * a for a, b in zip(ns, ns[1:]))
 
-    def test_budget_cap(self):
-        params = RunParams(eps=0.05, delta=0.1, max_round_samples=10)
+    def test_budget_cap(self, monkeypatch):
+        monkeypatch.setattr(a2, "MAX_ROUND_SAMPLES", 10)
+        params = RunParams(eps=0.05, delta=0.1)
         with pytest.raises(BudgetExceededError):
             choose_n_i(1, 0.05, 1.0, 0.1, params, kappa=1.0)
 

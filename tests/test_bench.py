@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,7 +118,7 @@ class TestReportFiles:
     def test_single_trial_two_line_csv(self, tmp_path):
         cfg, reports, summary = self._reports(tmp_path, trials=1)
         files = emit_report(reports, cfg.out, config=cfg, summary=summary)
-        lines = open(cfg.out).read().splitlines()
+        lines = Path(cfg.out).read_text().splitlines()
         assert len(lines) == 2
         assert lines[0] == CSV_HEADER
 
@@ -138,7 +139,7 @@ class TestReportFiles:
         assert set(files) == {cfg.out, cfg.out + ".summary.txt", cfg.out + ".config.txt"}
         for f in files:
             assert os.path.exists(f)
-        echoed = ExperimentConfig.from_text(open(cfg.out + ".config.txt").read())
+        echoed = ExperimentConfig.from_text(Path(cfg.out + ".config.txt").read_text())
         assert echoed == cfg
 
     def test_empty_reports_rejected(self, tmp_path):
@@ -152,6 +153,21 @@ class TestConfigFormat:
                                seed=13, grid=2001, label_noise="massart", beta=0.2)
         again = ExperimentConfig.from_text(cfg.to_text())
         assert again == cfg
+
+    @pytest.mark.parametrize("out", ["runs#1.csv", r"C:\tmp\r.csv", "it's \"q\".csv"])
+    def test_out_path_round_trip(self, out):
+        # '#' inside quotes is not a comment, and repr's escapes are undone
+        cfg = ExperimentConfig(method="adgac-only", out=out)
+        assert ExperimentConfig.from_text(cfg.to_text()).out == out
+
+    def test_comment_after_quoted_value(self):
+        cfg = ExperimentConfig.from_text("method = adgac-only\nout = 'a#b.csv'  # note\n")
+        assert cfg.out == "a#b.csv"
+
+    @pytest.mark.parametrize("line", ["out = 'runs.csv", "out = 'a', 'b'"])
+    def test_malformed_quoted_value_rejected(self, line):
+        with pytest.raises(ValueError, match="line 2"):
+            ExperimentConfig.from_text("method = adgac-only\n" + line + "\n")
 
     def test_every_field_parses_by_its_declared_type(self):
         cfg = ExperimentConfig(method="margin-adgac", eps=0.2, delta=0.3, trials=2, seed=5,

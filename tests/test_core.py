@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from adgac.core import (AdgacParams, DegenerateGroupingError, adgac, batch_size,
-                        group_binary_search, noisy_quicksort, partition_groups)
+from adgac.core import (AdgacParams, DegenerateGroupingError, RankedGroups, adgac,
+                        batch_size, group_binary_search, noisy_quicksort,
+                        partition_groups)
 from adgac.oracles import (ComparisonNoiseSpec, LabelNoiseSpec, Oracle,
                            bayes_label, calibrate_band, gaussian_scenario,
                            uniform_scenario)
@@ -26,6 +27,10 @@ def batch_of(items, compare=perfect_comparator):
                          else compare(items[p], items[i]) == 1
                          for i, p, first in zip(idx, pivots, elem_first)], dtype=bool)
     return below
+
+
+def spans(groups):
+    return [groups.span(gi) for gi in range(groups.n_groups)]
 
 
 def labels_of(label):
@@ -172,22 +177,33 @@ class TestPartitionGroups:
     def test_exact_division(self):
         groups = partition_groups(np.arange(100), self._params(1000, 100, 0.01))
         assert groups.n_groups == 10
-        assert all(e - s == 10 for s, e in groups.bounds)
+        assert all(e - s == 10 for s, e in spans(groups))
 
     def test_remainder_merged_into_last(self):
         groups = partition_groups(np.arange(103), self._params(1030, 103, 0.01))
-        sizes = [e - s for s, e in groups.bounds]
+        sizes = [e - s for s, e in spans(groups)]
         assert sizes == [10] * 9 + [13]
 
     def test_floor_at_one(self):
         # nominal group size 0.4 floors to single-point groups
         groups = partition_groups(np.arange(5), self._params(8, 5, 0.05))
         assert groups.n_groups == 5
-        assert all(e - s == 1 for s, e in groups.bounds)
+        assert all(e - s == 1 for s, e in spans(groups))
 
     def test_degenerate_configuration_rejected(self):
         with pytest.raises(DegenerateGroupingError):
             partition_groups(np.arange(10), self._params(4, 10, 0.1))
+
+    def test_empty_ranking_has_no_groups(self):
+        # the degenerate configuration above raises only for a non-empty ranking
+        groups = partition_groups(np.arange(0), self._params(4, 10, 0.1))
+        assert groups.n_groups == 0 and spans(groups) == []
+        assert RankedGroups(order=np.arange(0), size=7).n_groups == 0
+
+    def test_ranking_shorter_than_one_group(self):
+        groups = RankedGroups(order=np.arange(5), size=8)
+        assert groups.n_groups == 1
+        assert spans(groups) == [(0, 5)]
 
 
 class TestGroupBinarySearch:
@@ -234,6 +250,28 @@ class TestGroupBinarySearch:
             fails += votes[t] >= 0
         se = math.sqrt(exact_tail * (1 - exact_tail) / trials)
         assert abs(fails / trials - exact_tail) <= 4 * se
+
+
+@settings(max_examples=100, deadline=None)
+@example(m=9, eps=0.05, seed=0)      # group size 1
+@example(m=103, eps=0.1, seed=1)     # size 10, remainder 3 in the last group
+@given(m=st.integers(1, 300), eps=st.floats(0.001, 0.49), seed=st.integers(0, 2**32 - 1))
+def test_labels_are_a_step_over_groups(m, eps, seed):
+    spec = uniform_scenario(0.5, LabelNoiseSpec(kind="massart", beta=0.3))
+    oracle = Oracle(spec, np.random.default_rng(seed))
+    xs = oracle.sample(m)
+    result = adgac(xs, m, eps, 0.1, oracle, oracle.rng, k=3)
+    groups = result.groups
+    assert groups.n_groups == result.n_groups == max(1, m // groups.size)
+    assert spans(groups)[-1][1] == m
+    # one label per group: -1 on every group before some group t, +1 after it
+    per_group = []
+    for s, e in spans(groups):
+        ranked = result.labels[groups.order[s:e]]
+        assert np.all(ranked == ranked[0])
+        per_group.append(int(ranked[0]))
+    assert any(all(v == -1 for v in per_group[:t]) and all(v == 1 for v in per_group[t + 1:])
+               for t in range(len(per_group)))
 
 
 class TestAdgac:
@@ -308,8 +346,8 @@ class TestAdgac:
         result = adgac(xs, 200, 0.1, 0.1, oracle, oracle.rng, k=3)
         # per group, the majority mu(S_i) and minority fraction q(S_i) of the optimal labels
         truth = np.asarray(bayes_label(spec, xs))
-        pos = np.array([np.sum(truth[result.groups.order[s:e]] > 0) for s, e in result.groups.bounds])
-        size = np.array([e - s for s, e in result.groups.bounds])
+        pos = np.array([np.sum(truth[result.groups.order[s:e]] > 0) for s, e in spans(result.groups)])
+        size = np.array([e - s for s, e in spans(result.groups)])
         mu = np.where(2 * pos >= size, 1, -1)
         q = np.minimum(pos, size - pos) / size
         assert np.all((q >= 0) & (q <= 0.5))

@@ -295,6 +295,22 @@ class TestMinimizeHinge:
         assert fit.loss == 0.0
         assert hinge_loss_batch(fit.v, xs, ys, tau) == 0.0
 
+    @pytest.mark.parametrize("w_prev", [[1.2, 0.0], [0.6, 0.8 + 1e-9], [math.nan, 0.0]])
+    def test_center_outside_unit_ball_rejected(self, w_prev):
+        # the one-pass projection lands in both balls only for |w_prev| <= 1
+        xs = np.array([[1.0, 0.5], [-0.3, 1.0]])
+        with pytest.raises(ValueError, match="unit ball"):
+            minimize_hinge(xs, np.array([1, -1]), np.array(w_prev), radius=0.5, tau=0.2)
+
+    def test_normalized_center_accepted(self):
+        # a vector divided by its norm may read an ulp above 1
+        w = np.array([2.06, -0.82, 1.07])
+        w = w / np.linalg.norm(w)
+        assert np.linalg.norm(w) > 1.0
+        xs = np.random.default_rng(11).standard_normal((20, 3))
+        fit = minimize_hinge(xs, np.where(xs[:, 0] >= 0, 1, -1), w, radius=0.3, tau=0.2)
+        assert np.linalg.norm(fit.v - w) <= 0.3 + 1e-9 and np.linalg.norm(fit.v) <= 1.0 + 1e-9
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_quality_against_grid_oracle(self, seed):
         rng = np.random.default_rng(seed)
@@ -439,10 +455,11 @@ class TestRunMargin:
         final = math.acos(float(np.clip(res.w_hat @ w_star, -1, 1)))
         assert final / math.pi <= 0.1
 
-    def test_empty_band_raises_advice(self):
+    def test_empty_band_raises_advice(self, monkeypatch):
+        monkeypatch.setattr(margin, "MIN_ROUND_SAMPLES", 2)
         w_star = np.array([1.0, 0.0])
         spec = gaussian_scenario(w_star, seed=2)
-        params = MarginParams(eps=0.1, delta=0.2, n_mult=1e-9, min_round_samples=2)
+        params = MarginParams(eps=0.1, delta=0.2, n_mult=1e-9)
         with pytest.raises(EmptyBandError):
             run_margin_adgac(spec, params, w0=w_star)
 
