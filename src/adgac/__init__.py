@@ -3,8 +3,9 @@
 from .oracles import (ComparisonNoiseSpec, GroundTruth, LabelNoiseSpec, Oracle,
                       QueryCounters, ScenarioSpec, bayes_label, calibrate_band,
                       gaussian_scenario, sample_unlabeled, score, uniform_scenario)
-from .core import (AdgacParams, AdgacResult, RankedGroups, adgac, batch_size,
-                   group_binary_search, noisy_quicksort, partition_groups)
+from .core import (DEFAULT_CONSTANTS, AdgacParams, AdgacResult, RankedGroups,
+                   TunableConstants, adgac, batch_size, group_binary_search,
+                   noisy_quicksort, partition_groups)
 from .hypotheses import EmptyVersionSpaceError, ExplicitClass, ThresholdClass, VersionSpace
 from .a2 import (BudgetExceededError, RunParams, RunResult, choose_n_i,
                  run_a2_adgac, run_baseline_a2, vc_bound_u)
@@ -15,8 +16,7 @@ from .margin import (EmptyBandError, HingeFit, MarginParams, MarginRunResult,
 from .minimax import (GhatConstruction, LemmaInstance, ScoreDistribution,
                       best_threshold_error, comparison_error_of, construct_ghat,
                       equality_instance, lemma_min_f, make_lemma_instance)
-from .bench import (DEFAULT_CONSTANTS, ExperimentConfig, TrialReport,
-                    TunableConstants, emit_report, measure_error,
+from .bench import (ExperimentConfig, TrialReport, emit_report, measure_error,
                     parse_report_csv, passive_erm, run_trials)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -45,15 +45,11 @@ class NonContiguousVersionSpaceError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunParams:
-    """Target error, failure probability, and constants."""
+    """Target error, failure probability, and the constants (c0, C3, n_mult, tnc_mult)."""
 
     eps: float
     delta: float
-    c0: float = 1.0
-    c3: float = 5.0
-    n_mult: float = 1.0
-    tnc_mult: float = 1.0
-    early_exit_singleton: bool = True
+    constants: core.TunableConstants = core.DEFAULT_CONSTANTS
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0 or not 0.0 < self.delta < 1.0:
@@ -83,7 +79,7 @@ class RunResult:
     flags: list[str] = field(default_factory=list)
 
 
-def vc_bound_u(n, gamma: float, d: float, c0: float = 1.0):
+def vc_bound_u(n, gamma: float, d: float, c0: float):
     """Uniform deviation bound c0 * (d log(n/d) + log(1/gamma)) / n, elementwise in n."""
     if d < 1 or np.any(np.asarray(n) < d):
         raise ValueError("need n >= d >= 1")
@@ -136,10 +132,10 @@ def choose_n_i(i: int, eps: float, d: float, delta: float, params: RunParams,
     if i < 1:
         raise ValueError("rounds are 1-indexed")
     eps_i = _round_eps(i)
-    n_u = _smallest_n_for_bound(eps_i, _round_gamma(eps, delta), d, params.c0,
-                                MAX_ROUND_SAMPLES)
-    term = params.tnc_mult * (1.0 / eps_i) ** (2.0 * kappa - 1.0) * math.log(1.0 / delta)
-    n = int(math.ceil(params.n_mult * max(n_u, term)))
+    c = params.constants
+    n_u = _smallest_n_for_bound(eps_i, _round_gamma(eps, delta), d, c.c0, MAX_ROUND_SAMPLES)
+    term = c.tnc_mult * (1.0 / eps_i) ** (2.0 * kappa - 1.0) * math.log(1.0 / delta)
+    n = int(math.ceil(c.n_mult * max(n_u, term)))
     if n > MAX_ROUND_SAMPLES:
         raise BudgetExceededError(f"round {i} needs n={n} > cap {MAX_ROUND_SAMPLES}")
     return n
@@ -183,7 +179,7 @@ def _run_rounds(spec, klass, params: RunParams, use_comparisons: bool,
     rounds_run = 0
 
     for i in range(1, rounds + 1):
-        if params.early_exit_singleton and len(space) == 1:
+        if len(space) == 1:
             flags.append(f"early-exit-round-{i}")
             break
         eps_i = _round_eps(i)
@@ -194,8 +190,8 @@ def _run_rounds(spec, klass, params: RunParams, use_comparisons: bool,
         labels_before, comps_before = oracle.counters.snapshot()
         if len(subset) > 0:
             if use_comparisons:
-                result = core.adgac(subset, n_i, eps_i, gamma, oracle, rng,
-                                    kappa=kappa, c3=params.c3)
+                k = core.batch_size(eps_i, gamma, kappa, params.constants.C3)
+                result = core.adgac(subset, n_i, eps_i, gamma, oracle, rng, k)
                 counts = klass.error_counts(subset, result.labels)
                 space = space.filter_by_counts(counts, n_i * eps_i)
                 if isinstance(klass, ThresholdClass) and _is_monotone_step(subset, result.labels):

@@ -9,7 +9,6 @@ echoed config as sidecar files.
 
 from __future__ import annotations
 
-import ast
 import dataclasses
 import math
 import os
@@ -20,53 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import a2, core, margin as margin_mod
+from .core import DEFAULT_CONSTANTS, TunableConstants, _parse_flat
 from .hypotheses import ThresholdClass
 from .oracles import (ADVERSARIAL, BAND_ADVERSARIAL, GAUSSIAN, MASSART, PERFECT,
                       UNIFORM, ComparisonNoiseSpec, LabelNoiseSpec, Oracle,
                       ScenarioSpec, bayes_label, gaussian_scenario,
                       sample_unlabeled, uniform_scenario)
 
-CSV_HEADER = "seed,method,epsilon,delta,err,err_se,labels,comparisons,rounds,wall_ms,flags"
-
 _ERR_MC_SAMPLES = 100_000
 _ERR_MC_SALT = 0x5A17
-
-
-@dataclass(frozen=True)
-class TunableConstants:
-    """Leading constants left unstated by the guarantees, frozen by a one-time
-    calibration battery (see README); serialized with every report."""
-
-    C2: float = 1.0      # comparison-noise gate nu' <= C2 eps^(2 kappa) delta
-    C3: float = 5.0      # label batch multiplier in k formulas
-    C4: float = 1.0      # adversarial label gate nu <= C4 eps
-    c0: float = 1.0      # deviation bound constant
-    c1: float = 0.2      # log-concave: 1-D density floor
-    c2: float = 0.28     # log-concave: angle-to-disagreement
-    c3: float = 1.0      # log-concave: band mass
-    c4: float = 2.0      # log-concave: band second moment
-    c1p: float = 1.0     # band width constant
-    n_mult: float = 1.0         # leading multiplier for disagreement rounds
-    n_mult_margin: float = 0.4  # leading multiplier for margin rounds
-    tnc_mult: float = 1.0       # multiplier on the power-law sample term
-
-    def to_text(self) -> str:
-        lines = ["# tunable constants"]
-        for f in dataclasses.fields(self):
-            lines.append(f"{f.name} = {getattr(self, f.name)!r}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "TunableConstants":
-        values = _parse_flat(text)
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(values) - names
-        if unknown:
-            raise ValueError(f"unknown constant keys: {sorted(unknown)}")
-        return cls(**{k: float(v) for k, v in values.items()})
-
-
-DEFAULT_CONSTANTS = TunableConstants()
 
 
 @dataclass
@@ -84,12 +45,12 @@ class TrialReport:
     flags: str = ""
 
     def to_csv_row(self) -> str:
-        return ",".join([
-            str(self.seed), self.method, repr(self.epsilon), repr(self.delta),
-            repr(self.err), repr(self.err_se), str(self.labels),
-            str(self.comparisons), str(self.rounds), repr(self.wall_ms), self.flags,
-        ])
+        return ",".join((repr if f.type == "float" else str)(getattr(self, f.name))
+                        for f in _CSV_FIELDS)
 
+
+_CSV_FIELDS = dataclasses.fields(TrialReport)
+CSV_HEADER = ",".join(f.name for f in _CSV_FIELDS)
 
 # field type (a string under postponed annotations) -> parser of its raw text
 _FROM_TEXT = {"str": str, "int": int, "float": float}
@@ -188,30 +149,6 @@ class ExperimentConfig:
         return cls(**kwargs)
 
 
-def _parse_flat(text: str) -> dict[str, str]:
-    """Parse the flat `key = value` config format with `#` comments; a quoted
-    value is a Python string literal, which may hold `#` and escapes."""
-    out: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"line {lineno}: expected `key = value`, got {line!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if val.startswith(("'", '"')):
-            try:
-                val = ast.literal_eval(val)
-            except (SyntaxError, ValueError):
-                val = None
-            if not isinstance(val, str):
-                raise ValueError(f"line {lineno}: bad quoted value in {line!r}")
-        else:
-            val = val.split("#", 1)[0].rstrip()
-        out[key] = val
-    return out
-
-
 def measure_error(predict_fn, spec: ScenarioSpec, seed: int,
                   n_mc: int = _ERR_MC_SAMPLES) -> tuple[float, float]:
     """Monte Carlo disagreement with the optimal labels on fresh samples."""
@@ -275,16 +212,14 @@ def _run_adgac_only(config: ExperimentConfig, params: core.AdgacParams, spec: Sc
                     rng, oracle: Oracle):
     n = params.n
     xs = oracle.sample(n)
-    result = core.adgac(xs, n, params.eps, params.delta, oracle, rng, k=params.k)
+    result = core.adgac(xs, n, params.eps, params.delta, oracle, rng, params.k)
     err = int(np.sum(result.labels != bayes_label(spec, xs))) / n
     return err, math.sqrt(max(err * (1 - err), 1.0 / n) / n), 1, []
 
 
 def _disagreement_params(config: ExperimentConfig) -> a2.RunParams:
     _at_least_one(config, "grid")
-    cst = config.constants
-    return a2.RunParams(eps=config.eps, delta=config.delta, c0=cst.c0, c3=cst.C3,
-                        n_mult=cst.n_mult, tnc_mult=cst.tnc_mult)
+    return a2.RunParams(eps=config.eps, delta=config.delta, constants=config.constants)
 
 
 def _run_disagreement(learner, config: ExperimentConfig, params: a2.RunParams,
@@ -297,10 +232,7 @@ def _run_disagreement(learner, config: ExperimentConfig, params: a2.RunParams,
 
 
 def _margin_params(config: ExperimentConfig) -> margin_mod.MarginParams:
-    cst = config.constants
-    return margin_mod.MarginParams(eps=config.eps, delta=config.delta,
-                                   c1=cst.c1, c2=cst.c2, c3=cst.c3, c4=cst.c4,
-                                   c1p=cst.c1p, batch_c3=cst.C3, n_mult=cst.n_mult_margin)
+    return margin_mod.MarginParams(eps=config.eps, delta=config.delta, constants=config.constants)
 
 
 def _run_margin(config: ExperimentConfig, params: margin_mod.MarginParams,
@@ -448,15 +380,15 @@ def emit_report(reports: list[TrialReport], path: str,
 def parse_report_csv(path: str) -> list[TrialReport]:
     """Reload an emitted CSV; round-trips the in-memory reports."""
     with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines or lines[0] != CSV_HEADER:
+        lines = [(no, line.rstrip("\n")) for no, line in enumerate(fh, 1) if line.strip()]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise ValueError(f"unexpected header in {path!r}")
     out = []
-    for line in lines[1:]:
+    for lineno, line in lines[1:]:
         parts = line.split(",")
-        out.append(TrialReport(
-            seed=int(parts[0]), method=parts[1], epsilon=float(parts[2]),
-            delta=float(parts[3]), err=float(parts[4]), err_se=float(parts[5]),
-            labels=int(parts[6]), comparisons=int(parts[7]), rounds=int(parts[8]),
-            wall_ms=float(parts[9]), flags=parts[10] if len(parts) > 10 else ""))
+        if len(parts) != len(_CSV_FIELDS):
+            raise ValueError(f"{path!r} line {lineno}: {len(parts)} columns, "
+                             f"the header has {len(_CSV_FIELDS)}")
+        out.append(TrialReport(**{f.name: _FROM_TEXT[f.type](raw)
+                                  for f, raw in zip(_CSV_FIELDS, parts)}))
     return out

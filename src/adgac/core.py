@@ -1,4 +1,4 @@
-"""Comparison-assisted batch labeling (ADGAC).
+"""Comparison-assisted batch labeling (ADGAC), and the lab's tunable constants.
 
 Ranks a dataset with a noisy comparison oracle via randomized quicksort,
 partitions the ranking into contiguous groups, binary-searches the group
@@ -8,10 +8,80 @@ emits a monotone-step labeling of the whole dataset.
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+@dataclass(frozen=True)
+class TunableConstants:
+    """Leading constants left unstated by the guarantees, frozen by a one-time
+    calibration battery (see README); serialized with every report.  The one
+    home of their defaults: the learners' parameters carry one of these."""
+
+    C2: float = 1.0      # comparison-noise gate nu' <= C2 eps^(2 kappa) delta
+    C3: float = 5.0      # label batch multiplier in k formulas
+    C4: float = 1.0      # adversarial label gate nu <= C4 eps
+    c0: float = 1.0      # deviation bound constant
+    c1: float = 0.2      # log-concave: 1-D density floor
+    c2: float = 0.28     # log-concave: angle-to-disagreement
+    c3: float = 1.0      # log-concave: band mass
+    c4: float = 2.0      # log-concave: band second moment
+    c1p: float = 1.0     # band width constant
+    n_mult: float = 1.0         # leading multiplier for disagreement rounds
+    n_mult_margin: float = 0.4  # leading multiplier for margin rounds
+    tnc_mult: float = 1.0       # multiplier on the power-law sample term
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"constant {f.name} = {value!r} must be finite and > 0")
+
+    def to_text(self) -> str:
+        lines = ["# tunable constants"]
+        for f in dataclasses.fields(self):
+            lines.append(f"{f.name} = {getattr(self, f.name)!r}")
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_text(cls, text: str) -> "TunableConstants":
+        values = _parse_flat(text)
+        names = {f.name for f in dataclasses.fields(cls)}
+        unknown = set(values) - names
+        if unknown:
+            raise ValueError(f"unknown constant keys: {sorted(unknown)}")
+        return cls(**{k: float(v) for k, v in values.items()})
+
+
+DEFAULT_CONSTANTS = TunableConstants()
+
+
+def _parse_flat(text: str) -> dict[str, str]:
+    """Parse the flat `key = value` config format with `#` comments; a quoted
+    value is a Python string literal, which may hold `#` and escapes."""
+    out: dict[str, str] = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ValueError(f"line {lineno}: expected `key = value`, got {line!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if val.startswith(("'", '"')):
+            try:
+                val = ast.literal_eval(val)
+            except (SyntaxError, ValueError):
+                val = None
+            if not isinstance(val, str):
+                raise ValueError(f"line {lineno}: bad quoted value in {line!r}")
+        else:
+            val = val.split("#", 1)[0].rstrip()
+        out[key] = val
+    return out
 
 
 class DegenerateGroupingError(ValueError):
@@ -184,19 +254,17 @@ def group_binary_search(groups: RankedGroups, items, label_query, k: int,
 
 
 def adgac(S, n: int, eps: float, delta: float, oracle, rng: np.random.Generator,
-          k: int | None = None, kappa: float = 1.0, c3: float = 1.0) -> AdgacResult:
+          k: int) -> AdgacResult:
     """Label a dataset with comparisons plus a few label batches.
 
     S is the dataset to label (array of instances), n the ambient sample count
-    for the error budget eps * n.  The oracle supplies pivot_comparator and
-    label_many and owns the counters.  The label batch k is batch_size(eps,
-    delta, kappa, c3) unless given.
+    for the error budget eps * n, and k the label batch per probed group
+    (the learners take it from batch_size).  The oracle supplies
+    pivot_comparator and label_many and owns the counters.
     """
     m = len(S)
     if m == 0:
         return AdgacResult(labels=np.empty(0, dtype=int), n_groups=0, label_queries=0)
-    if k is None:
-        k = batch_size(eps, delta, kappa, c3)
     params = AdgacParams(n=n, m=m, eps=eps, delta=delta, k=k)
 
     order, _ = noisy_quicksort(S, oracle.pivot_comparator(S), rng)
@@ -212,7 +280,7 @@ def adgac(S, n: int, eps: float, delta: float, oracle, rng: np.random.Generator,
                        groups=groups)
 
 
-def batch_size(eps: float, delta: float, kappa: float = 1.0, c3: float = 1.0) -> int:
+def batch_size(eps: float, delta: float, kappa: float, c3: float) -> int:
     """Label batch size per probed group: c3 log(log(1/eps) / delta) (1/eps)^(2 kappa - 2).
 
     kappa is the label noise exponent (LabelNoiseSpec.effective_kappa);

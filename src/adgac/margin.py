@@ -161,26 +161,18 @@ def minimize_hinge(xs, ys, w_prev, radius: float, tau: float,
 
 @dataclass(frozen=True)
 class MarginParams:
-    """Target error, failure probability, and tunable geometry constants."""
+    """Target error, failure probability, and the constants: the geometry's
+    c1, c2, c3, c4 and c1p, the label batch's C3, and n_mult_margin."""
 
     eps: float
     delta: float
-    c1: float = 0.2
-    c2: float = 0.28
-    c3: float = 1.0
-    c4: float = 2.0
-    c1p: float = 1.0
-    batch_c3: float = 5.0             # label batch constant for the subroutine
-    n_mult: float = 0.4
+    constants: core.TunableConstants = core.DEFAULT_CONSTANTS
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0 or not 0.0 < self.delta < 1.0:
             raise ValueError("eps and delta must lie in (0, 1)")
         if self.gamma >= 1.0:
             raise ValueError("per-round failure share delta / (8 log2(1/eps)) must be below 1")
-        for name in ("c1", "c2", "c3", "c4", "c1p", "n_mult"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"constant {name} must be positive")
 
     @property
     def gamma(self) -> float:
@@ -194,37 +186,38 @@ class MarginSchedule:
 
     def __init__(self, params: MarginParams, d: int, label_kappa: float = 1.0):
         self.params = params
+        self.constants = c = params.constants
         self.d = d
         self.label_kappa = label_kappa
-        self.M = max(2.0 / (params.c2 * math.pi), 2.0)
-        self.kappa_prec = 1.0 / (4.0 * params.c1p * self.M)
+        self.M = max(2.0 / (c.c2 * math.pi), 2.0)
+        self.kappa_prec = 1.0 / (4.0 * c.c1p * self.M)
         if not 0.0 < self.kappa_prec < 0.5:
             raise ValueError("precision constant must lie in (0, 1/2)")
         self.rounds = max(1, math.ceil(math.log2(4.0 / params.eps)))
 
     def b(self, k: int) -> float:
         # defined for k >= -1 so the round-0 entries exist
-        return self.params.c1p * self.M ** (-k)
+        return self.constants.c1p * self.M ** (-k)
 
     def r(self, k: int) -> float:
-        return min(self.M ** (-(k - 1)) / self.params.c2, math.pi / 2.0)
+        return min(self.M ** (-(k - 1)) / self.constants.c2, math.pi / 2.0)
 
     def tau(self, k: int) -> float:
-        return self.params.c1 * min(self.b(k - 1), 1.0 / 9.0) * self.kappa_prec / 6.0
+        return self.constants.c1 * min(self.b(k - 1), 1.0 / 9.0) * self.kappa_prec / 6.0
 
     def z2(self, k: int) -> float:
         return self.r(k) ** 2 + self.b(k - 1) ** 2
 
     def eps_k(self, k: int) -> float:
-        p = self.params
-        return p.c3 * self.tau(k) ** 2 * self.b(k) * self.kappa_prec ** 2 / (256.0 * p.c4 * self.z2(k))
+        c = self.constants
+        return c.c3 * self.tau(k) ** 2 * self.b(k) * self.kappa_prec ** 2 / (256.0 * c.c4 * self.z2(k))
 
     def n(self, k: int) -> int:
         p = self.params
         kk = max(k, 1)
         main = (self.d / self.b(kk)) * math.log(max(math.e, self.d * kk / p.delta)) ** 3
         term = (1.0 / p.eps) ** (2.0 * self.label_kappa - 1.0) * math.log(1.0 / p.delta)
-        n = int(math.ceil(p.n_mult * max(main, term)))
+        n = int(math.ceil(self.constants.n_mult_margin * max(main, term)))
         return max(n, MIN_ROUND_SAMPLES)
 
 
@@ -301,8 +294,8 @@ def run_margin_adgac(spec, params: MarginParams, w0=None,
             flags.append("w0-angle")
 
     def adgac_labels(subset, n_k, eps_k):
-        return core.adgac(subset, n_k, eps_k, params.gamma, oracle, rng,
-                          kappa=label_kappa, c3=params.batch_c3).labels
+        k = core.batch_size(eps_k, params.gamma, label_kappa, params.constants.C3)
+        return core.adgac(subset, n_k, eps_k, params.gamma, oracle, rng, k).labels
 
     # round 0: unrestricted sample labeled at the k = 0 budget
     n1 = schedule.n(1)
@@ -344,7 +337,7 @@ def run_margin_adgac(spec, params: MarginParams, w0=None,
         xs = fresh[band_membership(w, fresh, b_k)]
         if len(xs) == 0:
             raise EmptyBandError(
-                f"band |w.x| <= {b_k:.4g} caught no samples at n={n_k}; increase n_mult")
+                f"band |w.x| <= {b_k:.4g} caught no samples at n={n_k}; increase n_mult_margin")
         ys = adgac_labels(xs, n_k, eps_k)
         labels_after, comps_after = oracle.counters.snapshot()
         trace.append(MarginRoundTrace(round=k, b_k=b_k, r_k=r_k, tau_k=tau_k,

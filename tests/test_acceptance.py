@@ -69,7 +69,7 @@ def test_ac3_a2_end_to_end():
     rng = np.random.default_rng(7)
     oracle = Oracle(spec, rng)
     klass = ThresholdClass(np.linspace(0, 1, 1001))
-    params = a2.RunParams(eps=0.05, delta=0.1, c3=C3)
+    params = a2.RunParams(eps=0.05, delta=0.1)
     res = a2.run_a2_adgac(spec, klass, params, rng=rng, oracle=oracle)
     accounting = (res.labels == sum(t.labels for t in res.trace)
                   and (res.labels, res.comparisons) == oracle.counters.snapshot())
@@ -130,9 +130,9 @@ def test_ac5_margin_learner():
     sched = MarginSchedule(MarginParams(eps=0.1, delta=0.2), d=2)
     identities = all(
         sched.z2(k) == sched.r(k) ** 2 + sched.b(k - 1) ** 2
-        and sched.eps_k(k) == (sched.params.c3 * sched.tau(k) ** 2 * sched.b(k)
+        and sched.eps_k(k) == (sched.params.constants.c3 * sched.tau(k) ** 2 * sched.b(k)
                                * sched.kappa_prec ** 2
-                               / (256.0 * sched.params.c4 * sched.z2(k)))
+                               / (256.0 * sched.params.constants.c4 * sched.z2(k)))
         for k in range(0, sched.rounds + 1))
 
     # hinge minimizer quality against a dense polar grid oracle

@@ -133,6 +133,18 @@ class TestReportFiles:
         assert [dataclasses.asdict(r) for r in parsed] == [
             dataclasses.asdict(r) for r in reports]
 
+    @pytest.mark.parametrize("edit", [lambda row: row.rsplit(",", 1)[0],
+                                      lambda row: row + ",extra"],
+                             ids=["no-flags-column", "extra-column"])
+    def test_row_with_wrong_column_count_names_its_line(self, tmp_path, edit):
+        cfg, reports, summary = self._reports(tmp_path)
+        emit_report(reports, cfg.out)
+        lines = Path(cfg.out).read_text().splitlines()
+        lines[2] = edit(lines[2])
+        Path(cfg.out).write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 3"):
+            parse_report_csv(cfg.out)
+
     def test_sidecars_written(self, tmp_path):
         cfg, reports, summary = self._reports(tmp_path)
         files = emit_report(reports, cfg.out, config=cfg, summary=summary)

@@ -63,6 +63,18 @@ class TestExitCodes:
         assert main(argv + ["--trials", "2"]) == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["a2", "margin"])
+    @pytest.mark.parametrize("line", ["n_mult = 0", "c0 = -1", "C3 = nan", "tnc_mult = inf",
+                                      "n_mult_margin = 0.0"])
+    def test_invalid_constant_is_usage_error_naming_its_key(self, tmp_path, capsys,
+                                                           command, line):
+        path = tmp_path / "constants.txt"
+        path.write_text(line + "\n")
+        world = ["--dist", "isotropic-gaussian"] if command == "margin" else ["--grid", "101"]
+        assert main([command, "--constants", str(path), "--trials", "2"] + world) == EXIT_USAGE
+        key = line.split(" = ")[0]
+        assert f"constant {key} = " in capsys.readouterr().err
+
     def test_given_batch_size_lifts_the_half_eps_limit(self, capsys):
         # with --k the batch-size formula, and its eps < 1/2, is never used
         assert main(["adgac-run", "--eps", "0.7", "--k", "3", "--n", "200"]) == EXIT_OK

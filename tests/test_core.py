@@ -362,7 +362,6 @@ class TestBatchSizeFormulas:
         # the bounded-noise size c3 log(log(1/eps) / delta), with no power factor
         adversarial = math.ceil(2.5 * math.log(math.log(1.0 / 0.07) / 0.2))
         assert batch_size(0.07, 0.2, 1.0, 2.5) == adversarial
-        assert batch_size(0.07, 0.2, c3=2.5) == adversarial
 
     def test_power_law_value(self):
         # C3 = 1, eps = 0.1, delta = 0.1, kappa = 1.5:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from adgac import margin
+from adgac.core import TunableConstants
 from adgac.margin import (EmptyBandError, HingeFit, InfeasibleIterateError,
                           MarginParams, MarginSchedule, band_membership,
                           fit_initial_direction, hinge_loss_batch,
@@ -459,7 +460,8 @@ class TestRunMargin:
         monkeypatch.setattr(margin, "MIN_ROUND_SAMPLES", 2)
         w_star = np.array([1.0, 0.0])
         spec = gaussian_scenario(w_star, seed=2)
-        params = MarginParams(eps=0.1, delta=0.2, n_mult=1e-9)
+        params = MarginParams(eps=0.1, delta=0.2,
+                              constants=TunableConstants(n_mult_margin=1e-9))
         with pytest.raises(EmptyBandError):
             run_margin_adgac(spec, params, w0=w_star)
 

@@ -38,6 +38,29 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_constant_defaults_live_only_in_tunable_constants():
+    # a second default for a constant drifts from the frozen one, as a batch
+    # default c3 = 1.0 once disagreed with C3 = 5.0; a learner takes a
+    # TunableConstants instead, and a function may take a constant only as a
+    # required argument
+    names = {f.name for f in dataclasses.fields(TunableConstants)}
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and node.name != "TunableConstants":
+                found += [f"{path.name}:{node.name}.{stmt.target.id}" for stmt in node.body
+                          if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                          and stmt.target.id in names]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                defaulted = positional[len(positional) - len(a.defaults):] + [
+                    arg for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None]
+                found += [f"{path.name}:{node.name}({arg.arg}=...)" for arg in defaulted
+                          if arg.arg in names]
+    assert found == []
+
+
 def test_every_tunable_constant_is_read():
     # a constant no code reads lets a constants file set it to no effect
     read = set()
