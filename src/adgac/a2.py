@@ -72,8 +72,6 @@ class RoundTrace:
 @dataclass
 class RunResult:
     hypothesis_index: int
-    labels: int
-    comparisons: int
     rounds_run: int
     trace: list[RoundTrace] = field(default_factory=list)
     flags: list[str] = field(default_factory=list)
@@ -145,32 +143,23 @@ def _round_count(eps: float) -> int:
     return max(1, math.ceil(math.log2(1.0 / eps)))
 
 
-def run_a2_adgac(spec, klass, params: RunParams,
-                 rng: np.random.Generator | None = None,
-                 oracle: Oracle | None = None) -> RunResult:
+def run_a2_adgac(oracle: Oracle, klass, params: RunParams) -> RunResult:
     """Comparison-assisted disagreement learner; returns the first survivor."""
-    return _run_rounds(spec, klass, params, use_comparisons=True, rng=rng, oracle=oracle)
+    return _run_rounds(oracle, klass, params, use_comparisons=True)
 
 
-def run_baseline_a2(spec, klass, params: RunParams,
-                    rng: np.random.Generator | None = None,
-                    oracle: Oracle | None = None) -> RunResult:
+def run_baseline_a2(oracle: Oracle, klass, params: RunParams) -> RunResult:
     """Label-only baseline: every retained instance is labeled directly.
 
     Filtering uses the excess-error form (count above the round's best
     hypothesis), which reduces to the absolute rule on clean labels but keeps
     the optimum alive when the direct labels themselves are noisy.
     """
-    return _run_rounds(spec, klass, params, use_comparisons=False, rng=rng, oracle=oracle)
+    return _run_rounds(oracle, klass, params, use_comparisons=False)
 
 
-def _run_rounds(spec, klass, params: RunParams, use_comparisons: bool,
-                rng: np.random.Generator | None, oracle: Oracle | None) -> RunResult:
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
-    if oracle is None:
-        oracle = Oracle(spec, rng)
-    kappa = spec.label_noise.effective_kappa
+def _run_rounds(oracle: Oracle, klass, params: RunParams, use_comparisons: bool) -> RunResult:
+    kappa = oracle.spec.label_noise.effective_kappa
     rounds = _round_count(params.eps)
     gamma = _round_gamma(params.eps, params.delta)
     space = VersionSpace(klass)
@@ -191,7 +180,7 @@ def _run_rounds(spec, klass, params: RunParams, use_comparisons: bool,
         if len(subset) > 0:
             if use_comparisons:
                 k = core.batch_size(eps_i, gamma, kappa, params.constants.C3)
-                result = core.adgac(subset, n_i, eps_i, gamma, oracle, rng, k)
+                result = core.adgac(subset, n_i, eps_i, oracle, k)
                 counts = klass.error_counts(subset, result.labels)
                 space = space.filter_by_counts(counts, n_i * eps_i)
                 if isinstance(klass, ThresholdClass) and _is_monotone_step(subset, result.labels):
@@ -213,7 +202,5 @@ def _run_rounds(spec, klass, params: RunParams, use_comparisons: bool,
         if oracle.counters.comparisons > MAX_COMPARISONS:
             raise BudgetExceededError("comparison budget exhausted")
 
-    return RunResult(hypothesis_index=space.first_index,
-                     labels=oracle.counters.labels,
-                     comparisons=oracle.counters.comparisons,
-                     rounds_run=rounds_run, trace=trace, flags=flags)
+    return RunResult(hypothesis_index=space.first_index, rounds_run=rounds_run,
+                     trace=trace, flags=flags)

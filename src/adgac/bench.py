@@ -129,19 +129,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text: str, constants: TunableConstants | None = None) -> "ExperimentConfig":
-        """Parse a flat config; each key converts by its field's declared type."""
-        values = _parse_flat(text)
-        kwargs: dict = {}
-        const_kwargs: dict = {}
-        field_types = {f.name: f.type for f in dataclasses.fields(cls)}
+        """Parse a flat config; each key converts by its field's declared type,
+        and a constant's key, set inline, as a float."""
         const_fields = {f.name for f in dataclasses.fields(TunableConstants)}
-        for key, raw in values.items():
-            if key in const_fields:
-                const_kwargs[key] = float(raw)
-            elif field_types.get(key) in _FROM_TEXT:
-                kwargs[key] = _FROM_TEXT[field_types[key]](raw)
-            else:
-                raise ValueError(f"unknown config key {key!r}")
+        types = {f.name: _FROM_TEXT[f.type] for f in dataclasses.fields(cls)
+                 if f.type in _FROM_TEXT}
+        kwargs = _parse_flat(text, types | dict.fromkeys(const_fields, float), "config")
+        const_kwargs = {key: kwargs.pop(key) for key in const_fields & kwargs.keys()}
         base = constants or DEFAULT_CONSTANTS
         if const_kwargs:
             base = dataclasses.replace(base, **const_kwargs)
@@ -161,22 +155,13 @@ def measure_error(predict_fn, spec: ScenarioSpec, seed: int,
     return err, se
 
 
-def passive_erm(spec: ScenarioSpec, klass, n: int,
-                rng: np.random.Generator | None = None,
-                oracle: Oracle | None = None) -> tuple[int, int]:
-    """Label n i.i.d. samples directly and return the empirical-risk minimizer.
-
-    Ties resolve to the lowest hypothesis index.  Returns (index, labels used).
-    """
+def passive_erm(oracle: Oracle, klass, n: int) -> int:
+    """Label n i.i.d. samples directly and return the empirical-risk minimizer's
+    index; ties resolve to the lowest hypothesis index."""
     if n < 1:
         raise ValueError("need at least one sample")
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
-    if oracle is None:
-        oracle = Oracle(spec, rng)
     xs = oracle.sample(n)
-    counts = klass.error_counts(xs, oracle.label_many(xs))
-    return int(np.argmin(counts)), oracle.counters.labels
+    return int(np.argmin(klass.error_counts(xs, oracle.label_many(xs))))
 
 
 def _gate_flags(config: ExperimentConfig) -> list[str]:
@@ -205,15 +190,14 @@ def _adgac_only_params(config: ExperimentConfig) -> core.AdgacParams:
     k = config.k or core.batch_size(config.eps, config.delta,
                                     config.label_noise_spec().effective_kappa,
                                     config.constants.C3)
-    return core.AdgacParams(n=n, m=n, eps=config.eps, delta=config.delta, k=k)
+    return core.AdgacParams(n=n, m=n, eps=config.eps, k=k)
 
 
-def _run_adgac_only(config: ExperimentConfig, params: core.AdgacParams, spec: ScenarioSpec,
-                    rng, oracle: Oracle):
+def _run_adgac_only(config: ExperimentConfig, params: core.AdgacParams, oracle: Oracle):
     n = params.n
     xs = oracle.sample(n)
-    result = core.adgac(xs, n, params.eps, params.delta, oracle, rng, params.k)
-    err = int(np.sum(result.labels != bayes_label(spec, xs))) / n
+    result = core.adgac(xs, n, params.eps, oracle, params.k)
+    err = int(np.sum(result.labels != bayes_label(oracle.spec, xs))) / n
     return err, math.sqrt(max(err * (1 - err), 1.0 / n) / n), 1, []
 
 
@@ -223,11 +207,12 @@ def _disagreement_params(config: ExperimentConfig) -> a2.RunParams:
 
 
 def _run_disagreement(learner, config: ExperimentConfig, params: a2.RunParams,
-                      spec: ScenarioSpec, rng, oracle: Oracle):
+                      oracle: Oracle):
     klass = ThresholdClass(np.linspace(0.0, 1.0, config.grid))
-    result = learner(spec, klass, params, rng=rng, oracle=oracle)
+    result = learner(oracle, klass, params)
     idx = result.hypothesis_index
-    err, err_se = measure_error(lambda pts: klass.predict(idx, pts), spec, spec.seed)
+    err, err_se = measure_error(lambda pts: klass.predict(idx, pts), oracle.spec,
+                                oracle.spec.seed)
     return err, err_se, result.rounds_run, result.flags
 
 
@@ -235,21 +220,19 @@ def _margin_params(config: ExperimentConfig) -> margin_mod.MarginParams:
     return margin_mod.MarginParams(eps=config.eps, delta=config.delta, constants=config.constants)
 
 
-def _run_margin(config: ExperimentConfig, params: margin_mod.MarginParams,
-                spec: ScenarioSpec, rng, oracle: Oracle):
-    result = margin_mod.run_margin_adgac(spec, params, rng=rng, oracle=oracle,
-                                         w_star=spec.ground_truth.w)
+def _run_margin(config: ExperimentConfig, params: margin_mod.MarginParams, oracle: Oracle):
+    result = margin_mod.run_margin_adgac(oracle, params)
     w_hat = result.w_hat
-    err, err_se = measure_error(
-        lambda pts: np.where(np.asarray(pts) @ w_hat >= 0, 1, -1), spec, spec.seed)
+    err, err_se = measure_error(lambda pts: np.where(np.asarray(pts) @ w_hat >= 0, 1, -1),
+                                oracle.spec, oracle.spec.seed)
     return err, err_se, result.rounds_run, result.flags
 
 
-def _run_passive_erm(config: ExperimentConfig, params: None, spec: ScenarioSpec, rng,
-                     oracle: Oracle):
+def _run_passive_erm(config: ExperimentConfig, params: None, oracle: Oracle):
     klass = ThresholdClass(np.linspace(0.0, 1.0, config.grid))
-    idx, _ = passive_erm(spec, klass, config.n_samples, rng=rng, oracle=oracle)
-    err, err_se = measure_error(lambda pts: klass.predict(idx, pts), spec, spec.seed)
+    idx = passive_erm(oracle, klass, config.n_samples)
+    err, err_se = measure_error(lambda pts: klass.predict(idx, pts), oracle.spec,
+                                oracle.spec.seed)
     return err, err_se, 1, []
 
 
@@ -272,13 +255,11 @@ METHODS = {
 def run_single_trial(config: ExperimentConfig, trial_index: int) -> TrialReport:
     """Run one fully independent trial at seed = base seed + trial index."""
     seed = config.seed + trial_index
-    spec = config.scenario(seed)
-    rng = np.random.default_rng(seed)
-    oracle = Oracle(spec, rng)
+    oracle = Oracle(config.scenario(seed))
     flags = _gate_flags(config)
     _, params, runner = METHODS[config.method]
     started = time.perf_counter()
-    err, err_se, rounds, run_flags = runner(config, params(config), spec, rng, oracle)
+    err, err_se, rounds, run_flags = runner(config, params(config), oracle)
     wall_ms = (time.perf_counter() - started) * 1e3
     return TrialReport(seed=seed, method=config.method, epsilon=config.eps,
                        delta=config.delta, err=err, err_se=err_se,

@@ -49,21 +49,21 @@ class TunableConstants:
 
     @classmethod
     def from_text(cls, text: str) -> "TunableConstants":
-        values = _parse_flat(text)
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(values) - names
-        if unknown:
-            raise ValueError(f"unknown constant keys: {sorted(unknown)}")
-        return cls(**{k: float(v) for k, v in values.items()})
+        return cls(**_parse_flat(text, {f.name: float for f in dataclasses.fields(cls)},
+                                 "constant"))
 
 
 DEFAULT_CONSTANTS = TunableConstants()
 
 
-def _parse_flat(text: str) -> dict[str, str]:
+def _parse_flat(text: str, types: dict, what: str) -> dict:
     """Parse the flat `key = value` config format with `#` comments; a quoted
-    value is a Python string literal, which may hold `#` and escapes."""
-    out: dict[str, str] = {}
+    value is a Python string literal, which may hold `#` and escapes.
+
+    types maps each known key to the converter of its raw text; an unknown
+    key, or a value its converter rejects, is a ValueError naming the key.
+    """
+    out: dict = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -80,7 +80,13 @@ def _parse_flat(text: str) -> dict[str, str]:
                 raise ValueError(f"line {lineno}: bad quoted value in {line!r}")
         else:
             val = val.split("#", 1)[0].rstrip()
-        out[key] = val
+        if key not in types:
+            raise ValueError(f"unknown {what} key {key!r}")
+        try:
+            out[key] = types[key](val)
+        except ValueError:
+            raise ValueError(f"{what} key {key} = {val!r} is not a valid "
+                             f"{types[key].__name__}") from None
     return out
 
 
@@ -100,7 +106,6 @@ class AdgacParams:
     n: int
     m: int
     eps: float
-    delta: float
     k: int
 
     def __post_init__(self):
@@ -140,11 +145,10 @@ class RankedGroups:
 
 @dataclass
 class AdgacResult:
-    """Predicted labels aligned to the input order, plus exact accounting."""
+    """Predicted labels aligned to the input order; the oracle counts the queries."""
 
     labels: np.ndarray
     n_groups: int
-    label_queries: int
     groups: RankedGroups | None = None
 
 
@@ -253,31 +257,29 @@ def group_binary_search(groups: RankedGroups, items, label_query, k: int,
     return t, label_count, votes, probes
 
 
-def adgac(S, n: int, eps: float, delta: float, oracle, rng: np.random.Generator,
-          k: int) -> AdgacResult:
+def adgac(S, n: int, eps: float, oracle, k: int) -> AdgacResult:
     """Label a dataset with comparisons plus a few label batches.
 
     S is the dataset to label (array of instances), n the ambient sample count
     for the error budget eps * n, and k the label batch per probed group
     (the learners take it from batch_size).  The oracle supplies
-    pivot_comparator and label_many and owns the counters.
+    pivot_comparator, label_many and the rng stream, and owns the counters.
     """
     m = len(S)
     if m == 0:
-        return AdgacResult(labels=np.empty(0, dtype=int), n_groups=0, label_queries=0)
-    params = AdgacParams(n=n, m=m, eps=eps, delta=delta, k=k)
+        return AdgacResult(labels=np.empty(0, dtype=int), n_groups=0)
+    params = AdgacParams(n=n, m=m, eps=eps, k=k)
 
-    order, _ = noisy_quicksort(S, oracle.pivot_comparator(S), rng)
+    order, _ = noisy_quicksort(S, oracle.pivot_comparator(S), oracle.rng)
     groups = partition_groups(order, params)
-    t, label_count, votes, _ = group_binary_search(groups, S, oracle.label_many, k, rng)
+    t, _, votes, _ = group_binary_search(groups, S, oracle.label_many, k, oracle.rng)
 
     start, end = groups.span(t)
     # over ranks: -1 before group t, its majority on it, +1 after it
     yhat = np.empty(m, dtype=int)
     yhat[groups.order] = np.repeat([-1, 1 if votes[t] >= 0 else -1, 1],
                                    [start, end - start, m - end])
-    return AdgacResult(labels=yhat, n_groups=groups.n_groups, label_queries=label_count,
-                       groups=groups)
+    return AdgacResult(labels=yhat, n_groups=groups.n_groups, groups=groups)
 
 
 def batch_size(eps: float, delta: float, kappa: float, c3: float) -> int:

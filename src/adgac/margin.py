@@ -236,8 +236,6 @@ class MarginRoundTrace:
 @dataclass
 class MarginRunResult:
     w_hat: np.ndarray
-    labels: int
-    comparisons: int
     rounds_run: int
     trace: list[MarginRoundTrace] = field(default_factory=list)
     flags: list[str] = field(default_factory=list)
@@ -264,21 +262,15 @@ def fit_initial_direction(xs, ys) -> np.ndarray:
     return v / nv if nv > 1e-12 else start
 
 
-def run_margin_adgac(spec, params: MarginParams, w0=None,
-                     rng: np.random.Generator | None = None,
-                     oracle: Oracle | None = None,
-                     w_star=None) -> MarginRunResult:
+def run_margin_adgac(oracle: Oracle, params: MarginParams, w0=None) -> MarginRunResult:
     """Run the banded hinge-minimization learner; returns the final direction.
 
-    Pass w_star (test mode) to have an initial direction farther than a right
-    angle from the truth flagged rather than silently accepted.
+    An initial direction farther than a right angle from the truth is flagged
+    w0-angle rather than silently accepted.
     """
+    spec = oracle.spec
     if spec.dist_kind != GAUSSIAN:
         raise ValueError("margin learning requires the isotropic gaussian scenario")
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
-    if oracle is None:
-        oracle = Oracle(spec, rng)
     label_kappa = spec.label_noise.effective_kappa
     schedule = MarginSchedule(params, spec.d, label_kappa)
     flags: list[str] = []
@@ -288,14 +280,13 @@ def run_margin_adgac(spec, params: MarginParams, w0=None,
         w0 = fit_initial_direction(seed_xs, oracle.label_many(seed_xs))
     w = np.asarray(w0, dtype=float)
     w = w / np.linalg.norm(w)
-    if w_star is not None:
-        cosine = float(np.clip(np.dot(w, np.asarray(w_star, dtype=float)), -1.0, 1.0))
-        if math.acos(cosine) > math.pi / 2.0:
-            flags.append("w0-angle")
+    cosine = float(np.clip(np.dot(w, spec.ground_truth.w), -1.0, 1.0))
+    if math.acos(cosine) > math.pi / 2.0:
+        flags.append("w0-angle")
 
     def adgac_labels(subset, n_k, eps_k):
         k = core.batch_size(eps_k, params.gamma, label_kappa, params.constants.C3)
-        return core.adgac(subset, n_k, eps_k, params.gamma, oracle, rng, k).labels
+        return core.adgac(subset, n_k, eps_k, oracle, k).labels
 
     # round 0: unrestricted sample labeled at the k = 0 budget
     n1 = schedule.n(1)
@@ -345,7 +336,5 @@ def run_margin_adgac(spec, params: MarginParams, w0=None,
                                       labels=labels_after - labels_before,
                                       comparisons=comps_after - comps_before))
 
-    return MarginRunResult(w_hat=w, labels=oracle.counters.labels,
-                           comparisons=oracle.counters.comparisons,
-                           rounds_run=schedule.rounds, trace=trace, flags=flags,
+    return MarginRunResult(w_hat=w, rounds_run=schedule.rounds, trace=trace, flags=flags,
                            schedule=schedule, iterates=iterates)

@@ -67,12 +67,12 @@ class TestChooseN:
 
 class TestRunA2:
     def test_singleton_class_returns_it_without_queries(self):
-        spec = uniform_scenario(0.5)
-        res = run_a2_adgac(spec, ThresholdClass([0.5]), RunParams(eps=0.1, delta=0.1))
+        oracle = Oracle(uniform_scenario(0.5))
+        res = run_a2_adgac(oracle, ThresholdClass([0.5]), RunParams(eps=0.1, delta=0.1))
         assert res.hypothesis_index == 0
         assert res.flags == ["early-exit-round-1"]
         assert res.trace == [] and res.rounds_run == 0
-        assert res.labels == 0 and res.comparisons == 0
+        assert oracle.counters.snapshot() == (0, 0)
 
     def test_split_survivors_after_monotone_labels_raise(self):
         # a class whose error counts keep every other threshold alive breaks
@@ -84,7 +84,7 @@ class TestRunA2:
         spec = uniform_scenario(0.5, seed=3)
         params = RunParams(eps=0.1, delta=0.1)
         with pytest.raises(NonContiguousVersionSpaceError):
-            run_a2_adgac(spec, Alternating(np.linspace(0.0, 1.0, 101)), params)
+            run_a2_adgac(Oracle(spec), Alternating(np.linspace(0.0, 1.0, 101)), params)
 
     def test_noiseless_threshold_battery(self):
         klass = ThresholdClass(np.linspace(0, 1, 1001))
@@ -92,7 +92,7 @@ class TestRunA2:
         hits = 0
         for seed in range(100):
             spec = uniform_scenario(0.5, seed=seed)
-            res = run_a2_adgac(spec, klass, params)
+            res = run_a2_adgac(Oracle(spec), klass, params)
             err, _ = measure_error(
                 lambda pts: klass.predict(res.hypothesis_index, pts), spec, seed)
             hits += err <= 0.05
@@ -105,8 +105,7 @@ class TestRunA2:
         truth_idx = int(np.argmin(np.abs(grid - 0.5)))
         params = RunParams(eps=0.05, delta=0.1)
         for seed in range(10):
-            spec = uniform_scenario(0.5, seed=seed)
-            res = run_a2_adgac(spec, klass, params)
+            res = run_a2_adgac(Oracle(uniform_scenario(0.5, seed=seed)), klass, params)
             # noiseless monotone labels keep an interval of thresholds alive;
             # the returned hypothesis is its left edge, and the final trace
             # entry counts its survivors, so the interval holds the truth
@@ -117,19 +116,17 @@ class TestRunA2:
         spec = uniform_scenario(0.5, LabelNoiseSpec(kind="massart", beta=0.2), seed=5)
         klass = ThresholdClass(np.linspace(0, 1, 1001))
         params = RunParams(eps=0.05, delta=0.1)
-        rng = np.random.default_rng(5)
-        oracle = Oracle(spec, rng)
-        res = run_a2_adgac(spec, klass, params, rng=rng, oracle=oracle)
-        assert res.labels == sum(t.labels for t in res.trace)
-        assert res.comparisons == sum(t.comparisons for t in res.trace)
-        assert (res.labels, res.comparisons) == oracle.counters.snapshot()
+        oracle = Oracle(spec)
+        res = run_a2_adgac(oracle, klass, params)
+        assert oracle.counters.labels == sum(t.labels for t in res.trace)
+        assert oracle.counters.comparisons == sum(t.comparisons for t in res.trace)
 
     def test_per_round_label_bound(self):
         spec = uniform_scenario(0.5, LabelNoiseSpec(kind="massart", beta=0.2), seed=9)
         klass = ThresholdClass(np.linspace(0, 1, 1001))
         params = RunParams(eps=0.05, delta=0.1)
         gamma = params.delta / (4.0 * math.log2(1.0 / params.eps))
-        res = run_a2_adgac(spec, klass, params)
+        res = run_a2_adgac(Oracle(spec), klass, params)
         from adgac.core import batch_size
         for t in res.trace:
             if t.subset_size == 0:
@@ -146,11 +143,11 @@ class TestRunA2:
         for grid_size in (1000, 2000):
             labels = []
             for seed in range(10):
-                spec = uniform_scenario(0.5, LabelNoiseSpec(kind="massart", beta=0.2),
-                                        seed=seed)
+                oracle = Oracle(uniform_scenario(
+                    0.5, LabelNoiseSpec(kind="massart", beta=0.2), seed=seed))
                 klass = ThresholdClass(np.linspace(0, 1, grid_size))
-                res = run_a2_adgac(spec, klass, params)
-                labels.append(res.labels)
+                run_a2_adgac(oracle, klass, params)
+                labels.append(oracle.counters.labels)
             medians.append(np.median(labels))
         assert abs(medians[0] - medians[1]) <= 0.10 * medians[1]
 
@@ -162,10 +159,10 @@ class TestRunA2:
         for eps in (0.1, 0.05, 0.025):
             labels = []
             for seed in range(10):
-                spec = uniform_scenario(0.5, LabelNoiseSpec(kind="massart", beta=0.2),
-                                        seed=seed)
-                res = run_a2_adgac(spec, klass, RunParams(eps=eps, delta=0.1))
-                labels.append(res.labels)
+                oracle = Oracle(uniform_scenario(
+                    0.5, LabelNoiseSpec(kind="massart", beta=0.2), seed=seed))
+                run_a2_adgac(oracle, klass, RunParams(eps=eps, delta=0.1))
+                labels.append(oracle.counters.labels)
             medians.append(np.median(labels))
         for prev, nxt in zip(medians, medians[1:]):
             assert nxt / prev <= 1.6
@@ -178,26 +175,25 @@ class TestBaseline:
         hits = 0
         for seed in range(40):
             spec = uniform_scenario(0.5, seed=seed)
-            res = run_baseline_a2(spec, klass, params)
-            assert res.comparisons == 0
+            oracle = Oracle(spec)
+            res = run_baseline_a2(oracle, klass, params)
+            assert oracle.counters.comparisons == 0
             err, _ = measure_error(
                 lambda pts: klass.predict(res.hypothesis_index, pts), spec, seed)
             hits += err <= 0.05
         assert hits >= 38
 
     def test_singleton_class_zero_queries(self):
-        spec = uniform_scenario(0.5)
-        res = run_baseline_a2(spec, ThresholdClass([0.5]),
-                              RunParams(eps=0.1, delta=0.1))
-        assert res.labels == 0 and res.comparisons == 0
+        oracle = Oracle(uniform_scenario(0.5))
+        run_baseline_a2(oracle, ThresholdClass([0.5]), RunParams(eps=0.1, delta=0.1))
+        assert oracle.counters.snapshot() == (0, 0)
 
     def test_empty_round_leaves_space_unchanged(self):
         # a two-hypothesis class whose disagreement region has tiny mass:
         # rounds that catch no sample must not shrink the version space
         klass = ThresholdClass([0.5, 0.5 + 1e-9])
-        spec = uniform_scenario(0.5, seed=3)
         params = RunParams(eps=0.25, delta=0.2)
-        res = run_a2_adgac(spec, klass, params)
+        res = run_a2_adgac(Oracle(uniform_scenario(0.5, seed=3)), klass, params)
         for t in res.trace:
             if t.subset_size == 0:
                 assert t.labels == 0 and t.comparisons == 0

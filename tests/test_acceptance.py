@@ -65,14 +65,12 @@ def test_ac3_a2_end_to_end():
                            seed=7, grid=1001, label_noise="massart", beta=0.2)
     reports, summary = run_trials(cfg)
     # exact accounting on a representative trial
-    spec = cfg.scenario(7)
-    rng = np.random.default_rng(7)
-    oracle = Oracle(spec, rng)
+    oracle = Oracle(cfg.scenario(7))
     klass = ThresholdClass(np.linspace(0, 1, 1001))
     params = a2.RunParams(eps=0.05, delta=0.1)
-    res = a2.run_a2_adgac(spec, klass, params, rng=rng, oracle=oracle)
-    accounting = (res.labels == sum(t.labels for t in res.trace)
-                  and (res.labels, res.comparisons) == oracle.counters.snapshot())
+    res = a2.run_a2_adgac(oracle, klass, params)
+    accounting = (oracle.counters.labels == sum(t.labels for t in res.trace)
+                  and oracle.counters.comparisons == sum(t.comparisons for t in res.trace))
     elapsed = time.perf_counter() - started
     ok = summary["success_rate"] >= 0.90 and accounting and elapsed < 120.0
     _verdict("AC-3", ok,

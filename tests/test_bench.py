@@ -19,14 +19,15 @@ class TestPassiveErm:
     def test_large_noiseless_sample_converges(self):
         spec = uniform_scenario(0.5, seed=0)
         klass = ThresholdClass(np.linspace(0, 1, 101))
-        idx, labels = passive_erm(spec, klass, 5000)
-        assert labels == 5000
+        oracle = Oracle(spec)
+        idx = passive_erm(oracle, klass, 5000)
+        assert oracle.counters.snapshot() == (5000, 0)
         assert abs(klass.grid[idx] - 0.5) < 0.02
 
     def test_single_sample_picks_an_extreme_fit(self):
         spec = uniform_scenario(0.5, seed=1)
         klass = ThresholdClass(np.linspace(0, 1, 101))
-        idx, _ = passive_erm(spec, klass, 1)
+        idx = passive_erm(Oracle(spec), klass, 1)
         counts = klass.error_counts(*_one_sample(spec, 1))
         # brute check: returned hypothesis attains the minimum count
         assert counts[idx] == counts.min()
@@ -34,16 +35,14 @@ class TestPassiveErm:
     def test_tie_breaks_to_lower_index(self):
         spec = uniform_scenario(0.5, seed=2)
         klass = ThresholdClass([0.2, 0.8])
-        rng = np.random.default_rng(2)
-        oracle = Oracle(spec, rng)
-        idx, _ = passive_erm(spec, klass, 1, rng=rng, oracle=oracle)
+        idx = passive_erm(Oracle(spec), klass, 1)
         # a single labeled point in (0.2, 0.8] produces a tie; elsewhere the
         # counts are determined; either way argmin takes the lowest index
         assert idx == int(np.argmin(klass.error_counts(*_one_sample(spec, 1))))
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
-            passive_erm(uniform_scenario(), ThresholdClass([0.5]), 0)
+            passive_erm(Oracle(uniform_scenario()), ThresholdClass([0.5]), 0)
 
     def test_single_sample_error_at_most_half_plus_slack(self):
         # with one labeled point an extreme threshold fits it, and under the
@@ -53,7 +52,7 @@ class TestPassiveErm:
         worst = 0.0
         for seed in range(20):
             spec = uniform_scenario(0.5, seed=seed)
-            idx, _ = passive_erm(spec, klass, 1)
+            idx = passive_erm(Oracle(spec), klass, 1)
             err, _ = bench.measure_error(lambda pts: klass.predict(idx, pts), spec, seed)
             worst = max(worst, err)
         assert worst <= 0.5 + 0.05

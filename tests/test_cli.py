@@ -75,6 +75,18 @@ class TestExitCodes:
         key = line.split(" = ")[0]
         assert f"constant {key} = " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flag,text,named", [
+        ("a2", "--constants", "C3 = abc\n", "C3 = 'abc'"),
+        ("bench", "--config", "method = a2-adgac\ntrials = two\n", "trials = 'two'"),
+        ("bench", "--config", "method = adgac-only\nc1 = x\n", "c1 = 'x'"),
+    ])
+    def test_non_numeric_value_is_usage_error_naming_its_key(self, tmp_path, capsys,
+                                                             command, flag, text, named):
+        path = tmp_path / "values.txt"
+        path.write_text(text)
+        assert main([command, flag, str(path), "--grid", "101"]) == EXIT_USAGE
+        assert named in capsys.readouterr().err
+
     def test_given_batch_size_lifts_the_half_eps_limit(self, capsys):
         # with --k the batch-size formula, and its eps < 1/2, is never used
         assert main(["adgac-run", "--eps", "0.7", "--k", "3", "--n", "200"]) == EXIT_OK

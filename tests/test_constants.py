@@ -11,7 +11,7 @@ from adgac import a2, bench, core, margin
 from adgac.bench import ExperimentConfig
 from adgac.core import DEFAULT_CONSTANTS, TunableConstants
 from adgac.hypotheses import ThresholdClass
-from adgac.oracles import LabelNoiseSpec, gaussian_scenario, uniform_scenario
+from adgac.oracles import LabelNoiseSpec, Oracle, gaussian_scenario, uniform_scenario
 
 NAMES = [f.name for f in dataclasses.fields(TunableConstants)]
 
@@ -34,9 +34,9 @@ def _observe(constants: TunableConstants) -> dict:
     ks: list[int] = []
     real = core.adgac
 
-    def spy(S, n, eps, delta, oracle, rng, k):
+    def spy(S, n, eps, oracle, k):
         ks.append(k)
-        return real(S, n, eps, delta, oracle, rng, k)
+        return real(S, n, eps, oracle, k)
 
     def batches(run) -> tuple:
         ks.clear()
@@ -53,12 +53,12 @@ def _observe(constants: TunableConstants) -> dict:
         return {
             "adgac-only k": batches(lambda: bench.run_single_trial(cfg, 0)),
             "a2 k": batches(lambda: a2.run_a2_adgac(
-                noisy, ThresholdClass(np.linspace(0.0, 1.0, 101)), rp)),
+                Oracle(noisy), ThresholdClass(np.linspace(0.0, 1.0, 101)), rp)),
             # kappa = 1 reaches the deviation bound's c0, kappa = 1.5 the power-law term
             "a2 n": tuple(a2.choose_n_i(i, rp.eps, 1.0, rp.delta, rp, kappa)
                           for kappa in (1.0, 1.5) for i in range(1, 5)),
             "margin k": batches(lambda: margin.run_margin_adgac(
-                gaussian_scenario([1.0, 0.0], seed=3), mparams)),
+                Oracle(gaussian_scenario([1.0, 0.0], seed=3)), mparams)),
             "margin eps_k": tuple(sched.eps_k(j) for j in range(sched.rounds + 1)),
             "margin n": tuple(sched.n(j) for j in range(sched.rounds + 1)),
         }

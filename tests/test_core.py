@@ -172,7 +172,7 @@ class TestSortProperties:
 
 class TestPartitionGroups:
     def _params(self, n, m, eps):
-        return AdgacParams(n=n, m=m, eps=eps, delta=0.1, k=1)
+        return AdgacParams(n=n, m=m, eps=eps, k=1)
 
     def test_exact_division(self):
         groups = partition_groups(np.arange(100), self._params(1000, 100, 0.01))
@@ -210,7 +210,7 @@ class TestGroupBinarySearch:
     def _groups(self, values, group_size):
         m = len(values)
         order = np.argsort(values)
-        params = AdgacParams(n=2 * m, m=m, eps=group_size / (2 * m), delta=0.1, k=1)
+        params = AdgacParams(n=2 * m, m=m, eps=group_size / (2 * m), k=1)
         return partition_groups(order, params)
 
     def test_all_negative_lands_on_last_group_with_its_own_vote(self):
@@ -260,7 +260,7 @@ def test_labels_are_a_step_over_groups(m, eps, seed):
     spec = uniform_scenario(0.5, LabelNoiseSpec(kind="massart", beta=0.3))
     oracle = Oracle(spec, np.random.default_rng(seed))
     xs = oracle.sample(m)
-    result = adgac(xs, m, eps, 0.1, oracle, oracle.rng, k=3)
+    result = adgac(xs, m, eps, oracle, k=3)
     groups = result.groups
     assert groups.n_groups == result.n_groups == max(1, m // groups.size)
     assert spans(groups)[-1][1] == m
@@ -278,7 +278,7 @@ class TestAdgac:
     def test_empty_input(self):
         spec = uniform_scenario()
         oracle = Oracle(spec, np.random.default_rng(6))
-        result = adgac(np.empty(0), 100, 0.05, 0.1, oracle, oracle.rng, k=5)
+        result = adgac(np.empty(0), 100, 0.05, oracle, k=5)
         assert len(result.labels) == 0
         assert oracle.counters.snapshot() == (0, 0)
 
@@ -288,10 +288,10 @@ class TestAdgac:
         for seed in range(100):
             oracle = Oracle(spec, np.random.default_rng(seed))
             xs = oracle.sample(1000)
-            result = adgac(xs, 1000, 0.05, 0.1, oracle, oracle.rng, k=5)
+            result = adgac(xs, 1000, 0.05, oracle, k=5)
             mismatches = int(np.sum(result.labels != bayes_label(spec, xs)))
             hits += mismatches <= 50
-            assert result.label_queries <= 5 * math.ceil(math.log2(result.n_groups))
+            assert oracle.counters.labels <= 5 * math.ceil(math.log2(result.n_groups))
         assert hits >= 99
 
     def test_band_adversarial_mismatch_bound(self):
@@ -302,7 +302,7 @@ class TestAdgac:
         for seed in range(100):
             oracle = Oracle(spec, np.random.default_rng(seed))
             xs = oracle.sample(1000)
-            result = adgac(xs, 1000, 0.05, 0.1, oracle, oracle.rng, k=5)
+            result = adgac(xs, 1000, 0.05, oracle, k=5)
             mismatches = int(np.sum(result.labels != bayes_label(spec, xs)))
             hits += mismatches <= 50
         assert hits >= 90
@@ -312,7 +312,7 @@ class TestAdgac:
         for seed in range(20):
             oracle = Oracle(spec, np.random.default_rng(seed))
             xs = oracle.sample(300)
-            result = adgac(xs, 300, 0.1, 0.1, oracle, oracle.rng, k=7)
+            result = adgac(xs, 300, 0.1, oracle, k=7)
             ranked = result.labels[result.groups.order]
             changes = np.flatnonzero(ranked[1:] != ranked[:-1])
             assert changes.size <= 1
@@ -329,7 +329,7 @@ class TestAdgac:
             m = int(rng.integers(8, 65))
             xs = oracle.sample(m)
             eps = 0.125
-            result = adgac(xs, m, eps, 0.1, oracle, oracle.rng, k=3)
+            result = adgac(xs, m, eps, oracle, k=3)
             mismatches = int(np.sum(result.labels != bayes_label(spec, xs)))
             group_size = max(1, round(eps * m))
             sorted_truth = np.asarray(bayes_label(spec, xs))[np.argsort(xs)]
@@ -343,7 +343,7 @@ class TestAdgac:
         spec = uniform_scenario(0.5)
         oracle = Oracle(spec, np.random.default_rng(7))
         xs = oracle.sample(200)
-        result = adgac(xs, 200, 0.1, 0.1, oracle, oracle.rng, k=3)
+        result = adgac(xs, 200, 0.1, oracle, k=3)
         # per group, the majority mu(S_i) and minority fraction q(S_i) of the optimal labels
         truth = np.asarray(bayes_label(spec, xs))
         pos = np.array([np.sum(truth[result.groups.order[s:e]] > 0) for s, e in spans(result.groups)])

@@ -8,14 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from adgac import margin
+from adgac import core, margin
 from adgac.core import TunableConstants
 from adgac.margin import (EmptyBandError, HingeFit, InfeasibleIterateError,
                           MarginParams, MarginSchedule, band_membership,
                           fit_initial_direction, hinge_loss_batch,
                           hinge_subgradient, minimize_hinge, project_to_feasible,
                           run_margin_adgac)
-from adgac.oracles import LabelNoiseSpec, gaussian_scenario, sample_unlabeled
+from adgac.oracles import LabelNoiseSpec, Oracle, gaussian_scenario, sample_unlabeled
 
 
 def hinge_grid_minimum(xs, ys, w_prev, radius, tau, angle_step=1e-3, n_radii=96):
@@ -437,8 +437,7 @@ class TestRunMargin:
         hits = 0
         for seed in range(10):
             w_star = np.array([math.cos(seed), math.sin(seed)])
-            spec = gaussian_scenario(w_star, seed=seed)
-            res = run_margin_adgac(spec, params, w_star=w_star)
+            res = run_margin_adgac(Oracle(gaussian_scenario(w_star, seed=seed)), params)
             angle = math.acos(float(np.clip(res.w_hat @ w_star, -1, 1)))
             hits += (angle / math.pi) <= 0.1
             assert abs(np.linalg.norm(res.w_hat) - 1.0) <= 1e-12
@@ -447,8 +446,7 @@ class TestRunMargin:
     def test_truth_start_stays_close(self):
         w_star = np.array([1.0, 0.0])
         params = MarginParams(eps=0.1, delta=0.2)
-        spec = gaussian_scenario(w_star, seed=21)
-        res = run_margin_adgac(spec, params, w0=w_star, w_star=w_star)
+        res = run_margin_adgac(Oracle(gaussian_scenario(w_star, seed=21)), params, w0=w_star)
         sched = res.schedule
         for k, w_k in enumerate(res.iterates[1:], start=1):
             angle = math.acos(float(np.clip(w_k @ w_star, -1, 1)))
@@ -459,11 +457,11 @@ class TestRunMargin:
     def test_empty_band_raises_advice(self, monkeypatch):
         monkeypatch.setattr(margin, "MIN_ROUND_SAMPLES", 2)
         w_star = np.array([1.0, 0.0])
-        spec = gaussian_scenario(w_star, seed=2)
+        oracle = Oracle(gaussian_scenario(w_star, seed=2))
         params = MarginParams(eps=0.1, delta=0.2,
                               constants=TunableConstants(n_mult_margin=1e-9))
         with pytest.raises(EmptyBandError):
-            run_margin_adgac(spec, params, w0=w_star)
+            run_margin_adgac(oracle, params, w0=w_star)
 
     @pytest.mark.parametrize("v,message", [
         # opposite to w: distance 2 exceeds every round's radius (at most pi/2)
@@ -475,20 +473,19 @@ class TestRunMargin:
         monkeypatch.setattr(margin, "minimize_hinge",
                             lambda *args, **kwargs: HingeFit(v=v, loss=0.0, iterations=1))
         w_star = np.array([1.0, 0.0, 0.0])
-        spec = gaussian_scenario(w_star, seed=5)
+        oracle = Oracle(gaussian_scenario(w_star, seed=5))
         with pytest.raises(InfeasibleIterateError, match=message):
-            run_margin_adgac(spec, MarginParams(eps=0.2, delta=0.2), w0=w_star)
+            run_margin_adgac(oracle, MarginParams(eps=0.2, delta=0.2), w0=w_star)
 
     def test_requires_gaussian_scenario(self):
         from adgac.oracles import uniform_scenario
         with pytest.raises(ValueError):
-            run_margin_adgac(uniform_scenario(), MarginParams(eps=0.1, delta=0.2))
+            run_margin_adgac(Oracle(uniform_scenario()), MarginParams(eps=0.1, delta=0.2))
 
     def test_bad_initial_direction_flagged_not_dropped(self):
         w_star = np.array([1.0, 0.0])
-        spec = gaussian_scenario(w_star, seed=8)
         params = MarginParams(eps=0.2, delta=0.2)
-        res = run_margin_adgac(spec, params, w0=-w_star, w_star=w_star)
+        res = run_margin_adgac(Oracle(gaussian_scenario(w_star, seed=8)), params, w0=-w_star)
         assert "w0-angle" in res.flags
         assert res.rounds_run == res.schedule.rounds  # the run still completed
 
@@ -511,12 +508,25 @@ class TestRunMargin:
         w0 = fit_initial_direction(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1, -1]))
         np.testing.assert_array_equal(w0, [1.0, 0.0])
 
-    def test_massart_run_completes_with_accounting(self):
+    def test_massart_run_completes_with_accounting(self, monkeypatch):
         w_star = np.array([1.0, 0.0, 0.0])
-        spec = gaussian_scenario(w_star, LabelNoiseSpec(kind="massart", beta=0.2), seed=4)
+        oracle = Oracle(gaussian_scenario(
+            w_star, LabelNoiseSpec(kind="massart", beta=0.2), seed=4))
         params = MarginParams(eps=0.1, delta=0.2)
-        res = run_margin_adgac(spec, params, w_star=w_star)
-        # total = seed batch + round 0 (not traced) + traced rounds
-        assert res.labels >= margin.SEED_BATCH + sum(t.labels for t in res.trace)
-        assert res.comparisons >= sum(t.comparisons for t in res.trace)
-        assert len(res.trace) == res.rounds_run
+        per_call = []  # (labels, comparisons) each core.adgac call asks
+        real = core.adgac
+
+        def spy(S, n, eps, oracle, k):
+            before = oracle.counters.snapshot()
+            result = real(S, n, eps, oracle, k)
+            after = oracle.counters.snapshot()
+            per_call.append((after[0] - before[0], after[1] - before[1]))
+            return result
+
+        monkeypatch.setattr(core, "adgac", spy)
+        res = run_margin_adgac(oracle, params)
+        # total = seed batch + round 0's call (not traced) + one call per traced round
+        assert len(res.trace) == res.rounds_run == len(per_call) - 1
+        assert oracle.counters.labels == margin.SEED_BATCH + sum(n for n, _ in per_call)
+        assert oracle.counters.comparisons == sum(c for _, c in per_call)
+        assert [(t.labels, t.comparisons) for t in res.trace] == per_call[1:]

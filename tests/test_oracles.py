@@ -370,7 +370,7 @@ class TestAccountingAndDeterminism:
         oracle.pivot_comparator = counting_pivot_comparator
         from adgac.core import adgac
         xs = oracle.sample(300)
-        adgac(xs, 300, 0.1, 0.1, oracle, oracle.rng, k=4)
+        adgac(xs, 300, 0.1, oracle, k=4)
         assert calls["compare"] > 0
         assert calls["label"] > 0
         assert calls["label"] == oracle.counters.labels

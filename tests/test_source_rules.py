@@ -61,6 +61,21 @@ def test_constant_defaults_live_only_in_tunable_constants():
     assert found == []
 
 
+def test_learners_take_the_oracle_alone():
+    # the oracle holds a trial's world, rng stream and counters; a function
+    # that takes it and also a spec or an rng lets a caller pass a second
+    # world or stream, which then drives part of the trial
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                names = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+                if "oracle" in names and names & {"rng", "spec"}:
+                    found.append(f"{path.name}:{node.name}")
+    assert found == []
+
+
 def test_every_tunable_constant_is_read():
     # a constant no code reads lets a constants file set it to no effect
     read = set()
