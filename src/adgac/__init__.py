@@ -13,7 +13,7 @@ from .margin import (EmptyBandError, HingeFit, MarginParams, MarginRunResult,
                      MarginSchedule, band_membership, fit_initial_direction,
                      hinge_loss_batch, hinge_subgradient,
                      minimize_hinge, run_margin_adgac)
-from .minimax import (GhatConstruction, LemmaInstance, ScoreDistribution,
+from .minimax import (GhatConstruction, LemmaStack, ScoreDistribution,
                       best_threshold_error, comparison_error_of, construct_ghat,
                       equality_instance, lemma_min_f, make_lemma_instance)
 from .bench import (ExperimentConfig, TrialReport, emit_report, measure_error,

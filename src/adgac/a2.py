@@ -119,8 +119,7 @@ def _smallest_n_for_bound(eps_i: float, gamma: float, d: float, c0: float, cap: 
     raise BudgetExceededError(f"no n <= {cap} meets the deviation bound at eps_i={eps_i:.4g}")
 
 
-def choose_n_i(i: int, eps: float, d: float, delta: float, params: RunParams,
-               kappa: float = 1.0) -> int:
+def choose_n_i(i: int, d: float, params: RunParams, kappa: float) -> int:
     """Per-round unlabeled sample size.
 
     Smallest n meeting the deviation bound at eps_i = 2^-(i+2) with the
@@ -131,8 +130,9 @@ def choose_n_i(i: int, eps: float, d: float, delta: float, params: RunParams,
         raise ValueError("rounds are 1-indexed")
     eps_i = _round_eps(i)
     c = params.constants
-    n_u = _smallest_n_for_bound(eps_i, _round_gamma(eps, delta), d, c.c0, MAX_ROUND_SAMPLES)
-    term = c.tnc_mult * (1.0 / eps_i) ** (2.0 * kappa - 1.0) * math.log(1.0 / delta)
+    n_u = _smallest_n_for_bound(eps_i, _round_gamma(params.eps, params.delta), d, c.c0,
+                                MAX_ROUND_SAMPLES)
+    term = c.tnc_mult * (1.0 / eps_i) ** (2.0 * kappa - 1.0) * math.log(1.0 / params.delta)
     n = int(math.ceil(c.n_mult * max(n_u, term)))
     if n > MAX_ROUND_SAMPLES:
         raise BudgetExceededError(f"round {i} needs n={n} > cap {MAX_ROUND_SAMPLES}")
@@ -172,7 +172,7 @@ def _run_rounds(oracle: Oracle, klass, params: RunParams, use_comparisons: bool)
             flags.append(f"early-exit-round-{i}")
             break
         eps_i = _round_eps(i)
-        n_i = choose_n_i(i, params.eps, klass.vc_dim, params.delta, params, kappa)
+        n_i = choose_n_i(i, klass.vc_dim, params, kappa)
         s_tilde = oracle.sample(n_i)
         mask = space.dis_mask(s_tilde)
         subset = s_tilde[mask]

@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise ValueError("need at least one trial")
         if self.dist not in (UNIFORM, GAUSSIAN):
             raise ValueError(f"unknown world {self.dist!r}; choose from {[UNIFORM, GAUSSIAN]}")
+        if self.w_star not in ("random", "e1"):
+            raise ValueError(f"unknown w_star {self.w_star!r}; choose from ['random', 'e1']")
         world, params, _ = METHODS[self.method]
         if world not in (None, self.dist):
             raise ValueError(f"{self.method} batteries run on the {world} scenario")
@@ -143,10 +145,11 @@ class ExperimentConfig:
         return cls(**kwargs)
 
 
-def measure_error(predict_fn, spec: ScenarioSpec, seed: int,
+def measure_error(predict_fn, spec: ScenarioSpec,
                   n_mc: int = _ERR_MC_SAMPLES) -> tuple[float, float]:
-    """Monte Carlo disagreement with the optimal labels on fresh samples."""
-    rng = np.random.default_rng([seed, _ERR_MC_SALT])
+    """Monte Carlo disagreement with the optimal labels on fresh samples,
+    drawn from a stream seeded by the world's seed."""
+    rng = np.random.default_rng([spec.seed, _ERR_MC_SALT])
     xs = sample_unlabeled(spec, n_mc, rng)
     truth = bayes_label(spec, xs)
     preds = np.asarray(predict_fn(xs))
@@ -211,8 +214,7 @@ def _run_disagreement(learner, config: ExperimentConfig, params: a2.RunParams,
     klass = ThresholdClass(np.linspace(0.0, 1.0, config.grid))
     result = learner(oracle, klass, params)
     idx = result.hypothesis_index
-    err, err_se = measure_error(lambda pts: klass.predict(idx, pts), oracle.spec,
-                                oracle.spec.seed)
+    err, err_se = measure_error(lambda pts: klass.predict(idx, pts), oracle.spec)
     return err, err_se, result.rounds_run, result.flags
 
 
@@ -224,15 +226,14 @@ def _run_margin(config: ExperimentConfig, params: margin_mod.MarginParams, oracl
     result = margin_mod.run_margin_adgac(oracle, params)
     w_hat = result.w_hat
     err, err_se = measure_error(lambda pts: np.where(np.asarray(pts) @ w_hat >= 0, 1, -1),
-                                oracle.spec, oracle.spec.seed)
+                                oracle.spec)
     return err, err_se, result.rounds_run, result.flags
 
 
 def _run_passive_erm(config: ExperimentConfig, params: None, oracle: Oracle):
     klass = ThresholdClass(np.linspace(0.0, 1.0, config.grid))
     idx = passive_erm(oracle, klass, config.n_samples)
-    err, err_se = measure_error(lambda pts: klass.predict(idx, pts), oracle.spec,
-                                oracle.spec.seed)
+    err, err_se = measure_error(lambda pts: klass.predict(idx, pts), oracle.spec)
     return err, err_se, 1, []
 
 

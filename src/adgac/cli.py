@@ -112,7 +112,7 @@ def _cmd_lemma_check(args) -> int:
     for n in range(1, args.max_n + 1):
         inst = minimax.equality_instance(n)
         fmin, _ = minimax.lemma_min_f(inst)
-        gap = abs(fmin - inst.bound)
+        gap = abs(fmin[0] - inst.bound[0])
         print(f"equality n={n}: |min - bound| = {gap:.3e}")
         if gap > 1e-9:
             print("equality configuration missed the bound")

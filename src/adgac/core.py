@@ -148,8 +148,7 @@ class AdgacResult:
     """Predicted labels aligned to the input order; the oracle counts the queries."""
 
     labels: np.ndarray
-    n_groups: int
-    groups: RankedGroups | None = None
+    groups: RankedGroups
 
 
 def noisy_quicksort(items, comparator, rng: np.random.Generator) -> tuple[np.ndarray, int]:
@@ -267,7 +266,7 @@ def adgac(S, n: int, eps: float, oracle, k: int) -> AdgacResult:
     """
     m = len(S)
     if m == 0:
-        return AdgacResult(labels=np.empty(0, dtype=int), n_groups=0)
+        return AdgacResult(labels=np.empty(0, dtype=int), groups=RankedGroups(np.arange(0), 1))
     params = AdgacParams(n=n, m=m, eps=eps, k=k)
 
     order, _ = noisy_quicksort(S, oracle.pivot_comparator(S), oracle.rng)
@@ -279,7 +278,7 @@ def adgac(S, n: int, eps: float, oracle, k: int) -> AdgacResult:
     yhat = np.empty(m, dtype=int)
     yhat[groups.order] = np.repeat([-1, 1 if votes[t] >= 0 else -1, 1],
                                    [start, end - start, m - end])
-    return AdgacResult(labels=yhat, n_groups=groups.n_groups, groups=groups)
+    return AdgacResult(labels=yhat, groups=groups)
 
 
 def batch_size(eps: float, delta: float, kappa: float, c3: float) -> int:

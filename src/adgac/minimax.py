@@ -17,32 +17,11 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 
-def _lemma_bound(n, t):
-    """The bound sqrt(2 n t / (n + 1)) on min_k f(k), elementwise in n and t."""
-    return np.sqrt(2.0 * n * t / (n + 1.0))
-
-
-@dataclass(frozen=True)
-class LemmaInstance:
-    """Nonnegative sequences x, y with constraint sum_i sum_{j>=i} x_i y_j <= t."""
-
-    xs: tuple[float, ...]
-    ys: tuple[float, ...]
-    t: float
-
-    @property
-    def n(self) -> int:
-        return len(self.xs)
-
-    @property
-    def bound(self) -> float:
-        return float(_lemma_bound(self.n, self.t))
-
-
 @dataclass(frozen=True)
 class LemmaStack:
-    """Lemma instances as rows: row r is xs[r, :ns[r]], ys[r, :ns[r]] with
-    constraint t[r], and zeros past ns[r]."""
+    """Lemma instances as rows: row r is the nonnegative x = xs[r, :ns[r]],
+    y = ys[r, :ns[r]] with constraint sum_i sum_{j>=i} x_i y_j <= t[r], and
+    zeros past ns[r].  One instance is a one-row stack."""
 
     xs: np.ndarray
     ys: np.ndarray
@@ -51,13 +30,23 @@ class LemmaStack:
 
     @property
     def bound(self) -> np.ndarray:
-        # each row's own n: the padded width would weaken the bound
-        return _lemma_bound(self.ns, self.t)
+        """The bound sqrt(2 n t / (n + 1)) on each row's min_k f(k).  It uses
+        the row's own n: the padded width would weaken the bound."""
+        return np.sqrt(2.0 * self.ns * self.t / (self.ns + 1.0))
 
 
-def _lemma_stack(xs, ys, ns, t) -> LemmaStack:
+def make_lemma_instance(xs, ys, t=None, ns=None) -> LemmaStack:
+    """Validate entries and default t to the achieved constraint value.
+
+    With ``ns``, xs and ys are 2-D stacks of rows zero-padded past each row's
+    length ns[r], and t is per row.  Without it, 1-D xs and ys are one
+    instance, the one-row stack.
+    """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    if ns is None:
+        # a 2-D xs or ys becomes 3-D here, and the shape check rejects it
+        xs, ys, ns = xs[None], ys[None], [xs.size]
     ns = np.asarray(ns, dtype=int)
     if (xs.shape != ys.shape or xs.ndim != 2 or ns.shape != xs.shape[:1]
             or (ns < 1).any() or (ns > xs.shape[1]).any()):
@@ -85,35 +74,12 @@ def _lemma_stack(xs, ys, ns, t) -> LemmaStack:
     return LemmaStack(xs=xs, ys=ys, ns=ns, t=t)
 
 
-def make_lemma_instance(xs, ys, t: float | None = None, ns=None):
-    """Validate entries and default t to the achieved constraint value.
-
-    With ``ns``, xs and ys are 2-D stacks of rows zero-padded past each row's
-    length ns[r], t is per row, and the result is a LemmaStack; one instance
-    is the one-row case of the same check.
-    """
-    if ns is not None:
-        return _lemma_stack(xs, ys, ns, t)
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 1:
-        raise ValueError("need two equal-length non-empty sequences")
-    stack = _lemma_stack(xs[None], ys[None], [xs.size], t)
-    return LemmaInstance(xs=tuple(xs), ys=tuple(ys), t=float(stack.t[0]))
-
-
-def lemma_min_f(instance):
-    """Exact minimum over k of x_1+...+x_k + y_{k+1}+...+y_n, with its argmin.
+def lemma_min_f(stack: LemmaStack) -> tuple[np.ndarray, np.ndarray]:
+    """Exact minimum over k of x_1+...+x_k + y_{k+1}+...+y_n per row, with its argmin.
 
     Also asserts the bound min_k f(k) <= sqrt(2 n t / (n + 1)) + 1e-9; a
-    violation would be a counterexample and raises immediately.  A LemmaStack
-    gets one minimum and argmin per row, as arrays.
+    violation would be a counterexample and raises immediately.
     """
-    stack = instance
-    if isinstance(instance, LemmaInstance):
-        stack = LemmaStack(xs=np.asarray(instance.xs, dtype=float)[None],
-                           ys=np.asarray(instance.ys, dtype=float)[None],
-                           ns=np.array([instance.n]), t=np.array([instance.t], dtype=float))
     rows = stack.xs.shape[0]
     zero = np.zeros((rows, 1))
     cx = np.concatenate((zero, np.cumsum(stack.xs, axis=1)), axis=1)
@@ -128,13 +94,11 @@ def lemma_min_f(instance):
         r = int(np.argmax(violated))
         raise AssertionError(
             f"inequality violated: min f = {fmin[r]:.12g} > bound {bound[r]:.12g}")
-    if stack is instance:
-        return fmin, k
-    return float(fmin[0]), int(k[0])
+    return fmin, k
 
 
-def equality_instance(n: int, t: float = 1.0) -> LemmaInstance:
-    """The tight configuration x_i = y_i = sqrt(2 t / (n (n + 1)))."""
+def equality_instance(n: int, t: float = 1.0) -> LemmaStack:
+    """The tight configuration x_i = y_i = sqrt(2 t / (n (n + 1))), one row."""
     a = math.sqrt(2.0 * t / (n * (n + 1.0)))
     xs = np.full(n, a)
     return make_lemma_instance(xs, xs)
@@ -143,28 +107,25 @@ def equality_instance(n: int, t: float = 1.0) -> LemmaInstance:
 class ScoreDistribution:
     """Continuous score distribution with an invertible cdf.
 
-    kind "uniform" is symmetric on [-half_width, half_width]; kind "gaussian"
-    is standard normal.  The induced optimal label is the sign of the score.
+    kind "uniform" is uniform on [-1/2, 1/2]; kind "gaussian" is standard
+    normal.  The induced optimal label is the sign of the score.
     """
 
-    def __init__(self, kind: str = "uniform", half_width: float = 0.5):
+    def __init__(self, kind: str = "uniform"):
         if kind not in ("uniform", "gaussian"):
             raise ValueError(f"unknown score distribution {kind!r}")
-        if kind == "uniform" and half_width <= 0:
-            raise ValueError("half width must be positive")
         self.kind = kind
-        self.half_width = half_width
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
         if self.kind == "uniform":
-            return np.clip((t + self.half_width) / (2.0 * self.half_width), 0.0, 1.0)
+            return np.clip(t + 0.5, 0.0, 1.0)
         return ndtr(t)
 
     def ppf(self, q):
         q = np.asarray(q, dtype=float)
         if self.kind == "uniform":
-            return q * 2.0 * self.half_width - self.half_width
+            return q - 0.5
         return ndtri(q)
 
     def quantile_grid(self, n: int) -> np.ndarray:
@@ -255,9 +216,8 @@ def best_threshold_error(ghat, base: ScoreDistribution, n: int) -> tuple[float, 
     total_neg = neg_prefix[-1]
     errors = (pos_prefix + (total_neg - neg_prefix)).astype(float)
     # a cut between tied values is not realizable by any real threshold
-    if n > 1:
-        tied = sorted_vals[:-1] >= sorted_vals[1:]
-        errors[1:n][tied] = np.inf
+    tied = sorted_vals[:-1] >= sorted_vals[1:]
+    errors[1:n][tied] = np.inf
     c = int(np.argmin(errors))
     err = float(errors[c]) / n
     if c == 0:

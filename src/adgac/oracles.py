@@ -31,10 +31,11 @@ class CalibrationError(ValueError):
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Score rule g whose sign gives the optimal label.
+    """Score rule g whose sign gives the optimal label; it names the world.
 
-    kind "threshold" scores x - t (1-D); kind "halfspace" scores w . x with a
-    unit direction w.
+    kind "threshold" scores x - t with t in [0, 1] on Uniform(0, 1); kind
+    "halfspace" scores w . x with a unit direction w on the isotropic
+    gaussian in w's dimension.
     """
 
     kind: str
@@ -44,6 +45,8 @@ class GroundTruth:
     def __post_init__(self):
         if self.kind not in ("threshold", "halfspace"):
             raise ValueError(f"unknown ground truth kind {self.kind!r}")
+        if self.kind == "threshold" and not 0.0 <= self.threshold <= 1.0:
+            raise ValueError("uniform-interval threshold must lie in [0, 1]")
         if self.kind == "halfspace":
             w = np.asarray(self.direction, dtype=float)
             if w.ndim != 1 or w.size == 0:
@@ -114,30 +117,21 @@ class ComparisonNoiseSpec:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One synthetic world: marginal, ground truth, noise models, seed."""
+    """One synthetic world: ground truth (which fixes the marginal), noise
+    models, seed."""
 
-    dist_kind: str
-    d: int
     ground_truth: GroundTruth
     label_noise: LabelNoiseSpec = LabelNoiseSpec()
     comparison_noise: ComparisonNoiseSpec = ComparisonNoiseSpec()
     seed: int = 0
 
-    def __post_init__(self):
-        if self.dist_kind not in (UNIFORM, GAUSSIAN):
-            raise ValueError(f"unknown distribution kind {self.dist_kind!r}")
-        if self.d < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.dist_kind == UNIFORM and self.d != 1:
-            raise ValueError("uniform-interval scenarios are one-dimensional")
-        # calibrate_band's closed forms hold for exactly these two pairings
-        if self.ground_truth.kind != ("threshold" if self.dist_kind == UNIFORM else "halfspace"):
-            raise ValueError("uniform-interval worlds need a threshold ground truth, "
-                             "gaussian ones a halfspace")
-        if self.dist_kind == UNIFORM and not 0.0 <= self.ground_truth.threshold <= 1.0:
-            raise ValueError("uniform-interval threshold must lie in [0, 1]")
-        if self.ground_truth.kind == "halfspace" and self.ground_truth.w.size != self.d:
-            raise ValueError("halfspace direction dimension mismatch")
+    @property
+    def dist_kind(self) -> str:
+        return UNIFORM if self.ground_truth.kind == "threshold" else GAUSSIAN
+
+    @property
+    def d(self) -> int:
+        return 1 if self.ground_truth.kind == "threshold" else self.ground_truth.w.size
 
 
 @dataclass
@@ -155,8 +149,6 @@ def uniform_scenario(threshold: float = 0.5, label_noise: LabelNoiseSpec | None 
                      comparison_noise: ComparisonNoiseSpec | None = None, seed: int = 0) -> ScenarioSpec:
     """Uniform(0,1) instances with a threshold ground truth."""
     return ScenarioSpec(
-        dist_kind=UNIFORM,
-        d=1,
         ground_truth=GroundTruth(kind="threshold", threshold=threshold),
         label_noise=label_noise or LabelNoiseSpec(),
         comparison_noise=comparison_noise or ComparisonNoiseSpec(),
@@ -170,8 +162,6 @@ def gaussian_scenario(w_star, label_noise: LabelNoiseSpec | None = None,
     w = np.asarray(w_star, dtype=float)
     w = w / np.linalg.norm(w)
     return ScenarioSpec(
-        dist_kind=GAUSSIAN,
-        d=w.size,
         ground_truth=GroundTruth(kind="halfspace", direction=tuple(w)),
         label_noise=label_noise or LabelNoiseSpec(),
         comparison_noise=comparison_noise or ComparisonNoiseSpec(),

@@ -35,7 +35,7 @@ class TestChooseN:
     def test_matches_brute_scan(self):
         # d=1, delta=0.1, eps=0.05, round 1 at eps_1 = 1/8, adversarial noise
         params = RunParams(eps=0.05, delta=0.1)
-        got = choose_n_i(1, 0.05, 1.0, 0.1, params, kappa=1.0)
+        got = choose_n_i(1, 1.0, params, kappa=1.0)
         gamma = 0.1 / (4.0 * math.log2(20.0))
         scan = next(n for n in range(1, 10_000)
                     if (math.log(n) + math.log(1.0 / gamma)) / n <= 0.125)
@@ -44,14 +44,14 @@ class TestChooseN:
 
     def test_halving_eps_at_least_doubles_n(self):
         params = RunParams(eps=0.01, delta=0.1)
-        ns = [choose_n_i(i, 0.01, 1.0, 0.1, params, kappa=1.0) for i in range(1, 6)]
+        ns = [choose_n_i(i, 1.0, params, kappa=1.0) for i in range(1, 6)]
         assert all(b >= 2 * a for a, b in zip(ns, ns[1:]))
 
     def test_budget_cap(self, monkeypatch):
         monkeypatch.setattr(a2, "MAX_ROUND_SAMPLES", 10)
         params = RunParams(eps=0.05, delta=0.1)
         with pytest.raises(BudgetExceededError):
-            choose_n_i(1, 0.05, 1.0, 0.1, params, kappa=1.0)
+            choose_n_i(1, 1.0, params, kappa=1.0)
 
     def test_cap_checked_on_every_cached_call(self):
         args = (0.125, 0.0123, 1.0, 1.0)
@@ -94,7 +94,7 @@ class TestRunA2:
             spec = uniform_scenario(0.5, seed=seed)
             res = run_a2_adgac(Oracle(spec), klass, params)
             err, _ = measure_error(
-                lambda pts: klass.predict(res.hypothesis_index, pts), spec, seed)
+                lambda pts: klass.predict(res.hypothesis_index, pts), spec)
             hits += err <= 0.05
         assert hits >= 95
 
@@ -179,7 +179,7 @@ class TestBaseline:
             res = run_baseline_a2(oracle, klass, params)
             assert oracle.counters.comparisons == 0
             err, _ = measure_error(
-                lambda pts: klass.predict(res.hypothesis_index, pts), spec, seed)
+                lambda pts: klass.predict(res.hypothesis_index, pts), spec)
             hits += err <= 0.05
         assert hits >= 38
 

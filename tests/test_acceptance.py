@@ -179,7 +179,7 @@ def test_ac6_prefix_suffix_inequality():
     for n in range(1, 9):
         inst = minimax.equality_instance(n)
         fmin, _ = minimax.lemma_min_f(inst)
-        tight &= abs(fmin - math.sqrt(2 * n * inst.t / (n + 1))) <= 1e-9
+        tight &= abs(fmin[0] - math.sqrt(2 * n * inst.t[0] / (n + 1))) <= 1e-9
     elapsed = time.perf_counter() - started
     ok = tight and elapsed < 5.0
     _verdict("AC-6", ok,

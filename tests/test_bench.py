@@ -53,7 +53,7 @@ class TestPassiveErm:
         for seed in range(20):
             spec = uniform_scenario(0.5, seed=seed)
             idx = passive_erm(Oracle(spec), klass, 1)
-            err, _ = bench.measure_error(lambda pts: klass.predict(idx, pts), spec, seed)
+            err, _ = bench.measure_error(lambda pts: klass.predict(idx, pts), spec)
             worst = max(worst, err)
         assert worst <= 0.5 + 0.05
 

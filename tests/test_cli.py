@@ -87,6 +87,14 @@ class TestExitCodes:
         assert main([command, flag, str(path), "--grid", "101"]) == EXIT_USAGE
         assert named in capsys.readouterr().err
 
+    def test_unknown_w_star_in_config_is_usage_error(self, tmp_path, capsys):
+        # the --w-star flag has choices; a config file's value is checked the same
+        path = tmp_path / "bench.txt"
+        path.write_text('method = "margin-adgac"\ndist = "isotropic-gaussian"\nd = 3\n'
+                        'eps = 0.2\ndelta = 0.2\nw_star = "e2"\n')
+        assert main(["bench", "--config", str(path)]) == EXIT_USAGE
+        assert "w_star" in capsys.readouterr().err
+
     def test_given_batch_size_lifts_the_half_eps_limit(self, capsys):
         # with --k the batch-size formula, and its eps < 1/2, is never used
         assert main(["adgac-run", "--eps", "0.7", "--k", "3", "--n", "200"]) == EXIT_OK

@@ -55,7 +55,7 @@ def _observe(constants: TunableConstants) -> dict:
             "a2 k": batches(lambda: a2.run_a2_adgac(
                 Oracle(noisy), ThresholdClass(np.linspace(0.0, 1.0, 101)), rp)),
             # kappa = 1 reaches the deviation bound's c0, kappa = 1.5 the power-law term
-            "a2 n": tuple(a2.choose_n_i(i, rp.eps, 1.0, rp.delta, rp, kappa)
+            "a2 n": tuple(a2.choose_n_i(i, 1.0, rp, kappa)
                           for kappa in (1.0, 1.5) for i in range(1, 5)),
             "margin k": batches(lambda: margin.run_margin_adgac(
                 Oracle(gaussian_scenario([1.0, 0.0], seed=3)), mparams)),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adgac.minimax import (LemmaInstance, LemmaStack, ScoreDistribution,
+from adgac.minimax import (LemmaStack, ScoreDistribution,
                            best_threshold_error, comparison_error_of, construct_ghat,
                            equality_instance, lemma_min_f, make_lemma_instance)
 
@@ -18,12 +18,12 @@ class TestLemmaScan:
             for t in (0.37, 1.0, 4.2):
                 inst = equality_instance(n, t)
                 fmin, _ = lemma_min_f(inst)
-                assert abs(fmin - math.sqrt(2 * n * inst.t / (n + 1))) <= 1e-9
+                assert abs(fmin[0] - math.sqrt(2 * n * inst.t[0] / (n + 1))) <= 1e-9
 
     def test_n_one_boundary(self):
         inst = make_lemma_instance([1.0], [1.0], t=1.0)
         fmin, k = lemma_min_f(inst)
-        assert fmin == 1.0
+        assert fmin[0] == 1.0
         assert math.sqrt(2 * 1 * 1 / 2) == 1.0
 
     def test_random_instances_hold(self):
@@ -36,7 +36,7 @@ class TestLemmaScan:
     def test_argmin_reported(self):
         inst = make_lemma_instance([0.0, 5.0], [5.0, 0.0])
         fmin, k = lemma_min_f(inst)
-        assert fmin == 0.0 and k == 1  # f(1) = x1 + y2 = 0
+        assert fmin[0] == 0.0 and k[0] == 1  # f(1) = x1 + y2 = 0
 
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
@@ -80,14 +80,18 @@ class TestLemmaStack:
             t_ref, fmin_ref, k_ref, bound_ref = _reference_scan(xs[r, :n], ys[r, :n])
             assert (stack.t[r], fmin[r], k[r], bound[r]) == (t_ref, fmin_ref, k_ref, bound_ref)
             inst = make_lemma_instance(xs[r, :n], ys[r, :n])
-            assert (inst.t, *lemma_min_f(inst), inst.bound) == (t_ref, fmin_ref, k_ref, bound_ref)
+            one_fmin, one_k = lemma_min_f(inst)
+            assert ((inst.t[0], one_fmin[0], one_k[0], inst.bound[0])
+                    == (t_ref, fmin_ref, k_ref, bound_ref))
 
-    def test_one_instance_results_are_scalars(self):
+    def test_one_instance_is_a_one_row_stack(self):
         inst = make_lemma_instance([0.5, 0.25], [0.0, 1.0])
-        assert isinstance(inst, LemmaInstance) and type(inst.t) is float
+        assert isinstance(inst, LemmaStack)
+        assert inst.xs.shape == inst.ys.shape == (1, 2)
+        assert inst.ns.tolist() == [2] and inst.t.tolist() == [0.75]
         fmin, k = lemma_min_f(inst)
-        assert type(fmin) is float and type(k) is int
-        assert isinstance(make_lemma_instance([[0.5]], [[1.0]], ns=[1]), LemmaStack)
+        assert fmin.tolist() == [0.75] and k.tolist() == [2]
+        assert equality_instance(3).xs.shape == (1, 3)
 
     def test_empty_stack(self):
         stack = make_lemma_instance(np.zeros((0, 8)), np.zeros((0, 8)), ns=np.zeros(0, int))

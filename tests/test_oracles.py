@@ -72,13 +72,21 @@ class TestScenarioSpec:
         assert uniform_scenario(t).ground_truth.threshold == t
 
     def test_ground_truth_matches_world(self):
-        # the band's closed forms know only these pairings
-        with pytest.raises(ValueError):
-            oracles.ScenarioSpec(dist_kind=oracles.GAUSSIAN, d=1,
+        # the ground truth names the marginal and dimension; a world cannot be
+        # named twice, so it cannot be named inconsistently
+        with pytest.raises(TypeError):
+            oracles.ScenarioSpec(dist_kind=oracles.GAUSSIAN,
                                  ground_truth=oracles.GroundTruth(kind="threshold"))
-        with pytest.raises(ValueError):
-            oracles.ScenarioSpec(dist_kind=oracles.UNIFORM, d=1, ground_truth=oracles.GroundTruth(
+        with pytest.raises(TypeError):
+            oracles.ScenarioSpec(d=2, ground_truth=oracles.GroundTruth(
                 kind="halfspace", direction=(1.0,)))
+        uniform, gaussian = uniform_scenario(0.3), gaussian_scenario([0.0, 3.0, 4.0])
+        assert (uniform.dist_kind, uniform.d) == (oracles.UNIFORM, 1)
+        assert (gaussian.dist_kind, gaussian.d) == (oracles.GAUSSIAN, 3)
+
+    def test_threshold_ground_truth_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            oracles.GroundTruth(kind="threshold", threshold=1.5)
 
 
 class TestScore:
