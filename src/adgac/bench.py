@@ -80,15 +80,20 @@ class ExperimentConfig:
     constants: TunableConstants = DEFAULT_CONSTANTS
     out: str = ""
 
+    DISTS = (UNIFORM, GAUSSIAN)
+    W_STARS = ("random", "e1")
+
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {list(METHODS)}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if self.dist not in (UNIFORM, GAUSSIAN):
-            raise ValueError(f"unknown world {self.dist!r}; choose from {[UNIFORM, GAUSSIAN]}")
-        if self.w_star not in ("random", "e1"):
-            raise ValueError(f"unknown w_star {self.w_star!r}; choose from ['random', 'e1']")
+        if self.dist not in self.DISTS:
+            raise ValueError(f"unknown world {self.dist!r}; choose from {list(self.DISTS)}")
+        if self.d < 1:
+            raise ValueError(f"dimension d must be at least 1, got {self.d}")
+        if self.w_star not in self.W_STARS:
+            raise ValueError(f"unknown w_star {self.w_star!r}; choose from {list(self.W_STARS)}")
         world, params, _ = METHODS[self.method]
         if world not in (None, self.dist):
             raise ValueError(f"{self.method} batteries run on the {world} scenario")

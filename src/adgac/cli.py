@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import bench, minimax
+from . import bench, minimax, oracles
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,17 +39,16 @@ def _add_scenario_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", default=None, help="CSV output path")
     p.add_argument("--constants", dest="constants_file", default=None,
                    help="tunable constants file")
-    p.add_argument("--dist", default=None, choices=["uniform-interval", "isotropic-gaussian"])
+    p.add_argument("--dist", default=None, choices=bench.ExperimentConfig.DISTS)
     p.add_argument("--dim", dest="d", type=int, default=None)
     p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--w-star", default=None, choices=["random", "e1"])
-    p.add_argument("--label-noise", default=None,
-                   choices=["massart", "tsybakov", "adversarial"])
+    p.add_argument("--w-star", default=None, choices=bench.ExperimentConfig.W_STARS)
+    p.add_argument("--label-noise", default=None, choices=oracles.LabelNoiseSpec.KINDS)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--kappa", type=float, default=None)
     p.add_argument("--mu", type=float, default=None)
     p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--comp-noise", default=None, choices=["perfect", "band-adversarial"])
+    p.add_argument("--comp-noise", default=None, choices=oracles.ComparisonNoiseSpec.KINDS)
     p.add_argument("--nu-prime", type=float, default=None)
     p.add_argument("--grid", type=int, default=None)
     p.add_argument("--n", dest="n_samples", type=int, default=None,
@@ -163,7 +162,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("minimax-check", help="verify the sqrt comparison-noise identity")
     p.add_argument("--nu-prime", type=float, default=0.01)
     p.add_argument("--grid", type=int, default=10_000)
-    p.add_argument("--base", default="uniform", choices=["uniform", "gaussian"])
+    p.add_argument("--base", default="uniform", choices=minimax.ScoreDistribution.KINDS)
     p.set_defaults(func=_cmd_minimax_check)
     return parser
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 
 @dataclass(frozen=True)
@@ -111,8 +110,10 @@ class ScoreDistribution:
     normal.  The induced optimal label is the sign of the score.
     """
 
+    KINDS = ("uniform", "gaussian")
+
     def __init__(self, kind: str = "uniform"):
-        if kind not in ("uniform", "gaussian"):
+        if kind not in self.KINDS:
             raise ValueError(f"unknown score distribution {kind!r}")
         self.kind = kind
 
@@ -120,12 +121,14 @@ class ScoreDistribution:
         t = np.asarray(t, dtype=float)
         if self.kind == "uniform":
             return np.clip(t + 0.5, 0.0, 1.0)
+        from scipy.special import ndtr  # loaded at first use, as in calibrate_band
         return ndtr(t)
 
     def ppf(self, q):
         q = np.asarray(q, dtype=float)
         if self.kind == "uniform":
             return q - 0.5
+        from scipy.special import ndtri
         return ndtri(q)
 
     def quantile_grid(self, n: int) -> np.ndarray:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtri
 
 UNIFORM = "uniform-interval"
 GAUSSIAN = "isotropic-gaussian"
@@ -71,6 +70,8 @@ class LabelNoiseSpec:
     instance mass nu around the decision boundary.
     """
 
+    KINDS = (MASSART, TSYBAKOV, ADVERSARIAL)
+
     kind: str = MASSART
     beta: float = 0.0
     kappa: float = 1.0
@@ -78,7 +79,7 @@ class LabelNoiseSpec:
     nu: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in (TSYBAKOV, MASSART, ADVERSARIAL):
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown label noise kind {self.kind!r}")
         if not 0.0 <= self.beta < 0.5:
             raise ValueError("massart flip rate must lie in [0, 1/2)")
@@ -105,11 +106,13 @@ class ComparisonNoiseSpec:
     calibrated so the flipped-pair mass equals nu_prime.
     """
 
+    KINDS = (PERFECT, BAND_ADVERSARIAL)
+
     kind: str = PERFECT
     nu_prime: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in (PERFECT, BAND_ADVERSARIAL):
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown comparison noise kind {self.kind!r}")
         if self.nu_prime < 0.0:
             raise ValueError("comparison corruption mass must be nonnegative")
@@ -266,6 +269,9 @@ def calibrate_band(spec: ScenarioSpec, target_mass: float, which: str = "label")
     if not 0.0 < target_mass < top:
         raise CalibrationError(f"target {which} mass {target_mass} lies outside [0, {top:.6g})")
     if not uniform:
+        # imported on first use: scipy.special is most of the package's
+        # import time and memory, and only the gaussian world needs it
+        from scipy.special import ndtri
         # label mass 2 Phi(rho) - 1; comparison mass 2 (Phi(rho) - 1/2)^2
         if which == "label":
             return float(ndtri(0.5 * (1.0 + target_mass)))

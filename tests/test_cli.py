@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, config files, exit codes."""
 
+import argparse
 import dataclasses
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from adgac import bench, cli
 from adgac.bench import CSV_HEADER, ExperimentConfig, parse_report_csv
 from adgac.cli import EXIT_OK, EXIT_THRESHOLD, EXIT_USAGE, main
+from adgac.minimax import ScoreDistribution
+from adgac.oracles import ComparisonNoiseSpec, LabelNoiseSpec
 
 
 class TestExitCodes:
@@ -35,10 +38,15 @@ class TestExitCodes:
         ["adgac-run", "--beta", "0.7"],
         ["margin", "--dist", "isotropic-gaussian", "--dim", "0"],
         ["erm", "--dist", "isotropic-gaussian", "--dim", "3"],
-    ], ids=["threshold-1.5", "beta-0.7", "dim-0", "erm-gaussian"])
+        ["margin", "--dist", "isotropic-gaussian", "--dim", "0", "--w-star", "e1"],
+        ["margin", "--dist", "isotropic-gaussian", "--dim", "-1", "--w-star", "e1"],
+    ], ids=["threshold-1.5", "beta-0.7", "dim-0", "erm-gaussian", "dim-0-e1", "dim-minus-1-e1"])
     def test_invalid_world_is_usage_error(self, argv, capsys):
         assert main(argv + ["--trials", "2"]) == EXIT_USAGE
-        assert "usage error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage error" in err
+        if "--dim" in argv and int(argv[argv.index("--dim") + 1]) < 1:
+            assert "dimension d must be at least 1" in err
 
     @pytest.mark.parametrize("argv", [
         ["adgac-run", "--eps", "0.7", "--n", "200"],
@@ -138,6 +146,21 @@ class TestFlagsAreFields:
     def test_batteries_run_exactly_the_method_table(self):
         parser = cli.build_parser()
         assert {parser.parse_args([c]).method for c in BATTERIES} == set(bench.METHODS)
+
+    @pytest.mark.parametrize("command, flag, allowed", [
+        *[(c, flag, allowed) for c in BATTERIES + ["bench"] for flag, allowed in [
+            ("--dist", ExperimentConfig.DISTS),
+            ("--w-star", ExperimentConfig.W_STARS),
+            ("--label-noise", LabelNoiseSpec.KINDS),
+            ("--comp-noise", ComparisonNoiseSpec.KINDS)]],
+        ("minimax-check", "--base", ScoreDistribution.KINDS),
+    ])
+    def test_choices_are_the_checkers_tuple(self, command, flag, allowed):
+        # a restated set of allowed values drifts from the one its checker reads
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        action = next(a for a in sub.choices[command]._actions if flag in a.option_strings)
+        assert action.choices is allowed
 
 
 class TestBatteries:

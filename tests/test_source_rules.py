@@ -27,15 +27,50 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_module_level_scipy_import():
+    # scipy.special alone is most of the package's import time and about half
+    # its memory after import; only the gaussian cdf and ppf need it, so the
+    # function that calls it imports it
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        in_function = {id(node) for fn in ast.walk(tree)
+                       if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if id(node) in in_function:
+                continue
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for m in modules
+                      if m == "scipy" or m.startswith("scipy.")]
+    assert found == []
+
+
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes most of the package's import time and tens of MB;
-    # only scipy.special is needed.  This process has loaded it already, so
-    # ask a fresh interpreter.
+    # scipy.stats takes tens of MB and scipy.special most of the start-up;
+    # a uniform trial and a massart gaussian trial calibrate no band and
+    # evaluate no gaussian cdf, so neither loads.  This process has loaded
+    # scipy already, so ask a fresh interpreter.
     src = str(Path(adgac.__file__).resolve().parent.parent)
+    script = "\n".join([
+        "import sys",
+        "import adgac, adgac.cli",
+        "from adgac.bench import ExperimentConfig, run_single_trial",
+        "print('scipy.stats' in sys.modules)",
+        "run_single_trial(ExperimentConfig('adgac-only', n_samples=200), 0)",
+        "run_single_trial(ExperimentConfig('margin-adgac', dist='isotropic-gaussian', d=2,",
+        "                                  eps=0.3, delta=0.3, beta=0.1), 0)",
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+    ])
     out = subprocess.run(
-        [sys.executable, "-c", "import adgac, sys; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", script],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines() == ["False", "[]"]
 
 
 def test_constant_defaults_live_only_in_tunable_constants():
