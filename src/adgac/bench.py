@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import a2, core, margin as margin_mod
-from .core import DEFAULT_CONSTANTS, TunableConstants, _parse_flat
+from .core import (DEFAULT_CONSTANTS, TunableConstants, _format_flat, _parse_flat,
+                   field_parsers)
 from .hypotheses import ThresholdClass
 from .oracles import (ADVERSARIAL, BAND_ADVERSARIAL, GAUSSIAN, MASSART, PERFECT,
                       UNIFORM, ComparisonNoiseSpec, LabelNoiseSpec, Oracle,
@@ -45,15 +46,12 @@ class TrialReport:
     flags: str = ""
 
     def to_csv_row(self) -> str:
-        return ",".join((repr if f.type == "float" else str)(getattr(self, f.name))
-                        for f in _CSV_FIELDS)
+        return ",".join((repr if parse is float else str)(getattr(self, name))
+                        for name, parse in _CSV_PARSERS.items())
 
 
-_CSV_FIELDS = dataclasses.fields(TrialReport)
-CSV_HEADER = ",".join(f.name for f in _CSV_FIELDS)
-
-# field type (a string under postponed annotations) -> parser of its raw text
-_FROM_TEXT = {"str": str, "int": int, "float": float}
+_CSV_PARSERS = field_parsers(TrialReport)
+CSV_HEADER = ",".join(_CSV_PARSERS)
 
 
 @dataclass(frozen=True)
@@ -75,25 +73,34 @@ class ExperimentConfig:
     comp_noise: str = PERFECT
     nu_prime: float = 0.0
     grid: int = 1001
-    n_samples: int = 1000           # adgac-only / passive-erm sample size
-    k: int = 0                      # adgac-only batch size; 0 derives from eps/delta
+    n_samples: int = field(default=1000, metadata={"help": "sample size for adgac-run / erm"})
+    # 0 derives the batch size from eps and delta
+    k: int = field(default=0, metadata={"help": "label batch size for adgac-run"})
     constants: TunableConstants = DEFAULT_CONSTANTS
-    out: str = ""
+    out: str = field(default="", metadata={"help": "CSV output path"})
 
     DISTS = (UNIFORM, GAUSSIAN)
     W_STARS = ("random", "e1")
+    # field -> its allowed values, read by the check below and by the flag's choices
+    CHOICES = {"dist": DISTS, "w_star": W_STARS, "label_noise": LabelNoiseSpec.KINDS,
+               "comp_noise": ComparisonNoiseSpec.KINDS}
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {list(METHODS)}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if self.dist not in self.DISTS:
-            raise ValueError(f"unknown world {self.dist!r}; choose from {list(self.DISTS)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        for name in ("eps", "delta"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} = {getattr(self, name)!r} must lie in (0, 1)")
+        for name, allowed in self.CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}; "
+                                 f"choose from {list(allowed)}")
         if self.d < 1:
             raise ValueError(f"dimension d must be at least 1, got {self.d}")
-        if self.w_star not in self.W_STARS:
-            raise ValueError(f"unknown w_star {self.w_star!r}; choose from {list(self.W_STARS)}")
         world, params, _ = METHODS[self.method]
         if world not in (None, self.dist):
             raise ValueError(f"{self.method} batteries run on the {world} scenario")
@@ -124,29 +131,16 @@ class ExperimentConfig:
                                  self.comparison_noise_spec(), seed=seed)
 
     def to_text(self) -> str:
-        lines = ["# experiment config"]
-        skip = {"constants"}
-        for f in dataclasses.fields(self):
-            if f.name in skip:
-                continue
-            lines.append(f"{f.name} = {getattr(self, f.name)!r}")
-        lines.append("")
-        lines.append(self.constants.to_text().rstrip())
-        return "\n".join(lines) + "\n"
+        return _format_flat(self, "experiment config") + "\n" + self.constants.to_text()
 
     @classmethod
     def from_text(cls, text: str, constants: TunableConstants | None = None) -> "ExperimentConfig":
-        """Parse a flat config; each key converts by its field's declared type,
-        and a constant's key, set inline, as a float."""
-        const_fields = {f.name for f in dataclasses.fields(TunableConstants)}
-        types = {f.name: _FROM_TEXT[f.type] for f in dataclasses.fields(cls)
-                 if f.type in _FROM_TEXT}
-        kwargs = _parse_flat(text, types | dict.fromkeys(const_fields, float), "config")
-        const_kwargs = {key: kwargs.pop(key) for key in const_fields & kwargs.keys()}
-        base = constants or DEFAULT_CONSTANTS
-        if const_kwargs:
-            base = dataclasses.replace(base, **const_kwargs)
-        kwargs["constants"] = base
+        """Parse a flat config; each key, a constant's set inline included,
+        converts by its field's declared type."""
+        const_types = field_parsers(TunableConstants)
+        kwargs = _parse_flat(text, field_parsers(cls) | const_types, "config")
+        const_kwargs = {key: kwargs.pop(key) for key in const_types.keys() & kwargs.keys()}
+        kwargs["constants"] = dataclasses.replace(constants or DEFAULT_CONSTANTS, **const_kwargs)
         return cls(**kwargs)
 
 
@@ -373,9 +367,9 @@ def parse_report_csv(path: str) -> list[TrialReport]:
     out = []
     for lineno, line in lines[1:]:
         parts = line.split(",")
-        if len(parts) != len(_CSV_FIELDS):
+        if len(parts) != len(_CSV_PARSERS):
             raise ValueError(f"{path!r} line {lineno}: {len(parts)} columns, "
-                             f"the header has {len(_CSV_FIELDS)}")
-        out.append(TrialReport(**{f.name: _FROM_TEXT[f.type](raw)
-                                  for f, raw in zip(_CSV_FIELDS, parts)}))
+                             f"the header has {len(_CSV_PARSERS)}")
+        out.append(TrialReport(**{name: parse(raw)
+                                  for (name, parse), raw in zip(_CSV_PARSERS.items(), parts)}))
     return out

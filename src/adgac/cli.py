@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import bench, minimax, oracles
+from . import bench, core, minimax
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -30,30 +30,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# the fields whose flag is not --<field>: the short names README and the tests use
+_FLAG_NAMES = {"d": "--dim", "n_samples": "--n"}
+
+
 def _add_scenario_flags(p: argparse.ArgumentParser):
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    cls = bench.ExperimentConfig
+    parsers = core.field_parsers(cls)
+    for f in dataclasses.fields(cls):
+        if f.name in ("method", "constants"):
+            continue
+        p.add_argument(_FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")), dest=f.name,
+                       type=parsers[f.name], choices=cls.CHOICES.get(f.name), default=None,
+                       help=f.metadata.get("help"))
     p.add_argument("--config", default=None, help="flat key = value config file")
-    p.add_argument("--out", default=None, help="CSV output path")
     p.add_argument("--constants", dest="constants_file", default=None,
                    help="tunable constants file")
-    p.add_argument("--dist", default=None, choices=bench.ExperimentConfig.DISTS)
-    p.add_argument("--dim", dest="d", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--w-star", default=None, choices=bench.ExperimentConfig.W_STARS)
-    p.add_argument("--label-noise", default=None, choices=oracles.LabelNoiseSpec.KINDS)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--comp-noise", default=None, choices=oracles.ComparisonNoiseSpec.KINDS)
-    p.add_argument("--nu-prime", type=float, default=None)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--n", dest="n_samples", type=int, default=None,
-                   help="sample size for adgac-run / erm")
-    p.add_argument("--k", type=int, default=None, help="label batch size for adgac-run")
     p.add_argument("--min-success", type=float, default=None,
                    help="fail (exit 3) when the success rate falls below this")
 

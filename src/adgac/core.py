@@ -42,18 +42,29 @@ class TunableConstants:
                 raise ValueError(f"constant {f.name} = {value!r} must be finite and > 0")
 
     def to_text(self) -> str:
-        lines = ["# tunable constants"]
-        for f in dataclasses.fields(self):
-            lines.append(f"{f.name} = {getattr(self, f.name)!r}")
-        return "\n".join(lines) + "\n"
+        return _format_flat(self, "tunable constants")
 
     @classmethod
     def from_text(cls, text: str) -> "TunableConstants":
-        return cls(**_parse_flat(text, {f.name: float for f in dataclasses.fields(cls)},
-                                 "constant"))
+        return cls(**_parse_flat(text, field_parsers(cls), "constant"))
 
 
 DEFAULT_CONSTANTS = TunableConstants()
+
+_FROM_TEXT = {"str": str, "int": int, "float": float}
+
+
+def field_parsers(cls) -> dict:
+    """Each field of dataclass cls declared str, int or float (a string under
+    postponed annotations) -> the parser of its raw text: the flat fields."""
+    return {f.name: _FROM_TEXT[f.type] for f in dataclasses.fields(cls) if f.type in _FROM_TEXT}
+
+
+def _format_flat(obj, heading: str) -> str:
+    """The flat fields of obj under a `# heading` line, as _parse_flat reads them."""
+    lines = [f"# {heading}"] + [f"{name} = {getattr(obj, name)!r}"
+                                for name in field_parsers(type(obj))]
+    return "\n".join(lines) + "\n"
 
 
 def _parse_flat(text: str, types: dict, what: str) -> dict:

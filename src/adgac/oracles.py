@@ -81,14 +81,15 @@ class LabelNoiseSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown label noise kind {self.kind!r}")
+        # each check is written so that NaN fails it
         if not 0.0 <= self.beta < 0.5:
-            raise ValueError("massart flip rate must lie in [0, 1/2)")
-        if self.kappa < 1.0:
-            raise ValueError("tsybakov exponent must be >= 1")
-        if self.mu <= 0.0:
-            raise ValueError("tsybakov scale must be positive")
-        if self.nu < 0.0:
-            raise ValueError("adversarial mass must be nonnegative")
+            raise ValueError(f"massart flip rate beta = {self.beta!r} must lie in [0, 1/2)")
+        if not 1.0 <= self.kappa < math.inf:
+            raise ValueError(f"tsybakov exponent kappa = {self.kappa!r} must lie in [1, inf)")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError(f"tsybakov scale mu = {self.mu!r} must lie in (0, inf)")
+        if not 0.0 <= self.nu < math.inf:
+            raise ValueError(f"adversarial mass nu = {self.nu!r} must lie in [0, inf)")
 
     @property
     def effective_kappa(self) -> float:
@@ -114,8 +115,8 @@ class ComparisonNoiseSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown comparison noise kind {self.kind!r}")
-        if self.nu_prime < 0.0:
-            raise ValueError("comparison corruption mass must be nonnegative")
+        if not 0.0 <= self.nu_prime < math.inf:
+            raise ValueError(f"comparison mass nu_prime = {self.nu_prime!r} must lie in [0, inf)")
 
 
 @dataclass(frozen=True)

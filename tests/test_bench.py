@@ -94,7 +94,7 @@ class TestBatteryDeterminism:
             ExperimentConfig(method=method, dist=other[bench.METHODS[method][0]])
 
     def test_unknown_world_rejected(self):
-        with pytest.raises(ValueError, match="unknown world"):
+        with pytest.raises(ValueError, match="unknown dist"):
             ExperimentConfig(method="adgac-only", dist="isotropic-gausian")
 
     def test_trial_error_recorded_not_fatal(self):

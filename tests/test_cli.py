@@ -54,11 +54,35 @@ class TestExitCodes:
         ["a2", "--eps", "0.9", "--delta", "0.7"],
         ["baseline-a2", "--eps", "0.9", "--delta", "0.7"],
         ["margin", "--dist", "isotropic-gaussian", "--eps", "0.95", "--delta", "0.7"],
+        ["erm", "--eps", "nan"],
+        ["erm", "--eps", "-3"],
+        ["erm", "--delta", "1.5"],
+        ["adgac-run", "--k", "3", "--n", "200", "--eps", "nan"],
+        ["adgac-run", "--k", "3", "--n", "200", "--delta", "0"],
     ], ids=["adgac-eps-0.7", "adgac-delta-1", "a2-eps-0.9", "baseline-eps-0.9",
-            "margin-eps-0.95"])
+            "margin-eps-0.95", "erm-eps-nan", "erm-eps-minus-3", "erm-delta-1.5",
+            "adgac-k-eps-nan", "adgac-k-delta-0"])
     def test_eps_delta_every_trial_rejects_is_usage_error(self, argv, capsys):
         assert main(argv + ["--trials", "2"]) == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, key", [
+        (["--label-noise", "tsybakov", "--kappa", "nan"], "kappa"),
+        (["--label-noise", "tsybakov", "--kappa", "inf"], "kappa"),
+        (["--label-noise", "tsybakov", "--kappa", "1.5", "--mu", "nan"], "mu"),
+        (["--label-noise", "adversarial", "--nu", "nan"], "nu"),
+        (["--comp-noise", "band-adversarial", "--nu-prime", "nan"], "nu_prime"),
+    ], ids=["kappa-nan", "kappa-inf", "mu-nan", "nu-nan", "nu-prime-nan"])
+    def test_non_finite_noise_is_usage_error_naming_its_key(self, argv, key, capsys):
+        # NaN passed the `<` checks, so the battery ran as if no noise were set
+        assert main(["adgac-run", "--n", "200", "--k", "3"] + argv) == EXIT_USAGE
+        assert f" {key} = {argv[-1]} must" in capsys.readouterr().err
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        # default_rng(-1) raised inside trial 0, one failed row in a run that exited 0
+        assert main(["a2", "--seed", "-1", "--trials", "2", "--grid", "101",
+                     "--eps", "0.2"]) == EXIT_USAGE
+        assert "seed must be nonnegative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["adgac-run", "--n", "0"],
@@ -103,6 +127,13 @@ class TestExitCodes:
         assert main(["bench", "--config", str(path)]) == EXIT_USAGE
         assert "w_star" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ['label_noise = "tsybakov-ish"', 'comp_noise = "band"'])
+    def test_unknown_choice_in_config_names_its_key(self, tmp_path, capsys, line):
+        path = tmp_path / "bench.txt"
+        path.write_text(f'method = "adgac-only"\n{line}\n')
+        assert main(["bench", "--config", str(path)]) == EXIT_USAGE
+        assert f"unknown {line.split()[0]} " in capsys.readouterr().err
+
     def test_given_batch_size_lifts_the_half_eps_limit(self, capsys):
         # with --k the batch-size formula, and its eps < 1/2, is never used
         assert main(["adgac-run", "--eps", "0.7", "--k", "3", "--n", "200"]) == EXIT_OK
@@ -133,9 +164,17 @@ BATTERIES = ["adgac-run", "a2", "margin", "baseline-a2", "erm"]
 class TestFlagsAreFields:
     @pytest.mark.parametrize("command", BATTERIES + ["bench"])
     def test_every_config_field_is_a_flag_dest(self, command):
-        args = cli.build_parser().parse_args([command])
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        assert fields - {"method", "constants"} <= set(vars(args))
+        assert dests == fields - {"method", "constants"} | {"config", "constants_file",
+                                                            "min_success"}
+
+    @pytest.mark.parametrize("flag, value", [("--trials", "2.5"), ("--grid", "1e3")])
+    def test_flag_parses_by_its_field_type(self, flag, value, capsys):
+        assert main(["a2", flag, value]) == EXIT_USAGE
+        assert f"argument {flag}: invalid int value" in capsys.readouterr().err
 
     def test_renamed_flags_set_their_fields(self):
         args = cli.build_parser().parse_args(
@@ -161,6 +200,45 @@ class TestFlagsAreFields:
                    if isinstance(a, argparse._SubParsersAction))
         action = next(a for a in sub.choices[command]._actions if flag in a.option_strings)
         assert action.choices is allowed
+
+
+SIDECAR = (
+    "# experiment config\n"
+    "method = 'passive-erm'\n"
+    "eps = 0.05\n"
+    "delta = 0.1\n"
+    "trials = 1\n"
+    "seed = 9\n"
+    "dist = 'uniform-interval'\n"
+    "d = 1\n"
+    "threshold = 0.3\n"
+    "w_star = 'random'\n"
+    "label_noise = 'massart'\n"
+    "beta = 0.1\n"
+    "kappa = 1.0\n"
+    "mu = 1.0\n"
+    "nu = 0.0\n"
+    "comp_noise = 'band-adversarial'\n"
+    "nu_prime = 0.001\n"
+    "grid = 101\n"
+    "n_samples = 50\n"
+    "k = 0\n"
+    "out = 'erm.csv'\n"
+    "\n"
+    "# tunable constants\n"
+    "C2 = 1.0\n"
+    "C3 = 7.5\n"
+    "C4 = 1.0\n"
+    "c0 = 1.0\n"
+    "c1 = 0.2\n"
+    "c2 = 0.28\n"
+    "c3 = 1.0\n"
+    "c4 = 2.0\n"
+    "c1p = 0.125\n"
+    "n_mult = 1.0\n"
+    "n_mult_margin = 0.4\n"
+    "tnc_mult = 1.0\n"
+)
 
 
 class TestBatteries:
@@ -212,6 +290,16 @@ class TestBatteries:
         assert rc == EXIT_OK
         sidecar = (tmp_path / "o.csv.config.txt").read_text()
         assert "C3 = 2.0" in sidecar
+
+    def test_config_sidecar_bytes_pinned(self, tmp_path, monkeypatch, capsys):
+        # the flat format's bytes, as the writer wrote them before it moved into core
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "consts.txt").write_text("C3 = 7.5\nc1p = 0.125\n")
+        assert main(["erm", "--trials", "1", "--n", "50", "--grid", "101", "--seed", "9",
+                     "--threshold", "0.3", "--label-noise", "massart", "--beta", "0.1",
+                     "--comp-noise", "band-adversarial", "--nu-prime", "0.001",
+                     "--constants", "consts.txt", "--out", "erm.csv"]) == EXIT_OK
+        assert (tmp_path / "erm.csv.config.txt").read_text() == SIDECAR
 
     def test_a2_battery_small(self, capsys):
         rc = main(["a2", "--trials", "1", "--eps", "0.1", "--delta", "0.2",
