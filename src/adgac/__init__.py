@@ -3,9 +3,8 @@
 from .oracles import (ComparisonNoiseSpec, GroundTruth, LabelNoiseSpec, Oracle,
                       QueryCounters, ScenarioSpec, bayes_label, calibrate_band,
                       gaussian_scenario, sample_unlabeled, score, uniform_scenario)
-from .core import (DEFAULT_CONSTANTS, AdgacParams, AdgacResult, RankedGroups,
-                   TunableConstants, adgac, batch_size, group_binary_search,
-                   noisy_quicksort, partition_groups)
+from .core import (DEFAULT_CONSTANTS, AdgacResult, RankedGroups, TunableConstants,
+                   adgac, batch_size, group_binary_search, noisy_quicksort)
 from .hypotheses import EmptyVersionSpaceError, ExplicitClass, ThresholdClass, VersionSpace
 from .a2 import (BudgetExceededError, RunParams, RunResult, choose_n_i,
                  run_a2_adgac, run_baseline_a2, vc_bound_u)

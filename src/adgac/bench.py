@@ -24,7 +24,7 @@ from .core import (DEFAULT_CONSTANTS, TunableConstants, _format_flat, _parse_fla
 from .hypotheses import ThresholdClass
 from .oracles import (ADVERSARIAL, BAND_ADVERSARIAL, GAUSSIAN, MASSART, PERFECT,
                       UNIFORM, ComparisonNoiseSpec, LabelNoiseSpec, Oracle,
-                      ScenarioSpec, bayes_label, gaussian_scenario,
+                      ScenarioSpec, bayes_label, calibrate_band, gaussian_scenario,
                       sample_unlabeled, uniform_scenario)
 
 _ERR_MC_SAMPLES = 100_000
@@ -104,9 +104,14 @@ class ExperimentConfig:
         world, params, _ = METHODS[self.method]
         if world not in (None, self.dist):
             raise ValueError(f"{self.method} batteries run on the {world} scenario")
-        # an invalid world, or an eps or delta the method's parameters reject,
-        # is a usage error here, not one failed row per trial
-        self.scenario(self.seed)
+        # an invalid world, a corruption mass it cannot realize, or an eps or
+        # delta the method's parameters reject is a usage error here, not one
+        # failed row per trial
+        spec = self.scenario(self.seed)
+        if self.label_noise == ADVERSARIAL:
+            calibrate_band(spec, self.nu, "label")
+        if self.comp_noise == BAND_ADVERSARIAL:
+            calibrate_band(spec, self.nu_prime, "comparison")
         params(self)
 
     def label_noise_spec(self) -> LabelNoiseSpec:
@@ -186,19 +191,20 @@ def _at_least_one(config: ExperimentConfig, *names: str) -> None:
             raise ValueError(f"{name} must be at least 1")
 
 
-def _adgac_only_params(config: ExperimentConfig) -> core.AdgacParams:
+def _adgac_only_params(config: ExperimentConfig) -> int:
+    """The label batch size: k, or the derived one when k is 0."""
     _at_least_one(config, "n_samples")
+    if config.k < 0:
+        raise ValueError("label batch size must be >= 1")
+    return config.k or core.batch_size(config.eps, config.delta,
+                                       config.label_noise_spec().effective_kappa,
+                                       config.constants.C3)
+
+
+def _run_adgac_only(config: ExperimentConfig, k: int, oracle: Oracle):
     n = config.n_samples
-    k = config.k or core.batch_size(config.eps, config.delta,
-                                    config.label_noise_spec().effective_kappa,
-                                    config.constants.C3)
-    return core.AdgacParams(n=n, m=n, eps=config.eps, k=k)
-
-
-def _run_adgac_only(config: ExperimentConfig, params: core.AdgacParams, oracle: Oracle):
-    n = params.n
     xs = oracle.sample(n)
-    result = core.adgac(xs, n, params.eps, oracle, params.k)
+    result = core.adgac(xs, n, config.eps, oracle, k)
     err = int(np.sum(result.labels != bayes_label(oracle.spec, xs))) / n
     return err, math.sqrt(max(err * (1 - err), 1.0 / n) / n), 1, []
 

@@ -71,6 +71,8 @@ def _build_config(args) -> bench.ExperimentConfig:
 
 
 def _run_battery(args) -> int:
+    if args.min_success is not None and not 0.0 <= args.min_success <= 1.0:
+        raise _UsageError(f"--min-success {args.min_success} must lie in [0, 1]")
     config = _build_config(args)
     reports, summary = bench.run_trials(config)
     if config.out:

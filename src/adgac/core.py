@@ -101,41 +101,6 @@ def _parse_flat(text: str, types: dict, what: str) -> dict:
     return out
 
 
-class DegenerateGroupingError(ValueError):
-    """Group size collapsed below one in an unsupported configuration."""
-
-
-@dataclass(frozen=True)
-class AdgacParams:
-    """Parameters of one labeling invocation.
-
-    n is the ambient sample count the error budget refers to, m the size of
-    the subset actually labeled, k the per-group label batch.  alpha * m =
-    eps * n is the nominal group size before rounding.
-    """
-
-    n: int
-    m: int
-    eps: float
-    k: int
-
-    def __post_init__(self):
-        # m > n is tolerated here; partition_groups rejects the harmful
-        # combination (nominal group size below one with m exceeding n)
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError("eps must lie in (0, 1)")
-        if self.k < 1:
-            raise ValueError("label batch size must be >= 1")
-
-    @property
-    def alpha(self) -> float:
-        return self.eps * self.n / self.m
-
-    @property
-    def group_size(self) -> int:
-        return max(1, int(round(self.alpha * self.m)))
-
-
 @dataclass
 class RankedGroups:
     """A sorted permutation of the input in contiguous groups of `size` ranks;
@@ -207,20 +172,6 @@ def noisy_quicksort(items, comparator, rng: np.random.Generator) -> tuple[np.nda
         sizes = np.column_stack((n_below, sizes - n_below - 1)).ravel()
 
 
-def partition_groups(order: np.ndarray, params: AdgacParams) -> RankedGroups:
-    """Split the sorted ranking into contiguous groups of the nominal size.
-
-    All groups have size max(1, round(alpha * m)); a nonzero remainder is
-    merged into the last group, so its size lies in [g, 2g).
-    """
-    if len(order) == 0:
-        return RankedGroups(order=order, size=1)
-    if params.alpha * params.m < 1.0 and params.m > params.n:
-        raise DegenerateGroupingError(
-            f"nominal group size {params.alpha * params.m:.3g} < 1 with m={params.m} > n={params.n}")
-    return RankedGroups(order=order, size=params.group_size)
-
-
 def group_binary_search(groups: RankedGroups, items, label_query, k: int,
                         rng: np.random.Generator) -> tuple[int, int, dict[int, int], int]:
     """Binary-search the first group whose label-batch majority is positive.
@@ -271,17 +222,21 @@ def adgac(S, n: int, eps: float, oracle, k: int) -> AdgacResult:
     """Label a dataset with comparisons plus a few label batches.
 
     S is the dataset to label (array of instances), n the ambient sample count
-    for the error budget eps * n, and k the label batch per probed group
-    (the learners take it from batch_size).  The oracle supplies
-    pivot_comparator, label_many and the rng stream, and owns the counters.
+    for the error budget eps * n, which rounds to the group size, and k the
+    label batch per probed group (the learners take it from batch_size).  The
+    oracle supplies pivot_comparator, label_many and the rng stream, and owns
+    the counters.
     """
     m = len(S)
     if m == 0:
         return AdgacResult(labels=np.empty(0, dtype=int), groups=RankedGroups(np.arange(0), 1))
-    params = AdgacParams(n=n, m=m, eps=eps, k=k)
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    if k < 1:
+        raise ValueError("label batch size must be >= 1")
 
     order, _ = noisy_quicksort(S, oracle.pivot_comparator(S), oracle.rng)
-    groups = partition_groups(order, params)
+    groups = RankedGroups(order, size=max(1, round(eps * n)))
     t, _, votes, _ = group_binary_search(groups, S, oracle.label_many, k, oracle.rng)
 
     start, end = groups.span(t)

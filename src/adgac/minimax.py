@@ -173,8 +173,8 @@ def construct_ghat(base: ScoreDistribution, nu_prime: float) -> GhatConstruction
     Requires both classes to carry mass at least sqrt(nu'); the interval
     [a, b] straddling zero holds exactly that much mass on each side.
     """
-    if nu_prime < 0:
-        raise ValueError("comparison error mass must be nonnegative")
+    if not nu_prime >= 0:  # written so that NaN fails it
+        raise ValueError(f"comparison error mass {nu_prime!r} must be nonnegative")
     if nu_prime == 0.0:
         return GhatConstruction(base=base, nu_prime=0.0, a=0.0, b=0.0)
     root = math.sqrt(nu_prime)

@@ -268,7 +268,8 @@ def calibrate_band(spec: ScenarioSpec, target_mass: float, which: str = "label")
     if target_mass == 0.0:
         return 0.0
     if not 0.0 < target_mass < top:
-        raise CalibrationError(f"target {which} mass {target_mass} lies outside [0, {top:.6g})")
+        raise CalibrationError(f"target {which} mass {'nu' if which == 'label' else 'nu_prime'}"
+                               f" = {target_mass!r} lies outside [0, {top:.6g})")
     if not uniform:
         # imported on first use: scipy.special is most of the package's
         # import time and memory, and only the gaussian world needs it

@@ -97,9 +97,26 @@ class TestBatteryDeterminism:
         with pytest.raises(ValueError, match="unknown dist"):
             ExperimentConfig(method="adgac-only", dist="isotropic-gausian")
 
-    def test_trial_error_recorded_not_fatal(self):
-        # an unachievable comparison mass breaks calibration inside the trial
-        cfg = self._config(comp_noise="band-adversarial", nu_prime=0.9, trials=2)
+    @pytest.mark.parametrize("kw, key", [
+        (dict(label_noise="adversarial", nu=2.0), "nu"),
+        (dict(label_noise="adversarial", nu=1.0), "nu"),
+        (dict(comp_noise="band-adversarial", nu_prime=0.9), "nu_prime"),
+        (dict(comp_noise="band-adversarial", nu_prime=1e-4, threshold=0.0), "nu_prime"),
+        (dict(comp_noise="band-adversarial", nu_prime=0.5, dist="isotropic-gaussian",
+              d=3), "nu_prime"),
+    ], ids=["nu-2", "nu-1", "nu-prime-0.9", "nu-prime-threshold-0", "nu-prime-gaussian-0.5"])
+    def test_unrealizable_corruption_mass_rejected(self, kw, key):
+        # every trial's oracle calibrates this band, so every trial failed there
+        with pytest.raises(ValueError, match=f" mass {key} = "):
+            self._config(**kw)
+
+    def test_trial_error_recorded_not_fatal(self, monkeypatch):
+        # a learner that raises inside every trial
+        def broken(*args):
+            raise FloatingPointError("learner failed")
+
+        monkeypatch.setattr(bench.core, "adgac", broken)
+        cfg = self._config(trials=2)
         reports, summary = run_trials(cfg)
         assert all(r.flags.startswith("error:") for r in reports)
         assert summary["failed_trials"] == 2

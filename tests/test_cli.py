@@ -33,6 +33,13 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "comparison error" in out and "best threshold" in out
 
+    @pytest.mark.parametrize("nu", ["nan", "-0.01", "0.5"])
+    def test_minimax_check_bad_mass_is_usage_error(self, nu, capsys):
+        # nan printed `interval [nan, nan]` and missed the threshold (exit 3)
+        assert main(["minimax-check", "--grid", "100", "--nu-prime", nu]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage error" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["adgac-run", "--threshold", "1.5"],
         ["adgac-run", "--beta", "0.7"],
@@ -148,6 +155,25 @@ class TestExitCodes:
 
     def test_parser_built_once(self):
         assert cli._parser() is cli._parser()
+
+    @pytest.mark.parametrize("gate", ["nan", "-0.1", "1.5"])
+    def test_min_success_outside_unit_interval_is_usage_error(self, gate, capsys):
+        # nan never tripped the gate, and 1.5 ran the battery only to exit 3
+        assert main(["adgac-run", "--n", "200", "--k", "3", "--min-success", gate]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--min-success" in captured.err
+
+    @pytest.mark.parametrize("argv, key", [
+        (["adgac-run", "--n", "200", "--k", "3", "--label-noise", "adversarial", "--nu", "2"],
+         "nu"),
+        (["a2", "--comp-noise", "band-adversarial", "--nu-prime", "0.6", "--grid", "101",
+          "--eps", "0.2", "--delta", "0.2"], "nu_prime"),
+    ], ids=["adgac-nu-2", "a2-nu-prime-0.6"])
+    def test_unrealizable_corruption_mass_is_usage_error(self, argv, key, capsys):
+        # each trial failed in calibration, and the run printed `failed trials 1` and exited 0
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and f" mass {key} = " in captured.err
 
     def test_min_success_gate(self, capsys):
         # an impossible gate trips the acceptance exit code

@@ -8,9 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from adgac.core import (AdgacParams, DegenerateGroupingError, RankedGroups, adgac,
-                        batch_size, group_binary_search, noisy_quicksort,
-                        partition_groups)
+from adgac.core import (RankedGroups, adgac, batch_size, group_binary_search,
+                        noisy_quicksort)
 from adgac.oracles import (ComparisonNoiseSpec, LabelNoiseSpec, Oracle,
                            bayes_label, calibrate_band, gaussian_scenario,
                            uniform_scenario)
@@ -171,32 +170,36 @@ class TestSortProperties:
 
 
 class TestPartitionGroups:
-    def _params(self, n, m, eps):
-        return AdgacParams(n=n, m=m, eps=eps, k=1)
+    """adgac groups its ranking by max(1, round(eps * n)) ranks."""
+
+    def _groups(self, n, m, eps):
+        oracle = Oracle(uniform_scenario(0.5), np.random.default_rng(0))
+        return adgac(np.random.default_rng(1).random(m), n, eps, oracle, k=1).groups
 
     def test_exact_division(self):
-        groups = partition_groups(np.arange(100), self._params(1000, 100, 0.01))
+        groups = self._groups(1000, 100, 0.01)
         assert groups.n_groups == 10
         assert all(e - s == 10 for s, e in spans(groups))
 
     def test_remainder_merged_into_last(self):
-        groups = partition_groups(np.arange(103), self._params(1030, 103, 0.01))
+        groups = self._groups(1030, 103, 0.01)
         sizes = [e - s for s, e in spans(groups)]
         assert sizes == [10] * 9 + [13]
 
     def test_floor_at_one(self):
         # nominal group size 0.4 floors to single-point groups
-        groups = partition_groups(np.arange(5), self._params(8, 5, 0.05))
+        groups = self._groups(8, 5, 0.05)
         assert groups.n_groups == 5
         assert all(e - s == 1 for s, e in spans(groups))
 
-    def test_degenerate_configuration_rejected(self):
-        with pytest.raises(DegenerateGroupingError):
-            partition_groups(np.arange(10), self._params(4, 10, 0.1))
+    @pytest.mark.parametrize("n, m, eps, size", [(736, 43, 2.0 ** -6, 12),
+                                                 (168, 19, 2.0 ** -4, 10)])
+    def test_size_rounds_eps_n_half_to_even(self, n, m, eps, size):
+        # eps * n = 11.5 and 10.5 exactly; (eps * n / m) * m rounded to 11 in both
+        assert self._groups(n, m, eps).size == size
 
     def test_empty_ranking_has_no_groups(self):
-        # the degenerate configuration above raises only for a non-empty ranking
-        groups = partition_groups(np.arange(0), self._params(4, 10, 0.1))
+        groups = self._groups(4, 0, 0.1)
         assert groups.n_groups == 0 and spans(groups) == []
         assert RankedGroups(order=np.arange(0), size=7).n_groups == 0
 
@@ -208,10 +211,7 @@ class TestPartitionGroups:
 
 class TestGroupBinarySearch:
     def _groups(self, values, group_size):
-        m = len(values)
-        order = np.argsort(values)
-        params = AdgacParams(n=2 * m, m=m, eps=group_size / (2 * m), k=1)
-        return partition_groups(order, params)
+        return RankedGroups(order=np.argsort(values), size=group_size)
 
     def test_all_negative_lands_on_last_group_with_its_own_vote(self):
         values = np.linspace(0.0, 1.0, 64)
@@ -262,6 +262,7 @@ def test_labels_are_a_step_over_groups(m, eps, seed):
     xs = oracle.sample(m)
     result = adgac(xs, m, eps, oracle, k=3)
     groups = result.groups
+    assert groups.size == max(1, round(eps * m))
     assert groups.n_groups == max(1, m // groups.size)
     assert spans(groups)[-1][1] == m
     # one label per group: -1 on every group before some group t, +1 after it

@@ -55,6 +55,9 @@ CONFIGS = [
          comp_noise="band-adversarial", nu_prime=1e-3),
     dict(method="baseline-a2", eps=0.1, delta=0.1, trials=1, seed=111, grid=1001,
          label_noise="adversarial", nu=0.2),
+    # eps * n = 2.5: groups of 2 points under round-half-even, 3 under round-half-up
+    dict(method="adgac-only", eps=0.05, delta=0.1, trials=2, seed=121, n_samples=50,
+         label_noise="massart", beta=0.2),
 ]
 
 GOLDEN = [
@@ -89,6 +92,8 @@ GOLDEN = [
     "101,adgac-only,0.05,0.1,0.023,0.004740358636221525,250,10722,1,tolcomp-gate",
     "102,adgac-only,0.05,0.1,0.02,0.004427188724235731,250,10530,1,tolcomp-gate",
     "111,baseline-a2,0.1,0.1,0.10774,0.0009804697466010872,2346,0,4,tollabel-gate",
+    "121,adgac-only,0.05,0.1,0.02,0.02,8,250,1,",
+    "122,adgac-only,0.05,0.1,0.0,0.02,10,268,1,",
 ]
 
 
