@@ -84,14 +84,15 @@ class ExperimentConfig:
     # field -> its allowed values, read by the check below and by the flag's choices
     CHOICES = {"dist": DISTS, "w_star": W_STARS, "label_noise": LabelNoiseSpec.KINDS,
                "comp_noise": ComparisonNoiseSpec.KINDS}
+    # integer field -> its least value, checked for every method
+    INT_FLOORS = {"trials": 1, "seed": 0, "d": 1, "n_samples": 1, "grid": 1, "k": 0}
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {list(METHODS)}")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        for name, low in self.INT_FLOORS.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} = {getattr(self, name)} must be at least {low}")
         for name in ("eps", "delta"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} = {getattr(self, name)!r} must lie in (0, 1)")
@@ -99,8 +100,6 @@ class ExperimentConfig:
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}; "
                                  f"choose from {list(allowed)}")
-        if self.d < 1:
-            raise ValueError(f"dimension d must be at least 1, got {self.d}")
         world, params, _ = METHODS[self.method]
         if world not in (None, self.dist):
             raise ValueError(f"{self.method} batteries run on the {world} scenario")
@@ -139,13 +138,19 @@ class ExperimentConfig:
         return _format_flat(self, "experiment config") + "\n" + self.constants.to_text()
 
     @classmethod
-    def from_text(cls, text: str, constants: TunableConstants | None = None) -> "ExperimentConfig":
-        """Parse a flat config; each key, a constant's set inline included,
-        converts by its field's declared type."""
+    def from_text(cls, text: str, **fields) -> "ExperimentConfig":
+        """Parse a flat config, each key by its field's declared type, and lay
+        fields over it: the flags, a battery's method, and a constants file's
+        object as `constants`.  A constant set inline applies over those
+        constants, or over the frozen defaults when none are given."""
         const_types = field_parsers(TunableConstants)
         kwargs = _parse_flat(text, field_parsers(cls) | const_types, "config")
         const_kwargs = {key: kwargs.pop(key) for key in const_types.keys() & kwargs.keys()}
-        kwargs["constants"] = dataclasses.replace(constants or DEFAULT_CONSTANTS, **const_kwargs)
+        kwargs.update(fields)
+        if "method" not in kwargs:
+            raise ValueError("no method: set `method` in the config file or run a battery")
+        kwargs["constants"] = dataclasses.replace(kwargs.get("constants", DEFAULT_CONSTANTS),
+                                                  **const_kwargs)
         return cls(**kwargs)
 
 
@@ -156,10 +161,14 @@ def measure_error(predict_fn, spec: ScenarioSpec,
     rng = np.random.default_rng([spec.seed, _ERR_MC_SALT])
     xs = sample_unlabeled(spec, n_mc, rng)
     truth = bayes_label(spec, xs)
-    preds = np.asarray(predict_fn(xs))
-    err = float(np.mean(preds != truth))
-    se = math.sqrt(max(err * (1.0 - err), 1.0 / n_mc) / n_mc)
-    return err, se
+    return _mismatch_rate(np.asarray(predict_fn(xs)), truth)
+
+
+def _mismatch_rate(preds: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
+    """The share of preds that differ from truth, and its standard error."""
+    n = len(truth)
+    err = int(np.sum(preds != truth)) / n
+    return err, math.sqrt(max(err * (1.0 - err), 1.0 / n) / n)
 
 
 def passive_erm(oracle: Oracle, klass, n: int) -> int:
@@ -184,18 +193,8 @@ def _gate_flags(config: ExperimentConfig) -> list[str]:
     return flags
 
 
-def _at_least_one(config: ExperimentConfig, *names: str) -> None:
-    """Reject a sample size or threshold grid below 1 before any trial runs."""
-    for name in names:
-        if getattr(config, name) < 1:
-            raise ValueError(f"{name} must be at least 1")
-
-
 def _adgac_only_params(config: ExperimentConfig) -> int:
     """The label batch size: k, or the derived one when k is 0."""
-    _at_least_one(config, "n_samples")
-    if config.k < 0:
-        raise ValueError("label batch size must be >= 1")
     return config.k or core.batch_size(config.eps, config.delta,
                                        config.label_noise_spec().effective_kappa,
                                        config.constants.C3)
@@ -205,12 +204,10 @@ def _run_adgac_only(config: ExperimentConfig, k: int, oracle: Oracle):
     n = config.n_samples
     xs = oracle.sample(n)
     result = core.adgac(xs, n, config.eps, oracle, k)
-    err = int(np.sum(result.labels != bayes_label(oracle.spec, xs))) / n
-    return err, math.sqrt(max(err * (1 - err), 1.0 / n) / n), 1, []
+    return *_mismatch_rate(result.labels, bayes_label(oracle.spec, xs)), 1, []
 
 
 def _disagreement_params(config: ExperimentConfig) -> a2.RunParams:
-    _at_least_one(config, "grid")
     return a2.RunParams(eps=config.eps, delta=config.delta, constants=config.constants)
 
 
@@ -253,8 +250,7 @@ METHODS = {
     "margin-adgac": (GAUSSIAN, _margin_params, _run_margin),
     "baseline-a2": (UNIFORM, _disagreement_params,
                     lambda *args: _run_disagreement(a2.run_baseline_a2, *args)),
-    "passive-erm": (UNIFORM, lambda config: _at_least_one(config, "n_samples", "grid"),
-                    _run_passive_erm),
+    "passive-erm": (UNIFORM, lambda config: None, _run_passive_erm),
 }
 
 

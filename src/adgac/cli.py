@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import functools
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -30,8 +31,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# the fields whose flag is not --<field>: the short names README and the tests use
+# the fields whose flag is not --<field>, and the methods whose battery
+# subcommand is not the method's name: the short names README and the tests use
 _FLAG_NAMES = {"d": "--dim", "n_samples": "--n"}
+_BATTERY_NAMES = {"adgac-only": "adgac-run", "a2-adgac": "a2", "margin-adgac": "margin",
+                  "passive-erm": "erm"}
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser):
@@ -51,23 +55,13 @@ def _add_scenario_flags(p: argparse.ArgumentParser):
 
 
 def _build_config(args) -> bench.ExperimentConfig:
-    constants = bench.DEFAULT_CONSTANTS
-    if args.constants_file:
-        with open(args.constants_file) as fh:
-            constants = bench.TunableConstants.from_text(fh.read())
     # each scenario flag's dest, and a battery's method, is the ExperimentConfig field it sets
     fields = {f.name for f in dataclasses.fields(bench.ExperimentConfig)}
-    overrides = {name: val for name, val in vars(args).items()
-                 if name in fields and val is not None}
-    if args.config:
-        with open(args.config) as fh:
-            config = bench.ExperimentConfig.from_text(fh.read(), constants=constants)
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
-        return config
-    if "method" not in overrides:
-        raise _UsageError("bench requires --config")
-    return bench.ExperimentConfig(constants=constants, **overrides)
+    given = {name: val for name, val in vars(args).items() if name in fields and val is not None}
+    if args.constants_file:
+        given["constants"] = bench.TunableConstants.from_text(Path(args.constants_file).read_text())
+    text = Path(args.config).read_text() if args.config else ""
+    return bench.ExperimentConfig.from_text(text, **given)
 
 
 def _run_battery(args) -> int:
@@ -136,10 +130,8 @@ def build_parser() -> _Parser:
                      description="interactive-learning trial batteries and numerical checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, method in [("adgac-run", "adgac-only"), ("a2", "a2-adgac"),
-                         ("margin", "margin-adgac"), ("baseline-a2", "baseline-a2"),
-                         ("erm", "passive-erm")]:
-        p = sub.add_parser(name, help=f"run the {method} battery")
+    for method in bench.METHODS:
+        p = sub.add_parser(_BATTERY_NAMES.get(method, method), help=f"run the {method} battery")
         _add_scenario_flags(p)
         p.set_defaults(func=_run_battery, method=method)
 
@@ -167,10 +159,6 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         return args.func(args)
     except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

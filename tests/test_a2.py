@@ -9,7 +9,7 @@ from adgac import a2
 from adgac.a2 import (BudgetExceededError, NonContiguousVersionSpaceError, RunParams,
                       choose_n_i, run_a2_adgac, run_baseline_a2, vc_bound_u)
 from adgac.bench import measure_error
-from adgac.hypotheses import ExplicitClass, ThresholdClass
+from adgac.hypotheses import ThresholdClass
 from adgac.oracles import LabelNoiseSpec, Oracle, uniform_scenario
 
 

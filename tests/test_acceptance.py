@@ -15,8 +15,7 @@ from adgac import a2, bench, core, margin as margin_mod, minimax
 from adgac.bench import ExperimentConfig, run_trials
 from adgac.hypotheses import ThresholdClass
 from adgac.margin import MarginParams, MarginSchedule, minimize_hinge
-from adgac.oracles import (LabelNoiseSpec, Oracle, bayes_label,
-                           gaussian_scenario, uniform_scenario)
+from adgac.oracles import Oracle
 
 C3 = bench.DEFAULT_CONSTANTS.C3
 

@@ -12,7 +12,7 @@ from adgac.bench import (CSV_HEADER, DEFAULT_CONSTANTS, ExperimentConfig,
                          TunableConstants, emit_report, parse_report_csv,
                          passive_erm, run_trials)
 from adgac.hypotheses import ThresholdClass
-from adgac.oracles import LabelNoiseSpec, Oracle, uniform_scenario
+from adgac.oracles import Oracle, uniform_scenario
 
 
 class TestPassiveErm:

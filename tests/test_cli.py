@@ -3,7 +3,6 @@
 import argparse
 import dataclasses
 
-import numpy as np
 import pytest
 
 from adgac import bench, cli
@@ -53,7 +52,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "usage error" in err
         if "--dim" in argv and int(argv[argv.index("--dim") + 1]) < 1:
-            assert "dimension d must be at least 1" in err
+            assert f"d = {argv[argv.index('--dim') + 1]} must be at least 1" in err
 
     @pytest.mark.parametrize("argv", [
         ["adgac-run", "--eps", "0.7", "--n", "200"],
@@ -89,7 +88,7 @@ class TestExitCodes:
         # default_rng(-1) raised inside trial 0, one failed row in a run that exited 0
         assert main(["a2", "--seed", "-1", "--trials", "2", "--grid", "101",
                      "--eps", "0.2"]) == EXIT_USAGE
-        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert "seed = -1 must be at least 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["adgac-run", "--n", "0"],
@@ -182,6 +181,46 @@ class TestExitCodes:
                    "--label-noise", "massart", "--beta", "0.4",
                    "--min-success", "1.0"])
         assert rc == EXIT_THRESHOLD
+
+
+class TestOnePassConfig:
+    """A battery's config is built once: the file, then the flags and the
+    subcommand's method over it."""
+
+    def test_battery_config_without_method_runs_that_battery(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("eps = 0.2\ndelta = 0.2\ngrid = 101\nseed = 2\n")
+        assert main(["a2", "--config", str(cfg)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("method a2-adgac ")
+
+    @pytest.mark.parametrize("with_file", [True, False], ids=["config", "bare"])
+    def test_bench_without_method_is_usage_error_naming_it(self, tmp_path, capsys, with_file):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("eps = 0.2\n")
+        argv = ["bench", "--config", str(cfg)] if with_file else ["bench"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "method" in captured.err
+
+    def test_flag_overrides_a_file_value_that_fails_alone(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("method = adgac-only\neps = 0.7\nn_samples = 200\n")
+        assert main(["bench", "--config", str(cfg), "--eps", "0.1"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("method adgac-only  eps 0.1 ")
+
+    @pytest.mark.parametrize("argv, floor", [
+        (["erm", "--trials", "0"], "trials = 0 must be at least 1"),
+        (["baseline-a2", "--seed", "-1"], "seed = -1 must be at least 0"),
+        (["adgac-run", "--dim", "0"], "d = 0 must be at least 1"),
+        (["adgac-run", "--k", "-1"], "k = -1 must be at least 0"),
+        (["a2", "--n", "0"], "n_samples = 0 must be at least 1"),
+        (["adgac-run", "--grid", "0"], "grid = 0 must be at least 1"),
+    ], ids=["trials-0", "seed-minus-1", "dim-0", "k-minus-1", "a2-n-0", "adgac-grid-0"])
+    def test_integer_floor_is_usage_error_naming_its_key(self, argv, floor, capsys):
+        # n, grid and d are checked on batteries that ignore them, as k is on every one
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and floor in captured.err
 
 
 BATTERIES = ["adgac-run", "a2", "margin", "baseline-a2", "erm"]
