@@ -24,7 +24,7 @@ from .core import (DEFAULT_CONSTANTS, TunableConstants, _format_flat, _parse_fla
 from .hypotheses import ThresholdClass
 from .oracles import (ADVERSARIAL, BAND_ADVERSARIAL, GAUSSIAN, MASSART, PERFECT,
                       UNIFORM, ComparisonNoiseSpec, LabelNoiseSpec, Oracle,
-                      ScenarioSpec, bayes_label, calibrate_band, gaussian_scenario,
+                      ScenarioSpec, bayes_label, gaussian_scenario, noise_bands,
                       sample_unlabeled, uniform_scenario)
 
 _ERR_MC_SAMPLES = 100_000
@@ -106,11 +106,7 @@ class ExperimentConfig:
         # an invalid world, a corruption mass it cannot realize, or an eps or
         # delta the method's parameters reject is a usage error here, not one
         # failed row per trial
-        spec = self.scenario(self.seed)
-        if self.label_noise == ADVERSARIAL:
-            calibrate_band(spec, self.nu, "label")
-        if self.comp_noise == BAND_ADVERSARIAL:
-            calibrate_band(spec, self.nu_prime, "comparison")
+        noise_bands(self.scenario(self.seed))
         params(self)
 
     def label_noise_spec(self) -> LabelNoiseSpec:
@@ -142,13 +138,15 @@ class ExperimentConfig:
         """Parse a flat config, each key by its field's declared type, and lay
         fields over it: the flags, a battery's method, and a constants file's
         object as `constants`.  A constant set inline applies over those
-        constants, or over the frozen defaults when none are given."""
+        constants, or over the frozen defaults when none are given.  A method
+        that runs on one world takes it as `dist` when nothing sets `dist`."""
         const_types = field_parsers(TunableConstants)
         kwargs = _parse_flat(text, field_parsers(cls) | const_types, "config")
         const_kwargs = {key: kwargs.pop(key) for key in const_types.keys() & kwargs.keys()}
         kwargs.update(fields)
         if "method" not in kwargs:
             raise ValueError("no method: set `method` in the config file or run a battery")
+        kwargs.setdefault("dist", METHODS.get(kwargs["method"], (None,))[0] or UNIFORM)
         kwargs["constants"] = dataclasses.replace(kwargs.get("constants", DEFAULT_CONSTANTS),
                                                   **const_kwargs)
         return cls(**kwargs)

@@ -110,8 +110,8 @@ def _cmd_lemma_check(args) -> int:
 def _cmd_minimax_check(args) -> int:
     base = minimax.ScoreDistribution(args.base)
     ghat = minimax.construct_ghat(base, args.nu_prime)
+    comp = minimax.comparison_error_of(ghat, base, args.grid)  # rejects a grid below 2
     tol = 4.0 / args.grid
-    comp = minimax.comparison_error_of(ghat, base, args.grid)
     best, thr = minimax.best_threshold_error(ghat, base, args.grid)
     target = args.nu_prime ** 0.5
     print(f"interval [{ghat.a:.6g}, {ghat.b:.6g}]  grid {args.grid}")

@@ -2,8 +2,8 @@
 
 A scenario fixes a marginal distribution over instances, a scoring rule whose
 sign is the optimal label, and independent corruption models for the labeling
-oracle and the pairwise-comparison oracle.  Every oracle call increments a
-counter exactly once, so query complexity can be audited after any experiment.
+oracle and the pairwise-comparison oracle.  Every label and comparison is
+counted exactly once, so query complexity can be audited after any experiment.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ class ScenarioSpec:
 
 @dataclass
 class QueryCounters:
-    """Exact per-oracle call counts; incremented once per oracle invocation."""
+    """Exact per-oracle query counts: one per instance labeled, one per pair compared."""
 
     labels: int = 0
     comparisons: int = 0
@@ -185,11 +185,12 @@ def sample_unlabeled(spec: ScenarioSpec, n: int, rng: np.random.Generator) -> np
     return rng.standard_normal((n, spec.d))
 
 
-def score(spec: ScenarioSpec, x) -> np.ndarray | float:
-    """Evaluate the ground-truth score g on one instance or a batch.
+def score(spec: ScenarioSpec, x) -> np.ndarray:
+    """Evaluate the ground-truth score g on a batch of instances.
 
-    A row of a batch scores bit-for-bit as the same instance alone, so batch
-    and scalar oracle answers agree and equal instances always tie.
+    A row of a batch scores bit-for-bit as the same instance alone, so an
+    answer does not depend on the batch it is asked in and equal instances
+    always tie.
     """
     gt = spec.ground_truth
     if gt.kind == "threshold":
@@ -200,22 +201,19 @@ def score(spec: ScenarioSpec, x) -> np.ndarray | float:
     return np.einsum("...j,j->...", x, gt.w)
 
 
-def bayes_label(spec: ScenarioSpec, x) -> np.ndarray | int:
-    """Optimal label sign(g); the measure-zero tie g == 0 resolves to +1."""
-    g = score(spec, x)
-    if np.ndim(g) == 0:
-        return 1 if g >= 0 else -1
-    return np.where(np.asarray(g) >= 0, 1, -1)
+def bayes_label(spec: ScenarioSpec, x) -> np.ndarray:
+    """Optimal labels sign(g); the measure-zero tie g == 0 resolves to +1."""
+    return np.where(score(spec, x) >= 0, 1, -1)
 
 
 def _labels_from_scores(noise: LabelNoiseSpec, g: np.ndarray, band: float,
                         rng: np.random.Generator) -> np.ndarray:
-    """The labeling oracle's rule on scores g, one score or a batch.
+    """The labeling oracle's rule on a batch of scores g.
 
     Adversarial noise answers sign(g), ties to +1, flipped where |g| < band,
     and draws nothing.  Otherwise the answer is +1 where a uniform draw falls
     below eta(g); one rng.random(m) for m scores is the same stream as m
-    scalar rng.random() draws, so a batch answers as one call per score.
+    rng.random() draws, so a batch answers as one batch of one per score.
     """
     if noise.kind == ADVERSARIAL:
         y = np.where(g >= 0, 1, -1)
@@ -226,7 +224,7 @@ def _labels_from_scores(noise: LabelNoiseSpec, g: np.ndarray, band: float,
         eta = 0.5 + sgn * np.minimum(0.5, 0.5 * (np.abs(g) / noise.mu) ** (noise.kappa - 1.0))
     else:
         eta = 0.5 + sgn * (0.5 - noise.beta)
-    return np.where(rng.random(g.shape or None) < eta, 1, -1)
+    return np.where(rng.random(g.shape) < eta, 1, -1)
 
 
 def _ranks_below(g, g_pivot, elem_first, band: float):
@@ -285,6 +283,15 @@ def calibrate_band(spec: ScenarioSpec, target_mass: float, which: str = "label")
     return math.sqrt(0.5 * target_mass) if target_mass <= 2.0 * m * m else target_mass / (2.0 * m)
 
 
+def noise_bands(spec: ScenarioSpec) -> tuple[float, float]:
+    """The world's (label band, comparison band): each calibrated to its
+    corruption mass under adversarial or band-adversarial noise, else 0.0."""
+    label, comp = spec.label_noise, spec.comparison_noise
+    return (calibrate_band(spec, label.nu, "label") if label.kind == ADVERSARIAL else 0.0,
+            calibrate_band(spec, comp.nu_prime, "comparison")
+            if comp.kind == BAND_ADVERSARIAL else 0.0)
+
+
 class Oracle:
     """The one query path: a trial's scenario, rng stream, counters and bands.
 
@@ -297,52 +304,39 @@ class Oracle:
         self.spec = spec
         self.rng = rng if rng is not None else np.random.default_rng(spec.seed)
         self.counters = QueryCounters()
-        self._label_band = 0.0
-        self._comparison_band = 0.0
-        if spec.label_noise.kind == ADVERSARIAL and spec.label_noise.nu > 0:
-            self._label_band = calibrate_band(spec, spec.label_noise.nu, "label")
-        if spec.comparison_noise.kind == BAND_ADVERSARIAL and spec.comparison_noise.nu_prime > 0:
-            self._comparison_band = calibrate_band(spec, spec.comparison_noise.nu_prime, "comparison")
+        self._label_band, self._comparison_band = noise_bands(spec)
 
     def sample(self, n: int) -> np.ndarray:
         return sample_unlabeled(self.spec, n, self.rng)
 
     def label(self, x) -> int:
-        """Ask the labeling oracle for one instance; adds 1 to counters.labels."""
-        self.counters.labels += 1
-        return int(_labels_from_scores(self.spec.label_noise, score(self.spec, x),
-                                       self._label_band, self.rng))
+        """label_many on the batch of one instance x; adds 1 to counters.labels."""
+        return int(self.label_many(np.asarray(x, dtype=float)[None])[0])
 
     def label_many(self, xs) -> np.ndarray:
-        """Batch form of label: the answers of one label call per instance.
-
-        xs has shape (m,) on 1-D worlds and (m, d) on gaussian ones.  Scores
-        the batch once, adds m to counters.labels, and draws one
-        rng.random(m) (none under adversarial noise).  Returns m ints in
-        {-1, +1}.
+        """Ask the labeling oracle for the instances xs, shaped (m,) on 1-D
+        worlds and (m, d) on gaussian ones.  Scores them once, adds m to
+        counters.labels, and draws one rng.random(m) (none under adversarial
+        noise), the stream of m batches of one.  Returns m ints in {-1, +1}.
         """
         g = score(self.spec, xs)
         self.counters.labels += len(g)
         return _labels_from_scores(self.spec.label_noise, g, self._label_band, self.rng)
 
     def compare(self, x, x_prime) -> int:
-        """Ask which of two instances is more likely positive; +1 means the first.
-
-        Answers by _ranks_below's rule with the calibrated band and adds 1 to
-        counters.comparisons.  Argument-order randomization is the caller's job.
-        """
-        self.counters.comparisons += 1
-        below = _ranks_below(float(score(self.spec, x)), float(score(self.spec, x_prime)),
-                             True, self._comparison_band)
-        return -1 if below else 1
+        """pivot_comparator on the one pair (x, x_prime): +1 when it ranks x
+        higher, else -1; adds 1 to counters.comparisons."""
+        below = self.pivot_comparator(np.stack([x, x_prime]))
+        return -1 if below(np.array([0]), np.array([1]), True)[0] else 1
 
     def pivot_comparator(self, S):
-        """Batch form of compare for sorting the dataset S.
+        """Ask the comparison oracle about pairs of the dataset S, scored once.
 
-        Scores S once and returns below(idx, pivots, elem_first): for each
-        pair (i, p) of idx and pivots (or one scalar pivot p), whether
-        compare(S[i], S[p]) answers -1 where elem_first holds, elsewhere
-        compare(S[p], S[i]) +1.  Each call adds len(idx) to counters.comparisons.
+        Returns below(idx, pivots, elem_first): for each pair (i, p) of idx
+        and pivots (or one scalar pivot p), whether the oracle ranks S[i]
+        below S[p] by _ranks_below's rule, asked as (S[i], S[p]) where the
+        caller's elem_first holds and as (S[p], S[i]) elsewhere.  Each call
+        adds len(idx) to counters.comparisons.
         """
         g = score(self.spec, S)
         band = self._comparison_band

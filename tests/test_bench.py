@@ -62,8 +62,7 @@ def _one_sample(spec, seed_n):
     rng = np.random.default_rng(spec.seed)
     oracle = Oracle(spec, rng)
     xs = oracle.sample(seed_n)
-    ys = np.array([oracle.label(x) for x in xs])
-    return xs, ys
+    return xs, oracle.label_many(xs)
 
 
 class TestBatteryDeterminism:

@@ -39,14 +39,23 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "usage error" in captured.err
 
+    @pytest.mark.parametrize("grid", ["0", "1", "-5"])
+    def test_minimax_check_short_grid_is_usage_error(self, grid, capsys):
+        # --grid 0 divided by zero before the grid was checked (exit 2)
+        assert main(["minimax-check", "--grid", grid]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "need at least two grid cells" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["adgac-run", "--threshold", "1.5"],
         ["adgac-run", "--beta", "0.7"],
         ["margin", "--dist", "isotropic-gaussian", "--dim", "0"],
         ["erm", "--dist", "isotropic-gaussian", "--dim", "3"],
+        ["margin", "--dist", "uniform-interval", "--dim", "2"],
         ["margin", "--dist", "isotropic-gaussian", "--dim", "0", "--w-star", "e1"],
         ["margin", "--dist", "isotropic-gaussian", "--dim", "-1", "--w-star", "e1"],
-    ], ids=["threshold-1.5", "beta-0.7", "dim-0", "erm-gaussian", "dim-0-e1", "dim-minus-1-e1"])
+    ], ids=["threshold-1.5", "beta-0.7", "dim-0", "erm-gaussian", "margin-uniform", "dim-0-e1",
+            "dim-minus-1-e1"])
     def test_invalid_world_is_usage_error(self, argv, capsys):
         assert main(argv + ["--trials", "2"]) == EXIT_USAGE
         err = capsys.readouterr().err
@@ -207,6 +216,24 @@ class TestOnePassConfig:
         cfg.write_text("method = adgac-only\neps = 0.7\nn_samples = 200\n")
         assert main(["bench", "--config", str(cfg), "--eps", "0.1"]) == EXIT_OK
         assert capsys.readouterr().out.startswith("method adgac-only  eps 0.1 ")
+
+    def test_margin_runs_on_its_world_when_dist_is_unset(self, capsys):
+        # margin-adgac runs only on the gaussian world, which the subcommand names
+        assert main(["margin", "--eps", "0.3", "--delta", "0.3", "--dim", "2"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("method margin-adgac ")
+
+    def test_bench_config_method_sets_the_default_world(self, tmp_path, capsys):
+        cfg, out = tmp_path / "exp.cfg", tmp_path / "o.csv"
+        cfg.write_text(f"method = margin-adgac\neps = 0.3\ndelta = 0.3\nd = 2\nout = {out}\n")
+        assert main(["bench", "--config", str(cfg)]) == EXIT_OK
+        assert "dist = 'isotropic-gaussian'\n" in (tmp_path / "o.csv.config.txt").read_text()
+
+    @pytest.mark.parametrize("method, dist", [("adgac-only", "uniform-interval"),
+                                              ("margin-adgac", "isotropic-gaussian"),
+                                              ("passive-erm", "uniform-interval")])
+    def test_default_world_is_the_method_world(self, method, dist):
+        # adgac-only runs on either world and keeps the uniform default
+        assert ExperimentConfig.from_text("", method=method).dist == dist
 
     @pytest.mark.parametrize("argv, floor", [
         (["erm", "--trials", "0"], "trials = 0 must be at least 1"),

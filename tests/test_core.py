@@ -12,7 +12,8 @@ from adgac.core import (RankedGroups, adgac, batch_size, group_binary_search,
                         noisy_quicksort)
 from adgac.oracles import (ComparisonNoiseSpec, LabelNoiseSpec, Oracle,
                            bayes_label, calibrate_band, gaussian_scenario,
-                           uniform_scenario)
+                           score, uniform_scenario)
+from references import compare_reference
 
 
 def perfect_comparator(a, b):
@@ -39,7 +40,8 @@ def labels_of(label):
 
 def level_reference(items, compare, rng):
     """Reference sort in plain Python: the same draws per level as
-    noisy_quicksort, then one scalar compare per pair and list partitions."""
+    noisy_quicksort, then one compare(items[a], items[b]) call per pair and
+    list partitions."""
     order = list(range(len(items)))
     comparisons = 0
     segments = [(0, len(items))]
@@ -113,13 +115,15 @@ class TestNoisyQuicksort:
         "uniform", "uniform-band", "uniform-duplicates", "gaussian-d20-band",
         "gaussian-d20-duplicates"])
     def test_matches_level_reference(self, world):
-        # the numpy level passes must be the plain-Python reference: same
-        # permutation, same comparison count, and the same rng stream consumed
+        # the numpy level passes must be the plain-Python reference, asking
+        # the reference comparator about the scores: same permutation, same
+        # comparison count, and the same rng stream consumed
         band = ComparisonNoiseSpec(kind="band-adversarial", nu_prime=0.02)
         if world.startswith("uniform"):
             spec = uniform_scenario(0.5, comparison_noise=band if "band" in world else None)
         else:
             spec = gaussian_scenario(np.arange(1.0, 21.0), comparison_noise=band)
+        rho = calibrate_band(spec, spec.comparison_noise.nu_prime, "comparison")
         for seed in range(5):
             runs = []
             for batch in (False, True):
@@ -131,9 +135,17 @@ class TestNoisyQuicksort:
                     xs = xs[oracle.rng.integers(0, 12, size=len(xs))]
                 if batch:
                     order, comps = noisy_quicksort(xs, oracle.pivot_comparator(xs), oracle.rng)
+                    counted = oracle.counters.comparisons
                 else:
-                    order, comps = level_reference(xs, oracle.compare, oracle.rng)
-                runs.append((order, comps, oracle.counters.comparisons, oracle.rng.random()))
+                    asked = []
+
+                    def compare(g_a, g_b):
+                        asked.append((g_a, g_b))
+                        return compare_reference(g_a, g_b, rho)
+
+                    order, comps = level_reference(score(spec, xs).tolist(), compare, oracle.rng)
+                    counted = len(asked)
+                runs.append((order, comps, counted, oracle.rng.random()))
             (order_s, comps_s, counted_s, next_s), (order_b, comps_b, counted_b, next_b) = runs
             np.testing.assert_array_equal(order_b, order_s)
             assert comps_b == comps_s == counted_b == counted_s

@@ -463,6 +463,26 @@ class TestRunMargin:
         with pytest.raises(EmptyBandError):
             run_margin_adgac(oracle, params, w0=w_star)
 
+    @pytest.mark.parametrize("between", [False, True], ids=["below-n1", "between"])
+    def test_round_sample_cap_raises_naming_the_round(self, monkeypatch, between):
+        # round 0 asks n(1) and round k asks n(k), nondecreasing in k: a cap
+        # below n(1) stops round 0, and a cap between n(1) and the last round's
+        # n stops the first round whose n exceeds it
+        params = MarginParams(eps=0.2, delta=0.2)
+        sched = MarginSchedule(params, d=2)
+        ns = {k: sched.n(k) for k in range(1, sched.rounds + 1)}
+        if between:
+            cap = ns[(1 + sched.rounds) // 2]
+            assert ns[1] < cap < ns[sched.rounds]
+            first = min(k for k, n in ns.items() if n > cap)
+        else:
+            cap, first = ns[1] - 1, 0
+        monkeypatch.setattr(margin, "MAX_ROUND_SAMPLES", cap)
+        w_star = np.array([1.0, 0.0])
+        with pytest.raises(EmptyBandError,
+                           match=rf"^round {first} needs n={ns[max(first, 1)]} > cap {cap}$"):
+            run_margin_adgac(Oracle(gaussian_scenario(w_star, seed=3)), params, w0=w_star)
+
     @pytest.mark.parametrize("v,message", [
         # opposite to w: distance 2 exceeds every round's radius (at most pi/2)
         (np.array([-1.0, 0.0, 0.0]), "left the ball"),

@@ -1,7 +1,6 @@
 """Oracle behavior: sampling, noise models, calibration, and accounting."""
 
 import copy
-import math
 
 import numpy as np
 import pytest
@@ -14,18 +13,15 @@ from adgac.oracles import (ComparisonNoiseSpec, LabelNoiseSpec, Oracle,
                            CalibrationError, bayes_label, calibrate_band,
                            gaussian_scenario, sample_unlabeled, score,
                            uniform_scenario)
+from references import compare_reference, eta_reference
 
 
-def eta_reference(noise, g: float, band: float = 0.0) -> float:
-    """P[Y = +1] at score g as each label-noise model defines it, in plain Python."""
-    if noise.kind == "adversarial":
-        # sign(g), ties to +1, flipped inside the band
-        return 1.0 if (g >= 0) != (abs(g) < band) else 0.0
-    if g == 0:
-        return 0.5
-    if noise.kind == "tsybakov" and noise.kappa > 1:
-        return 0.5 + math.copysign(min(0.5, 0.5 * (abs(g) / noise.mu) ** (noise.kappa - 1)), g)
-    return 0.5 + math.copysign(0.5 - noise.beta, g)
+def ask_pairs(oracle, a, b):
+    """Whether the oracle ranks a[i] below b[i], asked as (a[i], b[i]), for
+    every i: one pivot_comparator batch, True where the answer is -1."""
+    m = len(a)
+    below = oracle.pivot_comparator(np.concatenate([a, b]))
+    return below(np.arange(m), np.arange(m, 2 * m), True)
 
 
 def eta_checked_against(oracle, xs, band: float = 0.0) -> np.ndarray:
@@ -114,8 +110,7 @@ class TestLabelOracle:
         spec = uniform_scenario(0.5, LabelNoiseSpec(kind="massart", beta=0.0))
         oracle = Oracle(spec, np.random.default_rng(3))
         xs = oracle.sample(500)
-        for x in xs:
-            assert oracle.label(x) == bayes_label(spec, x)
+        np.testing.assert_array_equal(oracle.label_many(xs), bayes_label(spec, xs))
         assert oracle.counters.labels == 500
 
     def test_massart_flip_rate(self):
@@ -123,7 +118,7 @@ class TestLabelOracle:
         oracle = Oracle(spec, np.random.default_rng(4))
         x = 0.9  # optimal label +1
         n = 100_000
-        hits = sum(oracle.label(x) == 1 for _ in range(n))
+        hits = int(np.sum(oracle.label_many(np.full(n, x)) == 1))
         assert abs(hits / n - 0.8) < 0.01
 
     def test_power_law_posterior_is_half_at_boundary(self):
@@ -157,18 +152,17 @@ class TestLabelOracle:
         spec = uniform_scenario(0.5, LabelNoiseSpec(kind="adversarial", nu=0.1))
         oracle = Oracle(spec, np.random.default_rng(7))
         rho = calibrate_band(spec, 0.1, "label")
-        inside = oracle.label(0.5 + rho / 2)
-        outside = oracle.label(0.5 + 2 * rho)
         # g == 0 ties to +1, and it lies inside the band, so it is flipped
-        tie = oracle.label(0.5)
+        inside, outside, tie = oracle.label_many(np.array([0.5 + rho / 2, 0.5 + 2 * rho, 0.5]))
         assert inside == -1 and outside == 1 and tie == -1
 
 
 class TestComparisonOracle:
     def test_perfect_sign_rule(self):
         oracle = Oracle(uniform_scenario(0.0))
-        assert oracle.compare(0.7, 0.2) == 1
-        assert oracle.compare(0.2, 0.7) == -1
+        # (0.7, 0.2) answers +1 and (0.2, 0.7) answers -1
+        assert ask_pairs(oracle, [0.7], [0.2]).tolist() == [False]
+        assert ask_pairs(oracle, [0.2], [0.7]).tolist() == [True]
         assert oracle.counters.comparisons == 2
 
     def test_zero_noise_band_matches_perfect(self):
@@ -178,8 +172,7 @@ class TestComparisonOracle:
         rng = np.random.default_rng(8)
         pairs = rng.random((10_000, 2))
         band, perfect = Oracle(spec_band), Oracle(spec_perfect)
-        for a, b in pairs:
-            assert band.compare(a, b) == perfect.compare(a, b)
+        np.testing.assert_array_equal(ask_pairs(band, *pairs.T), ask_pairs(perfect, *pairs.T))
 
     def test_band_flip_mass(self):
         nu_prime = 0.01
@@ -204,13 +197,10 @@ class TestComparisonOracle:
         rho = calibrate_band(spec, nu_prime, "comparison")
         rng = np.random.default_rng(10)
         oracle = Oracle(spec)
-        for _ in range(5000):
-            a, b = rng.random(2)
-            ga, gb = score(spec, a), score(spec, b)
-            expected = 1 if ga - gb >= 0 else -1
-            if ((ga >= 0) != (gb >= 0)) and abs(ga) < rho and abs(gb) < rho:
-                expected = -expected
-            assert oracle.compare(a, b) == expected
+        a, b = rng.random((5000, 2)).T  # the draws of 5000 rng.random(2) calls
+        expected = [compare_reference(ga, gb, rho)
+                    for ga, gb in zip(score(spec, a).tolist(), score(spec, b).tolist())]
+        np.testing.assert_array_equal(np.where(ask_pairs(oracle, a, b), -1, 1), expected)
 
 
 class TestCalibration:
@@ -319,14 +309,15 @@ class TestSingleOwners:
 
         monkeypatch.setattr(oracles, "calibrate_band", refuse)
         inside, outside = 0.5 + rho_label / 2, 0.5 + 2 * rho_label
-        assert oracle.label(inside) == -1 and oracle.label(outside) == 1
+        assert oracle.label_many(np.array([inside, outside])).tolist() == [-1, 1]
         # label_many answers [-1, 1] exactly when the reference eta is [0, 1]
         eta = eta_checked_against(oracle, np.array([inside, outside]), band=rho_label)
         np.testing.assert_array_equal(eta, [0.0, 1.0])
-        # opposite sides of the boundary, both inside the comparison band: flipped
+        # opposite sides of the boundary, both inside the comparison band: flipped,
+        # so (a, b) answers -1, asked with either one as the pivot
         a, b = 0.5 + rho_comp / 2, 0.5 - rho_comp / 2
-        assert oracle.compare(a, b) == -1
         below = oracle.pivot_comparator(np.array([a, b]))
+        assert below(np.array([1]), 0, np.array([False])).tolist() == [False]
         assert below(np.array([0]), 1, np.array([True])).tolist() == [True]
         assert oracle.counters.snapshot() == (4, 2)
 
@@ -336,10 +327,8 @@ class TestAccountingAndDeterminism:
         spec = uniform_scenario(0.5, LabelNoiseSpec(kind="massart", beta=0.1))
         oracle = Oracle(spec, np.random.default_rng(11))
         xs = oracle.sample(50)
-        for x in xs:
-            oracle.label(x)
-        for i in range(0, 40, 2):
-            oracle.compare(xs[i], xs[i + 1])
+        oracle.label_many(xs)
+        ask_pairs(oracle, xs[0:40:2], xs[1:40:2])
         assert oracle.counters.snapshot() == (50, 20)
 
     def test_identical_seed_identical_stream(self):
@@ -348,7 +337,7 @@ class TestAccountingAndDeterminism:
         for _ in range(2):
             oracle = Oracle(spec)
             xs = oracle.sample(200)
-            ys = [oracle.label(x) for x in xs]
+            ys = oracle.label_many(xs).tolist()
             runs.append((xs, ys))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
@@ -410,28 +399,32 @@ class TestLabelMany:
     @pytest.mark.parametrize("kind", ["sample", "on-threshold", "empty"])
     @pytest.mark.parametrize("world", sorted(WORLDS))
     def test_matches_scalar_labels(self, world, kind):
-        # one label_many call against one label call per instance, on twin
-        # oracles: same labels, same count, and the same rng stream consumed
+        # one label_many call against the reference rule, which draws one
+        # scalar rng.random() per instance from a copy of the stream: same
+        # labels, m counted, and the same rng stream consumed
         spec = self.WORLDS[world]
+        noise = spec.label_noise
+        random = noise.kind != "adversarial"  # adversarial answers draw nothing
+        band = 0.0 if random else calibrate_band(spec, noise.nu, "label")
         for seed in range(3):
-            runs = []
-            for batch in (True, False):
-                oracle = Oracle(spec, np.random.default_rng(seed))
-                xs = self._batch(oracle, kind)
-                before = oracle.rng.bit_generator.state
-                if batch:
-                    ys = oracle.label_many(xs)
+            oracle = Oracle(spec, np.random.default_rng(seed))
+            xs = self._batch(oracle, kind)
+            reference = copy.deepcopy(oracle.rng)
+            before = oracle.rng.bit_generator.state
+            ys = oracle.label_many(xs)
+            drew = oracle.rng.bit_generator.state != before
+            expected = []
+            for g in score(spec, xs).tolist():
+                eta = eta_reference(noise, g, band)
+                if random:
+                    expected.append(1 if reference.random() < eta else -1)
                 else:
-                    ys = np.array([oracle.label(x) for x in xs], dtype=int)
-                drew = oracle.rng.bit_generator.state != before
-                runs.append((ys, oracle.counters.snapshot(), drew, oracle.rng.random()))
-            (ys_b, counted_b, drew_b, next_b), (ys_s, counted_s, drew_s, next_s) = runs
-            assert ys_b.dtype.kind == "i" and ys_b.shape == (len(xs),)
-            np.testing.assert_array_equal(ys_b, ys_s)
-            assert counted_b == counted_s == (len(xs), 0)
-            # adversarial answers are deterministic and draw nothing
-            assert drew_b == drew_s == (len(xs) > 0 and spec.label_noise.kind != "adversarial")
-            assert next_b == next_s
+                    expected.append(1 if eta == 1.0 else -1)
+            assert ys.dtype.kind == "i" and ys.shape == (len(xs),)
+            np.testing.assert_array_equal(ys, np.array(expected, dtype=int))
+            assert oracle.counters.snapshot() == (len(xs), 0)
+            assert drew == (len(xs) > 0 and random)
+            assert oracle.rng.random() == reference.random()
 
 
 class TestPivotComparator:
@@ -446,15 +439,55 @@ class TestPivotComparator:
            pairs=st.integers(0, 200))
     def test_matches_one_compare_per_pair(self, world, seed, pairs):
         # per-pair pivots, both orientations, on a sample with many exact
-        # ties: one batch call answers as one compare call per pair
-        oracle = Oracle(self.WORLDS[world], np.random.default_rng(seed))
+        # ties: one batch call answers as the reference rule on each pair
+        spec = self.WORLDS[world]
+        oracle = Oracle(spec, np.random.default_rng(seed))
         xs = oracle.sample(40)[oracle.rng.integers(0, 40, size=60)]
         idx, pivots = oracle.rng.integers(0, len(xs), size=(2, pairs))
         elem_first = oracle.rng.random(pairs) < 0.5
+        before = oracle.rng.bit_generator.state
         below = oracle.pivot_comparator(xs)(idx, pivots, elem_first)
         assert oracle.counters.comparisons == pairs
-        expected = [oracle.compare(xs[i], xs[p]) == -1 if first
-                    else oracle.compare(xs[p], xs[i]) == 1
+        g = score(spec, xs).tolist()
+        band = calibrate_band(spec, spec.comparison_noise.nu_prime, "comparison")
+        expected = [compare_reference(g[i], g[p], band) == -1 if first
+                    else compare_reference(g[p], g[i], band) == 1
                     for i, p, first in zip(idx, pivots, elem_first)]
         np.testing.assert_array_equal(below, np.array(expected, dtype=bool))
-        assert oracle.counters.comparisons == 2 * pairs
+        # the comparator draws nothing and counts each pair once
+        assert oracle.rng.bit_generator.state == before
+        assert oracle.counters.snapshot() == (0, pairs)
+
+
+class TestBatchesOfOne:
+    """Oracle.label and Oracle.compare ask label_many and pivot_comparator
+    about one instance or one pair.  On twin oracles they answer as the rows
+    of one batch, add exactly 1 to their counter per call, and consume the
+    same rng stream."""
+
+    @pytest.mark.parametrize("world", sorted(TestLabelMany.WORLDS))
+    def test_label_is_label_many_on_one_instance(self, world):
+        spec = TestLabelMany.WORLDS[world]
+        one, many = Oracle(spec, np.random.default_rng(3)), Oracle(spec, np.random.default_rng(3))
+        xs = one.sample(300)
+        many.sample(300)
+        ys = many.label_many(xs)
+        for i, x in enumerate(xs):
+            y = one.label(x)
+            assert type(y) is int and y == ys[i]
+            assert one.counters.snapshot() == (i + 1, 0)
+        assert one.rng.random() == many.rng.random()
+
+    @pytest.mark.parametrize("world", sorted(TestPivotComparator.WORLDS))
+    def test_compare_is_pivot_comparator_on_one_pair(self, world):
+        spec = TestPivotComparator.WORLDS[world]
+        one, many = Oracle(spec, np.random.default_rng(4)), Oracle(spec, np.random.default_rng(4))
+        # few distinct instances, so many pairs tie
+        xs = one.sample(30)[one.rng.integers(0, 30, size=300)]
+        many.sample(30)[many.rng.integers(0, 30, size=300)]
+        idx, pivots = np.arange(0, 300, 2), np.arange(1, 300, 2)
+        below = many.pivot_comparator(xs)(idx, pivots, True)
+        for n, (i, p) in enumerate(zip(idx, pivots), start=1):
+            assert one.compare(xs[i], xs[p]) == (-1 if below[n - 1] else 1)
+            assert one.counters.snapshot() == (0, n)
+        assert one.rng.random() == many.rng.random()

@@ -111,6 +111,18 @@ def test_learners_take_the_oracle_alone():
     assert found == []
 
 
+def test_no_single_query_calls():
+    # learners ask in batches, through label_many and pivot_comparator;
+    # Oracle.label and Oracle.compare remain only because the benchmark's
+    # tracer wraps them, so no package code may ask one instance or one pair
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("label", "compare")]
+    assert found == []
+
+
 def test_every_tunable_constant_is_read():
     # a constant no code reads lets a constants file set it to no effect
     read = set()
