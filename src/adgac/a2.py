@@ -40,7 +40,7 @@ class BudgetExceededError(RuntimeError):
 
 
 class NonContiguousVersionSpaceError(RuntimeError):
-    """Monotone-step labels left threshold survivors that are not one interval."""
+    """Monotone-step labels, whose error profile is V-shaped, split an interval of survivors."""
 
 
 @dataclass(frozen=True)
@@ -182,11 +182,12 @@ def _run_rounds(oracle: Oracle, klass, params: RunParams, use_comparisons: bool)
                 k = core.batch_size(eps_i, gamma, kappa, params.constants.C3)
                 result = core.adgac(subset, n_i, eps_i, oracle, k)
                 counts = klass.error_counts(subset, result.labels)
+                was_interval = isinstance(klass, ThresholdClass) and space.is_contiguous()
                 space = space.filter_by_counts(counts, n_i * eps_i)
-                if isinstance(klass, ThresholdClass) and _is_monotone_step(subset, result.labels):
-                    if not space.is_contiguous():
-                        raise NonContiguousVersionSpaceError(
-                            f"round {i}: monotone-step labels must keep an interval alive")
+                if (was_interval and _is_monotone_step(subset, result.labels)
+                        and not space.is_contiguous()):
+                    raise NonContiguousVersionSpaceError(
+                        f"round {i}: monotone-step labels must keep an interval alive")
             else:
                 counts = klass.error_counts(subset, oracle.label_many(subset))
                 alive_min = counts[space.alive].min()

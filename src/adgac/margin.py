@@ -1,11 +1,11 @@
 """Margin-based halfspace learning with comparison-assisted labeling.
 
-Each round fits a unit vector by approximate hinge-loss minimization over a
-ball around the previous iterate, then restricts fresh samples to a shrinking
-band around the new hyperplane and relabels them with the batch-labeling
-subroutine.  The geometric parameter schedule (band widths, ball radii,
-hinge scales, per-round error budgets) is fixed up front from the log-concave
-distribution constants.
+Each round draws fresh samples, keeps those in a shrinking band around the
+last iterate's hyperplane (the first round keeps them all), labels them with
+the batch-labeling subroutine, and fits the next unit vector to them by
+approximate hinge-loss minimization over a ball around the last iterate.  The
+geometric parameter schedule (band widths, ball radii, hinge scales, per-round
+error budgets) is fixed up front from the log-concave distribution constants.
 """
 
 from __future__ import annotations
@@ -223,11 +223,12 @@ class MarginSchedule:
 
 @dataclass
 class MarginRoundTrace:
+    """Fit k, the draw it was fit on, and the queries that labeling the draw spent."""
+
     round: int
-    b_k: float
     r_k: float
     tau_k: float
-    band_size: int
+    sample_size: int
     loss: float
     labels: int
     comparisons: int
@@ -284,26 +285,27 @@ def run_margin_adgac(oracle: Oracle, params: MarginParams, w0=None) -> MarginRun
     if math.acos(cosine) > math.pi / 2.0:
         flags.append("w0-angle")
 
-    def adgac_labels(subset, n_k, eps_k):
-        k = core.batch_size(eps_k, params.gamma, label_kappa, params.constants.C3)
-        return core.adgac(subset, n_k, eps_k, oracle, k).labels
-
-    # round 0: unrestricted sample labeled at the k = 0 budget
-    n1 = schedule.n(1)
-    if n1 > MAX_ROUND_SAMPLES:
-        raise EmptyBandError(f"round 0 needs n={n1} > cap {MAX_ROUND_SAMPLES}")
-    xs = oracle.sample(n1)
-    ys = adgac_labels(xs, n1, schedule.eps_k(0))
-
     trace: list[MarginRoundTrace] = []
     iterates = [w.copy()]
     for k in range(1, schedule.rounds + 1):
-        b_k = schedule.b(k)
-        r_k = schedule.r(k)
-        tau_k = schedule.tau(k)
-        eps_k = schedule.eps_k(k)
-
+        # fit k reads round k-1's draw, labeled at that round's budget: round
+        # 0's draw whole, a later one cut to the band around the last iterate
+        n, eps = schedule.n(k - 1), schedule.eps_k(k - 1)
+        if n > MAX_ROUND_SAMPLES:
+            raise EmptyBandError(f"round {k - 1} needs n={n} > cap {MAX_ROUND_SAMPLES}")
+        xs = oracle.sample(n)
+        if k > 1:
+            b = schedule.b(k - 1)
+            xs = xs[band_membership(w, xs, b)]
+            if len(xs) == 0:
+                raise EmptyBandError(
+                    f"band |w.x| <= {b:.4g} caught no samples at n={n}; increase n_mult_margin")
         labels_before, comps_before = oracle.counters.snapshot()
+        batch = core.batch_size(eps, params.gamma, label_kappa, params.constants.C3)
+        ys = core.adgac(xs, n, eps, oracle, batch).labels
+        labels_after, comps_after = oracle.counters.snapshot()
+
+        r_k, tau_k = schedule.r(k), schedule.tau(k)
         fit = minimize_hinge(xs, ys, w, r_k, tau_k)
         if fit.degraded:
             flags.append(f"hinge-degraded-round-{k}")
@@ -320,20 +322,8 @@ def run_margin_adgac(oracle: Oracle, params: MarginParams, w0=None) -> MarginRun
         if not abs(np.linalg.norm(w) - 1.0) <= 1e-12:
             raise InfeasibleIterateError(f"round {k}: iterate norm {np.linalg.norm(w)!r} is not 1")
         iterates.append(w.copy())
-
-        n_k = schedule.n(k)
-        if n_k > MAX_ROUND_SAMPLES:
-            raise EmptyBandError(f"round {k} needs n={n_k} > cap {MAX_ROUND_SAMPLES}")
-        fresh = oracle.sample(n_k)
-        xs = fresh[band_membership(w, fresh, b_k)]
-        if len(xs) == 0:
-            raise EmptyBandError(
-                f"band |w.x| <= {b_k:.4g} caught no samples at n={n_k}; increase n_mult_margin")
-        ys = adgac_labels(xs, n_k, eps_k)
-        labels_after, comps_after = oracle.counters.snapshot()
-        trace.append(MarginRoundTrace(round=k, b_k=b_k, r_k=r_k, tau_k=tau_k,
-                                      band_size=len(xs), loss=fit.loss,
-                                      labels=labels_after - labels_before,
+        trace.append(MarginRoundTrace(round=k, r_k=r_k, tau_k=tau_k, sample_size=len(xs),
+                                      loss=fit.loss, labels=labels_after - labels_before,
                                       comparisons=comps_after - comps_before))
 
     return MarginRunResult(w_hat=w, rounds_run=schedule.rounds, trace=trace, flags=flags,

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from adgac import a2
+from adgac import a2, bench
 from adgac.a2 import (BudgetExceededError, NonContiguousVersionSpaceError, RunParams,
                       choose_n_i, run_a2_adgac, run_baseline_a2, vc_bound_u)
-from adgac.bench import measure_error
+from adgac.bench import ExperimentConfig, measure_error
 from adgac.hypotheses import ThresholdClass
 from adgac.oracles import LabelNoiseSpec, Oracle, uniform_scenario
 
@@ -85,6 +85,19 @@ class TestRunA2:
         params = RunParams(eps=0.1, delta=0.1)
         with pytest.raises(NonContiguousVersionSpaceError):
             run_a2_adgac(Oracle(spec), Alternating(np.linspace(0.0, 1.0, 101)), params)
+
+    def test_space_split_by_noisy_comparisons_raises_no_alarm(self):
+        # band-adversarial comparisons inside the gate C2 eps^2 delta: an
+        # earlier round's labels follow the noisy ranking and split the space,
+        # and a later round with monotone-step labels leaves it split without
+        # breaking the invariant, which covers a space that entered as an interval
+        config = ExperimentConfig(method="a2-adgac", eps=0.1, delta=0.2, grid=673,
+                                  comp_noise="band-adversarial", nu_prime=0.002,
+                                  trials=1, seed=25)
+        assert bench._gate_flags(config) == []
+        (report,), _ = bench.run_trials(config)
+        assert "error:" not in report.flags
+        assert report.rounds == 4 and report.err <= config.eps
 
     def test_noiseless_threshold_battery(self):
         klass = ThresholdClass(np.linspace(0, 1, 1001))

@@ -2,6 +2,10 @@
 
 import argparse
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -408,6 +412,50 @@ class TestBatteries:
         rc = main(["baseline-a2", "--trials", "1", "--eps", "0.1", "--delta", "0.2",
                    "--grid", "101", "--seed", "2"])
         assert rc == EXIT_OK
+
+    def test_optimized_interpreter_writes_the_same_csv(self, tmp_path):
+        # python -O strips assert statements, so a check written as one would
+        # stop guarding a trial; one small noisy battery of each method must
+        # write the same CSV, every byte but wall_ms, with and without -O.  A
+        # plain `python -O -m pytest` cannot check this: the suite's
+        # filterwarnings = error stops it at startup
+        script = "\n".join([
+            "import sys",
+            "from adgac import cli",
+            "codes = [cli.main([method, *flags, '--out', f'{sys.argv[1]}/{method}.csv'])",
+            "         for method, *flags in " + repr(OPTIMIZED_BATTERIES) + "]",
+            "print(__debug__, codes)",
+        ])
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        csvs = {}
+        for mode in ([], ["-O"]):
+            out_dir = tmp_path / ("O" if mode else "plain")
+            out_dir.mkdir()
+            out = subprocess.run(
+                [sys.executable, *mode, "-c", script, str(out_dir)],
+                env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                check=True, timeout=120)
+            codes = [EXIT_OK] * len(OPTIMIZED_BATTERIES)
+            assert out.stdout.splitlines()[-1] == f"{not mode} {codes}"
+            csvs[bool(mode)] = {
+                method: [line.split(",")[:WALL_MS] + line.split(",")[WALL_MS + 1:]
+                         for line in (out_dir / f"{method}.csv").read_text().splitlines()]
+                for method, *_ in OPTIMIZED_BATTERIES}
+        assert csvs[True] == csvs[False]
+        assert all(len(rows) == 3 for rows in csvs[False].values())
+
+
+WALL_MS = CSV_HEADER.split(",").index("wall_ms")
+NOISY = ["--trials", "2", "--seed", "6", "--label-noise", "massart", "--beta", "0.2"]
+OPTIMIZED_BATTERIES = [
+    ("adgac-run", *NOISY, "--n", "300", "--comp-noise", "band-adversarial",
+     "--nu-prime", "1e-4"),
+    ("a2", *NOISY, "--eps", "0.1", "--delta", "0.2", "--grid", "201",
+     "--comp-noise", "band-adversarial", "--nu-prime", "1e-3"),
+    ("margin", *NOISY, "--eps", "0.2", "--delta", "0.2", "--dim", "3"),
+    ("baseline-a2", *NOISY, "--eps", "0.1", "--delta", "0.2", "--grid", "201"),
+    ("erm", *NOISY, "--grid", "201", "--n", "300"),
+]
 
 
 def _equality_lines(max_n):

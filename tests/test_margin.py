@@ -463,22 +463,29 @@ class TestRunMargin:
         with pytest.raises(EmptyBandError):
             run_margin_adgac(oracle, params, w0=w_star)
 
-    @pytest.mark.parametrize("between", [False, True], ids=["below-n1", "between"])
-    def test_round_sample_cap_raises_naming_the_round(self, monkeypatch, between):
+    @pytest.mark.parametrize("case", ["below-n1", "between", "below-last"])
+    def test_round_sample_cap_raises_naming_the_round(self, monkeypatch, case):
         # round 0 asks n(1) and round k asks n(k), nondecreasing in k: a cap
         # below n(1) stops round 0, and a cap between n(1) and the last round's
-        # n stops the first round whose n exceeds it
+        # n stops the first round whose n exceeds it.  Only rounds 0 to R-1
+        # draw, so a cap below n(R) alone lets the run finish
         params = MarginParams(eps=0.2, delta=0.2)
         sched = MarginSchedule(params, d=2)
         ns = {k: sched.n(k) for k in range(1, sched.rounds + 1)}
-        if between:
+        w_star = np.array([1.0, 0.0])
+        if case == "below-last":
+            assert list(ns.values()) == [64, 112, 370, 1074, 2911]
+            monkeypatch.setattr(margin, "MAX_ROUND_SAMPLES", 2000)
+            res = run_margin_adgac(Oracle(gaussian_scenario(w_star, seed=3)), params, w0=w_star)
+            assert res.rounds_run == len(res.trace) == sched.rounds
+            return
+        if case == "between":
             cap = ns[(1 + sched.rounds) // 2]
             assert ns[1] < cap < ns[sched.rounds]
             first = min(k for k, n in ns.items() if n > cap)
         else:
             cap, first = ns[1] - 1, 0
         monkeypatch.setattr(margin, "MAX_ROUND_SAMPLES", cap)
-        w_star = np.array([1.0, 0.0])
         with pytest.raises(EmptyBandError,
                            match=rf"^round {first} needs n={ns[max(first, 1)]} > cap {cap}$"):
             run_margin_adgac(Oracle(gaussian_scenario(w_star, seed=3)), params, w0=w_star)
@@ -534,19 +541,35 @@ class TestRunMargin:
             w_star, LabelNoiseSpec(kind="massart", beta=0.2), seed=4))
         params = MarginParams(eps=0.1, delta=0.2)
         per_call = []  # (labels, comparisons) each core.adgac call asks
-        real = core.adgac
+        labeled = []   # (points, labels) of each core.adgac call
+        fitted = []    # (points, labels) each minimize_hinge call reads
+        real_adgac, real_hinge = core.adgac, margin.minimize_hinge
 
-        def spy(S, n, eps, oracle, k):
+        def adgac_spy(S, n, eps, oracle, k):
             before = oracle.counters.snapshot()
-            result = real(S, n, eps, oracle, k)
+            result = real_adgac(S, n, eps, oracle, k)
             after = oracle.counters.snapshot()
             per_call.append((after[0] - before[0], after[1] - before[1]))
+            labeled.append((np.copy(S), np.copy(result.labels)))
             return result
 
-        monkeypatch.setattr(core, "adgac", spy)
+        def hinge_spy(xs, ys, *args, **kwargs):
+            fitted.append((np.copy(xs), np.copy(ys)))
+            return real_hinge(xs, ys, *args, **kwargs)
+
+        monkeypatch.setattr(core, "adgac", adgac_spy)
+        monkeypatch.setattr(margin, "minimize_hinge", hinge_spy)
         res = run_margin_adgac(oracle, params)
-        # total = seed batch + round 0's call (not traced) + one call per traced round
-        assert len(res.trace) == res.rounds_run == len(per_call) - 1
+        # one labeling per round, each traced; only the seed batch is labeled outside
+        assert len(per_call) == len(res.trace) == res.rounds_run
+        assert [(t.labels, t.comparisons) for t in res.trace] == per_call
+        assert [t.sample_size for t in res.trace] == [len(S) for S, _ in labeled]
         assert oracle.counters.labels == margin.SEED_BATCH + sum(n for n, _ in per_call)
         assert oracle.counters.comparisons == sum(c for _, c in per_call)
-        assert [(t.labels, t.comparisons) for t in res.trace] == per_call[1:]
+        # the seed fit reads the seed batch, then fit k reads what call k labeled
+        seed_fit, *round_fits = fitted
+        assert len(seed_fit[0]) == margin.SEED_BATCH
+        assert len(round_fits) == len(labeled)
+        for (fit_xs, fit_ys), (S, labels) in zip(round_fits, labeled):
+            np.testing.assert_array_equal(fit_xs, S)
+            np.testing.assert_array_equal(fit_ys, labels)
