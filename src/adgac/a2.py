@@ -57,12 +57,15 @@ class RunParams:
         if _round_gamma(self.eps, self.delta) >= 1.0:
             raise ValueError("per-round failure share delta / (4 log2(1/eps)) must be below 1")
 
+    @property
+    def rounds(self) -> int:
+        return max(1, math.ceil(math.log2(1.0 / self.eps)))
+
 
 @dataclass
 class RoundTrace:
     round: int
-    eps_i: float
-    n_i: int
+    plan: core.RoundPlan
     subset_size: int
     labels: int
     comparisons: int
@@ -86,11 +89,6 @@ def vc_bound_u(n, gamma: float, d: float, c0: float):
     if c0 <= 0:
         raise ValueError("c0 must be positive")
     return c0 * (d * np.log(n / d) + math.log(1.0 / gamma)) / n
-
-
-def _round_eps(i: int) -> float:
-    """Round i's error target eps_i = 2^-(i+2)."""
-    return 2.0 ** -(i + 2)
 
 
 def _round_gamma(eps: float, delta: float) -> float:
@@ -119,28 +117,21 @@ def _smallest_n_for_bound(eps_i: float, gamma: float, d: float, c0: float, cap: 
     raise BudgetExceededError(f"no n <= {cap} meets the deviation bound at eps_i={eps_i:.4g}")
 
 
-def choose_n_i(i: int, d: float, params: RunParams, kappa: float) -> int:
-    """Per-round unlabeled sample size.
-
-    Smallest n meeting the deviation bound at eps_i = 2^-(i+2) with the
-    per-round failure share, then max with the constant-scaled
-    (1/eps_i)^(2 kappa - 1) log(1/delta) term, capped by the budget.
-    """
-    if i < 1:
-        raise ValueError("rounds are 1-indexed")
-    eps_i = _round_eps(i)
+def plan(params: RunParams, d: float, kappa: float):
+    """Yield round i's RoundPlan when asked, i = 1 .. params.rounds: eps_i = 2^-(i+2);
+    n_i, n_mult times the larger of the least n meeting the deviation bound at eps_i and
+    gamma and tnc_mult (1/eps_i)^(2 kappa - 1) log(1/delta), capped; and k_i =
+    batch_size(eps_i, gamma, kappa, C3), which the label-only baseline never reads."""
     c = params.constants
-    n_u = _smallest_n_for_bound(eps_i, _round_gamma(params.eps, params.delta), d, c.c0,
-                                MAX_ROUND_SAMPLES)
-    term = c.tnc_mult * (1.0 / eps_i) ** (2.0 * kappa - 1.0) * math.log(1.0 / params.delta)
-    n = int(math.ceil(c.n_mult * max(n_u, term)))
-    if n > MAX_ROUND_SAMPLES:
-        raise BudgetExceededError(f"round {i} needs n={n} > cap {MAX_ROUND_SAMPLES}")
-    return n
-
-
-def _round_count(eps: float) -> int:
-    return max(1, math.ceil(math.log2(1.0 / eps)))
+    gamma = _round_gamma(params.eps, params.delta)
+    for i in range(1, params.rounds + 1):
+        eps_i = 2.0 ** -(i + 2)
+        n_u = _smallest_n_for_bound(eps_i, gamma, d, c.c0, MAX_ROUND_SAMPLES)
+        term = c.tnc_mult * (1.0 / eps_i) ** (2.0 * kappa - 1.0) * math.log(1.0 / params.delta)
+        n = int(math.ceil(c.n_mult * max(n_u, term)))
+        if n > MAX_ROUND_SAMPLES:
+            raise BudgetExceededError(f"round {i} needs n={n} > cap {MAX_ROUND_SAMPLES}")
+        yield core.RoundPlan(eps_i, n, core.batch_size(eps_i, gamma, kappa, c.C3))
 
 
 def run_a2_adgac(oracle: Oracle, klass, params: RunParams) -> RunResult:
@@ -159,31 +150,25 @@ def run_baseline_a2(oracle: Oracle, klass, params: RunParams) -> RunResult:
 
 
 def _run_rounds(oracle: Oracle, klass, params: RunParams, use_comparisons: bool) -> RunResult:
-    kappa = oracle.spec.label_noise.effective_kappa
-    rounds = _round_count(params.eps)
-    gamma = _round_gamma(params.eps, params.delta)
     space = VersionSpace(klass)
     trace: list[RoundTrace] = []
     flags: list[str] = []
-    rounds_run = 0
-
-    for i in range(1, rounds + 1):
+    rows = plan(params, klass.vc_dim, oracle.spec.label_noise.effective_kappa)
+    for i in range(1, params.rounds + 1):
         if len(space) == 1:
             flags.append(f"early-exit-round-{i}")
             break
-        eps_i = _round_eps(i)
-        n_i = choose_n_i(i, klass.vc_dim, params, kappa)
-        s_tilde = oracle.sample(n_i)
+        row = next(rows)  # after the early exit: a round never run may be over the cap
+        s_tilde = oracle.sample(row.n)
         mask = space.dis_mask(s_tilde)
         subset = s_tilde[mask]
         labels_before, comps_before = oracle.counters.snapshot()
         if len(subset) > 0:
             if use_comparisons:
-                k = core.batch_size(eps_i, gamma, kappa, params.constants.C3)
-                result = core.adgac(subset, n_i, eps_i, oracle, k)
+                result = core.adgac(subset, row, oracle)
                 counts = klass.error_counts(subset, result.labels)
                 was_interval = isinstance(klass, ThresholdClass) and space.is_contiguous()
-                space = space.filter_by_counts(counts, n_i * eps_i)
+                space = space.filter_by_counts(counts, row.n * row.eps)
                 if (was_interval and _is_monotone_step(subset, result.labels)
                         and not space.is_contiguous()):
                     raise NonContiguousVersionSpaceError(
@@ -191,10 +176,9 @@ def _run_rounds(oracle: Oracle, klass, params: RunParams, use_comparisons: bool)
             else:
                 counts = klass.error_counts(subset, oracle.label_many(subset))
                 alive_min = counts[space.alive].min()
-                space = space.filter_by_counts(counts - alive_min, n_i * eps_i)
+                space = space.filter_by_counts(counts - alive_min, row.n * row.eps)
         labels_after, comps_after = oracle.counters.snapshot()
-        rounds_run = i
-        trace.append(RoundTrace(round=i, eps_i=eps_i, n_i=n_i, subset_size=len(subset),
+        trace.append(RoundTrace(round=i, plan=row, subset_size=len(subset),
                                 labels=labels_after - labels_before,
                                 comparisons=comps_after - comps_before,
                                 survivors=len(space)))
@@ -203,5 +187,5 @@ def _run_rounds(oracle: Oracle, klass, params: RunParams, use_comparisons: bool)
         if oracle.counters.comparisons > MAX_COMPARISONS:
             raise BudgetExceededError("comparison budget exhausted")
 
-    return RunResult(hypothesis_index=space.first_index, rounds_run=rounds_run,
+    return RunResult(hypothesis_index=space.first_index, rounds_run=len(trace),
                      trace=trace, flags=flags)

@@ -199,9 +199,8 @@ def _adgac_only_params(config: ExperimentConfig) -> int:
 
 
 def _run_adgac_only(config: ExperimentConfig, k: int, oracle: Oracle):
-    n = config.n_samples
-    xs = oracle.sample(n)
-    result = core.adgac(xs, n, config.eps, oracle, k)
+    xs = oracle.sample(config.n_samples)
+    result = core.adgac(xs, core.RoundPlan(config.eps, config.n_samples, k), oracle)
     return *_mismatch_rate(result.labels, bayes_label(oracle.spec, xs)), 1, []
 
 

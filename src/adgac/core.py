@@ -119,6 +119,20 @@ class RankedGroups:
         return gi * self.size, end
 
 
+@dataclass(frozen=True)
+class RoundPlan:
+    """One adgac call's budget: error target eps, ambient sample count n, label batch k."""
+
+    eps: float
+    n: int
+    k: int
+
+    @property
+    def group_size(self) -> int:
+        """Ranks per group: the error budget eps * n, rounded, at least 1."""
+        return max(1, round(self.eps * self.n))
+
+
 @dataclass
 class AdgacResult:
     """Predicted labels aligned to the input order; the oracle counts the queries."""
@@ -218,26 +232,21 @@ def group_binary_search(groups: RankedGroups, items, label_query, k: int,
     return t, label_count, votes, probes
 
 
-def adgac(S, n: int, eps: float, oracle, k: int) -> AdgacResult:
-    """Label a dataset with comparisons plus a few label batches.
-
-    S is the dataset to label (array of instances), n the ambient sample count
-    for the error budget eps * n, which rounds to the group size, and k the
-    label batch per probed group (the learners take it from batch_size).  The
-    oracle supplies pivot_comparator, label_many and the rng stream, and owns
-    the counters.
-    """
+def adgac(S, plan: RoundPlan, oracle) -> AdgacResult:
+    """Label the instances S with comparisons plus a few label batches, at plan's
+    group size and label batch per probed group.  The oracle supplies
+    pivot_comparator, label_many and the rng stream, and owns the counters."""
     m = len(S)
     if m == 0:
         return AdgacResult(labels=np.empty(0, dtype=int), groups=RankedGroups(np.arange(0), 1))
-    if not 0.0 < eps < 1.0:
+    if not 0.0 < plan.eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if k < 1:
+    if plan.k < 1:
         raise ValueError("label batch size must be >= 1")
 
     order, _ = noisy_quicksort(S, oracle.pivot_comparator(S), oracle.rng)
-    groups = RankedGroups(order, size=max(1, round(eps * n)))
-    t, _, votes, _ = group_binary_search(groups, S, oracle.label_many, k, oracle.rng)
+    groups = RankedGroups(order, size=plan.group_size)
+    t, _, votes, _ = group_binary_search(groups, S, oracle.label_many, plan.k, oracle.rng)
 
     start, end = groups.span(t)
     # over ranks: -1 before group t, its majority on it, +1 after it

@@ -220,12 +220,22 @@ class MarginSchedule:
         n = int(math.ceil(self.constants.n_mult_margin * max(main, term)))
         return max(n, MIN_ROUND_SAMPLES)
 
+    def plan(self):
+        """Yield round j's RoundPlan when round j starts, j = 0 .. rounds - 1."""
+        for j in range(self.rounds):
+            n, eps = self.n(j), self.eps_k(j)
+            if n > MAX_ROUND_SAMPLES:
+                raise EmptyBandError(f"round {j} needs n={n} > cap {MAX_ROUND_SAMPLES}")
+            yield core.RoundPlan(eps, n, core.batch_size(eps, self.params.gamma,
+                                                         self.label_kappa, self.constants.C3))
+
 
 @dataclass
 class MarginRoundTrace:
-    """Fit k, the draw it was fit on, and the queries that labeling the draw spent."""
+    """Fit k, the draw it was fit on, the plan and the queries of labeling the draw."""
 
     round: int
+    plan: core.RoundPlan
     r_k: float
     tau_k: float
     sample_size: int
@@ -272,8 +282,7 @@ def run_margin_adgac(oracle: Oracle, params: MarginParams, w0=None) -> MarginRun
     spec = oracle.spec
     if spec.dist_kind != GAUSSIAN:
         raise ValueError("margin learning requires the isotropic gaussian scenario")
-    label_kappa = spec.label_noise.effective_kappa
-    schedule = MarginSchedule(params, spec.d, label_kappa)
+    schedule = MarginSchedule(params, spec.d, spec.label_noise.effective_kappa)
     flags: list[str] = []
 
     if w0 is None:
@@ -287,22 +296,18 @@ def run_margin_adgac(oracle: Oracle, params: MarginParams, w0=None) -> MarginRun
 
     trace: list[MarginRoundTrace] = []
     iterates = [w.copy()]
-    for k in range(1, schedule.rounds + 1):
-        # fit k reads round k-1's draw, labeled at that round's budget: round
+    for k, row in enumerate(schedule.plan(), 1):
+        # fit k reads round k-1's draw, labeled at that round's plan: round
         # 0's draw whole, a later one cut to the band around the last iterate
-        n, eps = schedule.n(k - 1), schedule.eps_k(k - 1)
-        if n > MAX_ROUND_SAMPLES:
-            raise EmptyBandError(f"round {k - 1} needs n={n} > cap {MAX_ROUND_SAMPLES}")
-        xs = oracle.sample(n)
+        xs = oracle.sample(row.n)
         if k > 1:
             b = schedule.b(k - 1)
             xs = xs[band_membership(w, xs, b)]
             if len(xs) == 0:
-                raise EmptyBandError(
-                    f"band |w.x| <= {b:.4g} caught no samples at n={n}; increase n_mult_margin")
+                raise EmptyBandError(f"band |w.x| <= {b:.4g} caught no samples at "
+                                     f"n={row.n}; increase n_mult_margin")
         labels_before, comps_before = oracle.counters.snapshot()
-        batch = core.batch_size(eps, params.gamma, label_kappa, params.constants.C3)
-        ys = core.adgac(xs, n, eps, oracle, batch).labels
+        ys = core.adgac(xs, row, oracle).labels
         labels_after, comps_after = oracle.counters.snapshot()
 
         r_k, tau_k = schedule.r(k), schedule.tau(k)
@@ -322,8 +327,9 @@ def run_margin_adgac(oracle: Oracle, params: MarginParams, w0=None) -> MarginRun
         if not abs(np.linalg.norm(w) - 1.0) <= 1e-12:
             raise InfeasibleIterateError(f"round {k}: iterate norm {np.linalg.norm(w)!r} is not 1")
         iterates.append(w.copy())
-        trace.append(MarginRoundTrace(round=k, r_k=r_k, tau_k=tau_k, sample_size=len(xs),
-                                      loss=fit.loss, labels=labels_after - labels_before,
+        trace.append(MarginRoundTrace(round=k, plan=row, r_k=r_k, tau_k=tau_k,
+                                      sample_size=len(xs), loss=fit.loss,
+                                      labels=labels_after - labels_before,
                                       comparisons=comps_after - comps_before))
 
     return MarginRunResult(w_hat=w, rounds_run=schedule.rounds, trace=trace, flags=flags,

@@ -7,7 +7,7 @@ import pytest
 
 from adgac import a2, bench
 from adgac.a2 import (BudgetExceededError, NonContiguousVersionSpaceError, RunParams,
-                      choose_n_i, run_a2_adgac, run_baseline_a2, vc_bound_u)
+                      run_a2_adgac, run_baseline_a2, vc_bound_u)
 from adgac.bench import ExperimentConfig, measure_error
 from adgac.hypotheses import ThresholdClass
 from adgac.oracles import LabelNoiseSpec, Oracle, uniform_scenario
@@ -35,7 +35,7 @@ class TestChooseN:
     def test_matches_brute_scan(self):
         # d=1, delta=0.1, eps=0.05, round 1 at eps_1 = 1/8, adversarial noise
         params = RunParams(eps=0.05, delta=0.1)
-        got = choose_n_i(1, 1.0, params, kappa=1.0)
+        got = next(a2.plan(params, 1.0, kappa=1.0)).n
         gamma = 0.1 / (4.0 * math.log2(20.0))
         scan = next(n for n in range(1, 10_000)
                     if (math.log(n) + math.log(1.0 / gamma)) / n <= 0.125)
@@ -44,14 +44,14 @@ class TestChooseN:
 
     def test_halving_eps_at_least_doubles_n(self):
         params = RunParams(eps=0.01, delta=0.1)
-        ns = [choose_n_i(i, 1.0, params, kappa=1.0) for i in range(1, 6)]
+        ns = [row.n for row in a2.plan(params, 1.0, kappa=1.0)]
         assert all(b >= 2 * a for a, b in zip(ns, ns[1:]))
 
     def test_budget_cap(self, monkeypatch):
         monkeypatch.setattr(a2, "MAX_ROUND_SAMPLES", 10)
         params = RunParams(eps=0.05, delta=0.1)
         with pytest.raises(BudgetExceededError):
-            choose_n_i(1, 1.0, params, kappa=1.0)
+            next(a2.plan(params, 1.0, kappa=1.0))
 
     def test_cap_checked_on_every_cached_call(self):
         args = (0.125, 0.0123, 1.0, 1.0)
@@ -138,17 +138,14 @@ class TestRunA2:
         spec = uniform_scenario(0.5, LabelNoiseSpec(kind="massart", beta=0.2), seed=9)
         klass = ThresholdClass(np.linspace(0, 1, 1001))
         params = RunParams(eps=0.05, delta=0.1)
-        gamma = params.delta / (4.0 * math.log2(1.0 / params.eps))
         res = run_a2_adgac(Oracle(spec), klass, params)
-        from adgac.core import batch_size
         for t in res.trace:
             if t.subset_size == 0:
                 assert t.labels == 0
                 continue
-            k_i = batch_size(t.eps_i, gamma, 1.0, params.constants.C3)
-            groups = max(1, t.subset_size // max(1, round(t.eps_i * t.n_i)))
+            groups = max(1, t.subset_size // t.plan.group_size)
             # one extra batch can occur when every probe votes negative
-            assert t.labels <= k_i * (math.ceil(math.log2(max(2, groups))) + 1)
+            assert t.labels <= t.plan.k * (math.ceil(math.log2(max(2, groups))) + 1)
 
     def test_class_size_free_labels(self):
         params = RunParams(eps=0.05, delta=0.1)

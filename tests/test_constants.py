@@ -34,9 +34,9 @@ def _observe(constants: TunableConstants) -> dict:
     ks: list[int] = []
     real = core.adgac
 
-    def spy(S, n, eps, oracle, k):
-        ks.append(k)
-        return real(S, n, eps, oracle, k)
+    def spy(S, plan, oracle):
+        ks.append(plan.k)
+        return real(S, plan, oracle)
 
     def batches(run) -> tuple:
         ks.clear()
@@ -55,8 +55,7 @@ def _observe(constants: TunableConstants) -> dict:
             "a2 k": batches(lambda: a2.run_a2_adgac(
                 Oracle(noisy), ThresholdClass(np.linspace(0.0, 1.0, 101)), rp)),
             # kappa = 1 reaches the deviation bound's c0, kappa = 1.5 the power-law term
-            "a2 n": tuple(a2.choose_n_i(i, 1.0, rp, kappa)
-                          for kappa in (1.0, 1.5) for i in range(1, 5)),
+            "a2 n": tuple(row.n for kappa in (1.0, 1.5) for row in a2.plan(rp, 1.0, kappa)),
             "margin k": batches(lambda: margin.run_margin_adgac(
                 Oracle(gaussian_scenario([1.0, 0.0], seed=3)), mparams)),
             "margin eps_k": tuple(sched.eps_k(j) for j in range(sched.rounds + 1)),

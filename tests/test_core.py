@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from adgac.core import (RankedGroups, adgac, batch_size, group_binary_search,
+from adgac.core import (RankedGroups, RoundPlan, adgac, batch_size, group_binary_search,
                         noisy_quicksort)
 from adgac.oracles import (ComparisonNoiseSpec, LabelNoiseSpec, Oracle,
                            bayes_label, calibrate_band, gaussian_scenario,
@@ -99,6 +99,19 @@ class TestNoisyQuicksort:
             counts.append(comps)
         assert np.mean(counts) <= 2.0 * m * math.log(m)
 
+    @pytest.mark.parametrize("m,trials", [(10, 800), (300, 300), (3000, 50)])
+    def test_mean_comparisons_match_quicksort(self, m, trials):
+        # a uniform pivot makes 2 (m + 1) H_m - 4 m comparisons in expectation;
+        # the input is sorted, and the partition keeps each segment sorted, so
+        # a pivot's position is its rank and a biased position moves the mean
+        items = np.arange(m, dtype=float)
+        rng = np.random.default_rng(2026)
+        counts = np.array([noisy_quicksort(items, lambda i, p, _: items[i] < items[p], rng)[1]
+                           for _ in range(trials)], dtype=float)
+        expected = 2.0 * (m + 1) * sum(1.0 / j for j in range(1, m + 1)) - 4.0 * m
+        z = (counts.mean() - expected) / (counts.std(ddof=1) / math.sqrt(trials))
+        assert abs(z) <= 4.0, (counts.mean(), expected, z)
+
     def test_argument_order_randomized(self):
         # a comparator answering +1 in both orientations: the effective
         # orientation of the pair must be a fair coin across seeds
@@ -186,7 +199,7 @@ class TestPartitionGroups:
 
     def _groups(self, n, m, eps):
         oracle = Oracle(uniform_scenario(0.5), np.random.default_rng(0))
-        return adgac(np.random.default_rng(1).random(m), n, eps, oracle, k=1).groups
+        return adgac(np.random.default_rng(1).random(m), RoundPlan(eps, n, 1), oracle).groups
 
     def test_exact_division(self):
         groups = self._groups(1000, 100, 0.01)
@@ -272,7 +285,7 @@ def test_labels_are_a_step_over_groups(m, eps, seed):
     spec = uniform_scenario(0.5, LabelNoiseSpec(kind="massart", beta=0.3))
     oracle = Oracle(spec, np.random.default_rng(seed))
     xs = oracle.sample(m)
-    result = adgac(xs, m, eps, oracle, k=3)
+    result = adgac(xs, RoundPlan(eps, m, 3), oracle)
     groups = result.groups
     assert groups.size == max(1, round(eps * m))
     assert groups.n_groups == max(1, m // groups.size)
@@ -291,7 +304,7 @@ class TestAdgac:
     def test_empty_input(self):
         spec = uniform_scenario()
         oracle = Oracle(spec, np.random.default_rng(6))
-        result = adgac(np.empty(0), 100, 0.05, oracle, k=5)
+        result = adgac(np.empty(0), RoundPlan(0.05, 100, 5), oracle)
         assert len(result.labels) == 0 and result.groups.n_groups == 0
         assert oracle.counters.snapshot() == (0, 0)
 
@@ -301,7 +314,7 @@ class TestAdgac:
         for seed in range(100):
             oracle = Oracle(spec, np.random.default_rng(seed))
             xs = oracle.sample(1000)
-            result = adgac(xs, 1000, 0.05, oracle, k=5)
+            result = adgac(xs, RoundPlan(0.05, 1000, 5), oracle)
             mismatches = int(np.sum(result.labels != bayes_label(spec, xs)))
             hits += mismatches <= 50
             assert oracle.counters.labels <= 5 * math.ceil(math.log2(result.groups.n_groups))
@@ -315,7 +328,7 @@ class TestAdgac:
         for seed in range(100):
             oracle = Oracle(spec, np.random.default_rng(seed))
             xs = oracle.sample(1000)
-            result = adgac(xs, 1000, 0.05, oracle, k=5)
+            result = adgac(xs, RoundPlan(0.05, 1000, 5), oracle)
             mismatches = int(np.sum(result.labels != bayes_label(spec, xs)))
             hits += mismatches <= 50
         assert hits >= 90
@@ -325,7 +338,7 @@ class TestAdgac:
         for seed in range(20):
             oracle = Oracle(spec, np.random.default_rng(seed))
             xs = oracle.sample(300)
-            result = adgac(xs, 300, 0.1, oracle, k=7)
+            result = adgac(xs, RoundPlan(0.1, 300, 7), oracle)
             ranked = result.labels[result.groups.order]
             changes = np.flatnonzero(ranked[1:] != ranked[:-1])
             assert changes.size <= 1
@@ -342,7 +355,7 @@ class TestAdgac:
             m = int(rng.integers(8, 65))
             xs = oracle.sample(m)
             eps = 0.125
-            result = adgac(xs, m, eps, oracle, k=3)
+            result = adgac(xs, RoundPlan(eps, m, 3), oracle)
             mismatches = int(np.sum(result.labels != bayes_label(spec, xs)))
             group_size = max(1, round(eps * m))
             sorted_truth = np.asarray(bayes_label(spec, xs))[np.argsort(xs)]
@@ -356,7 +369,7 @@ class TestAdgac:
         spec = uniform_scenario(0.5)
         oracle = Oracle(spec, np.random.default_rng(7))
         xs = oracle.sample(200)
-        result = adgac(xs, 200, 0.1, oracle, k=3)
+        result = adgac(xs, RoundPlan(0.1, 200, 3), oracle)
         # per group, the majority mu(S_i) and minority fraction q(S_i) of the optimal labels
         truth = np.asarray(bayes_label(spec, xs))
         pos = np.array([np.sum(truth[result.groups.order[s:e]] > 0) for s, e in spans(result.groups)])
@@ -368,6 +381,43 @@ class TestAdgac:
         # the majority labels themselves form a monotone step
         changes = np.flatnonzero(mu[1:] != mu[:-1])
         assert changes.size <= 1
+
+
+# (label noise, comparison noise) pairs, each with a band or a draw per answer
+NOISE_PAIRS = {
+    "massart-perfect": (LabelNoiseSpec(kind="massart", beta=0.2), ComparisonNoiseSpec()),
+    "tsybakov-perfect": (LabelNoiseSpec(kind="tsybakov", kappa=1.5, mu=0.5),
+                         ComparisonNoiseSpec()),
+    "adversarial-band": (LabelNoiseSpec(kind="adversarial", nu=0.1),
+                         ComparisonNoiseSpec(kind="band-adversarial", nu_prime=0.01)),
+    "massart-band": (LabelNoiseSpec(kind="massart", beta=0.2),
+                     ComparisonNoiseSpec(kind="band-adversarial", nu_prime=0.01)),
+}
+
+
+@pytest.mark.parametrize("d", [2, 5, 20])
+@pytest.mark.parametrize("noise", sorted(NOISE_PAIRS))
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(m=st.integers(1, 300), eps=st.floats(0.01, 0.3), k=st.integers(1, 9),
+       seed=st.integers(0, 2**32 - 1))
+def test_adgac_sees_a_halfspace_only_through_its_score(noise, d, m, eps, k, seed):
+    # the oracles answer from g(x) alone, so labeling d-dimensional points is
+    # labeling the column of their scores in the 1-D world of the same noise:
+    # the same permutation, labels and counts, and the same stream after it
+    label_noise, comparison_noise = NOISE_PAIRS[noise]
+    world = gaussian_scenario(np.random.default_rng(seed).standard_normal(d),
+                              label_noise, comparison_noise)
+    high = Oracle(world, np.random.default_rng(seed))
+    xs = high.sample(m)
+    low = Oracle(gaussian_scenario([1.0], label_noise, comparison_noise))
+    low.rng.bit_generator.state = high.rng.bit_generator.state
+    plan = RoundPlan(eps, m, k)
+    a = adgac(xs, plan, high)
+    b = adgac(score(world, xs)[:, None], plan, low)
+    np.testing.assert_array_equal(a.groups.order, b.groups.order)
+    np.testing.assert_array_equal(a.labels, b.labels)
+    assert high.counters.snapshot() == low.counters.snapshot()
+    assert high.rng.random() == low.rng.random()
 
 
 class TestBatchSizeFormulas:

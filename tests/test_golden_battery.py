@@ -13,6 +13,12 @@ too, but none of their labeled instances lies between the old and new radius.
 The margin-adgac rows at seeds 41, 42 and 91 were re-pinned in their labels
 and comparisons only when the learner stopped labeling a band after its last
 fit; every draw up to that fit, and so the error, is unchanged.
+The rows at seeds 131-134 and 137 pin that each round's plan is computed
+only when the round runs: at tsybakov kappa 2.5 the third A2 round needs more
+than the sample cap, at kappa 3 the second and at kappa 4 the first, so a
+plan computed up front, or before the early-exit test, would turn these
+early-exit rows into BudgetExceededError rows; the margin row at seed 137 is
+the cap of its first round, raised as EmptyBandError.
 A refactor that keeps the rng stream, the permutation and the query counts
 reproduces them exactly; a change that alters behaviour on purpose re-pins
 them and says why.
@@ -61,6 +67,13 @@ CONFIGS = [
     # eps * n = 2.5: groups of 2 points under round-half-even, 3 under round-half-up
     dict(method="adgac-only", eps=0.05, delta=0.1, trials=2, seed=121, n_samples=50,
          label_noise="massart", beta=0.2),
+    # a one-threshold class exits before round 1; a three-threshold one
+    # shrinks to one survivor in round 1 and exits before round 2
+    dict(method="a2-adgac", grid=1, trials=2, seed=131, label_noise="tsybakov", kappa=2.5),
+    dict(method="a2-adgac", grid=1, trials=1, seed=133, label_noise="tsybakov", kappa=4.0),
+    dict(method="a2-adgac", grid=3, trials=1, seed=132, label_noise="tsybakov", kappa=3.0),
+    dict(method="margin-adgac", eps=0.2, delta=0.2, trials=1, seed=137,
+         dist="isotropic-gaussian", d=2, label_noise="tsybakov", kappa=9.0),
 ]
 
 GOLDEN = [
@@ -97,6 +110,11 @@ GOLDEN = [
     "111,baseline-a2,0.1,0.1,0.10774,0.0009804697466010872,2346,0,4,tollabel-gate",
     "121,adgac-only,0.05,0.1,0.02,0.02,8,250,1,",
     "122,adgac-only,0.05,0.1,0.0,0.02,10,268,1,",
+    "131,a2-adgac,0.05,0.1,0.5003,0.0015811385454791746,0,0,0,early-exit-round-1",
+    "132,a2-adgac,0.05,0.1,0.50065,0.0015811374940213137,0,0,0,early-exit-round-1",
+    "133,a2-adgac,0.05,0.1,0.50178,0.0015811288106919058,0,0,0,early-exit-round-1",
+    "132,a2-adgac,0.05,0.1,0.0,1e-05,28296,1425782,1,early-exit-round-2",
+    "137,margin-adgac,0.2,0.2,nan,nan,0,0,0,error:EmptyBandError",
 ]
 
 

@@ -545,9 +545,9 @@ class TestRunMargin:
         fitted = []    # (points, labels) each minimize_hinge call reads
         real_adgac, real_hinge = core.adgac, margin.minimize_hinge
 
-        def adgac_spy(S, n, eps, oracle, k):
+        def adgac_spy(S, plan, oracle):
             before = oracle.counters.snapshot()
-            result = real_adgac(S, n, eps, oracle, k)
+            result = real_adgac(S, plan, oracle)
             after = oracle.counters.snapshot()
             per_call.append((after[0] - before[0], after[1] - before[1]))
             labeled.append((np.copy(S), np.copy(result.labels)))

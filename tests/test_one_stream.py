@@ -21,7 +21,8 @@ KLASS = ThresholdClass(np.linspace(0.0, 1.0, 1001))
 RUN_PARAMS = a2.RunParams(eps=0.05, delta=0.1)
 
 CASES = {
-    "adgac": (UNIFORM_WORLD, lambda oracle: core.adgac(oracle.sample(2000), 2000, 0.05, oracle, 5)),
+    "adgac": (UNIFORM_WORLD, lambda oracle: core.adgac(
+        oracle.sample(2000), core.RoundPlan(0.05, 2000, 5), oracle)),
     "a2-adgac": (UNIFORM_WORLD, lambda oracle: a2.run_a2_adgac(oracle, KLASS, RUN_PARAMS)),
     "baseline-a2": (UNIFORM_WORLD, lambda oracle: a2.run_baseline_a2(oracle, KLASS, RUN_PARAMS)),
     "margin-adgac": (GAUSSIAN_WORLD, lambda oracle: margin.run_margin_adgac(

@@ -365,9 +365,9 @@ class TestAccountingAndDeterminism:
 
         oracle.label_many = counting_label_many
         oracle.pivot_comparator = counting_pivot_comparator
-        from adgac.core import adgac
+        from adgac.core import RoundPlan, adgac
         xs = oracle.sample(300)
-        adgac(xs, 300, 0.1, oracle, k=4)
+        adgac(xs, RoundPlan(0.1, 300, 4), oracle)
         assert calls["compare"] > 0
         assert calls["label"] > 0
         assert calls["label"] == oracle.counters.labels
