@@ -43,19 +43,10 @@ class NonContiguousVersionSpaceError(RuntimeError):
     """Monotone-step labels, whose error profile is V-shaped, split an interval of survivors."""
 
 
-@dataclass(frozen=True)
-class RunParams:
+class RunParams(core.LearnerParams):
     """Target error, failure probability, and the constants (c0, C3, n_mult, tnc_mult)."""
 
-    eps: float
-    delta: float
-    constants: core.TunableConstants = core.DEFAULT_CONSTANTS
-
-    def __post_init__(self):
-        if not 0.0 < self.eps < 1.0 or not 0.0 < self.delta < 1.0:
-            raise ValueError("eps and delta must lie in (0, 1)")
-        if _round_gamma(self.eps, self.delta) >= 1.0:
-            raise ValueError("per-round failure share delta / (4 log2(1/eps)) must be below 1")
+    SPLIT = 4
 
     @property
     def rounds(self) -> int:
@@ -91,11 +82,6 @@ def vc_bound_u(n, gamma: float, d: float, c0: float):
     return c0 * (d * np.log(n / d) + math.log(1.0 / gamma)) / n
 
 
-def _round_gamma(eps: float, delta: float) -> float:
-    """Per-round failure share delta / (4 log2(1/eps))."""
-    return delta / (4.0 * math.log2(1.0 / eps))
-
-
 @functools.lru_cache(maxsize=None)
 def _smallest_n_for_bound(eps_i: float, gamma: float, d: float, c0: float, cap: int) -> int:
     """Smallest integer n >= d with vc_bound_u(n, gamma, d, c0) <= eps_i.
@@ -123,15 +109,14 @@ def plan(params: RunParams, d: float, kappa: float):
     gamma and tnc_mult (1/eps_i)^(2 kappa - 1) log(1/delta), capped; and k_i =
     batch_size(eps_i, gamma, kappa, C3), which the label-only baseline never reads."""
     c = params.constants
-    gamma = _round_gamma(params.eps, params.delta)
     for i in range(1, params.rounds + 1):
         eps_i = 2.0 ** -(i + 2)
-        n_u = _smallest_n_for_bound(eps_i, gamma, d, c.c0, MAX_ROUND_SAMPLES)
+        n_u = _smallest_n_for_bound(eps_i, params.gamma, d, c.c0, MAX_ROUND_SAMPLES)
         term = c.tnc_mult * (1.0 / eps_i) ** (2.0 * kappa - 1.0) * math.log(1.0 / params.delta)
         n = int(math.ceil(c.n_mult * max(n_u, term)))
         if n > MAX_ROUND_SAMPLES:
             raise BudgetExceededError(f"round {i} needs n={n} > cap {MAX_ROUND_SAMPLES}")
-        yield core.RoundPlan(eps_i, n, core.batch_size(eps_i, gamma, kappa, c.C3))
+        yield core.RoundPlan(eps_i, n, core.batch_size(eps_i, params.gamma, kappa, c.C3))
 
 
 def run_a2_adgac(oracle: Oracle, klass, params: RunParams) -> RunResult:

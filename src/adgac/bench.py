@@ -23,7 +23,7 @@ from .core import (DEFAULT_CONSTANTS, TunableConstants, _format_flat, _parse_fla
                    field_parsers)
 from .hypotheses import ThresholdClass
 from .oracles import (ADVERSARIAL, BAND_ADVERSARIAL, GAUSSIAN, MASSART, PERFECT,
-                      UNIFORM, ComparisonNoiseSpec, LabelNoiseSpec, Oracle,
+                      UNIFORM, ComparisonNoiseSpec, GroundTruth, LabelNoiseSpec, Oracle,
                       ScenarioSpec, bayes_label, gaussian_scenario, noise_bands,
                       sample_unlabeled, uniform_scenario)
 
@@ -79,10 +79,9 @@ class ExperimentConfig:
     constants: TunableConstants = DEFAULT_CONSTANTS
     out: str = field(default="", metadata={"help": "CSV output path"})
 
-    DISTS = (UNIFORM, GAUSSIAN)
     W_STARS = ("random", "e1")
     # field -> its allowed values, read by the check below and by the flag's choices
-    CHOICES = {"dist": DISTS, "w_star": W_STARS, "label_noise": LabelNoiseSpec.KINDS,
+    CHOICES = {"dist": GroundTruth.KINDS, "w_star": W_STARS, "label_noise": LabelNoiseSpec.KINDS,
                "comp_noise": ComparisonNoiseSpec.KINDS}
     # integer field -> its least value, checked for every method
     INT_FLOORS = {"trials": 1, "seed": 0, "d": 1, "n_samples": 1, "grid": 1, "k": 0}
@@ -204,8 +203,9 @@ def _run_adgac_only(config: ExperimentConfig, k: int, oracle: Oracle):
     return *_mismatch_rate(result.labels, bayes_label(oracle.spec, xs)), 1, []
 
 
-def _disagreement_params(config: ExperimentConfig) -> a2.RunParams:
-    return a2.RunParams(eps=config.eps, delta=config.delta, constants=config.constants)
+def _learner_params(cls):
+    """The builder of a learner's parameters of class cls from a config."""
+    return lambda config: cls(eps=config.eps, delta=config.delta, constants=config.constants)
 
 
 def _run_disagreement(learner, config: ExperimentConfig, params: a2.RunParams,
@@ -215,10 +215,6 @@ def _run_disagreement(learner, config: ExperimentConfig, params: a2.RunParams,
     idx = result.hypothesis_index
     err, err_se = measure_error(lambda pts: klass.predict(idx, pts), oracle.spec)
     return err, err_se, result.rounds_run, result.flags
-
-
-def _margin_params(config: ExperimentConfig) -> margin_mod.MarginParams:
-    return margin_mod.MarginParams(eps=config.eps, delta=config.delta, constants=config.constants)
 
 
 def _run_margin(config: ExperimentConfig, params: margin_mod.MarginParams, oracle: Oracle):
@@ -242,10 +238,10 @@ def _run_passive_erm(config: ExperimentConfig, params: None, oracle: Oracle):
 # call time, so a rebound module attribute is the one it calls.
 METHODS = {
     "adgac-only": (None, _adgac_only_params, _run_adgac_only),
-    "a2-adgac": (UNIFORM, _disagreement_params,
+    "a2-adgac": (UNIFORM, _learner_params(a2.RunParams),
                  lambda *args: _run_disagreement(a2.run_a2_adgac, *args)),
-    "margin-adgac": (GAUSSIAN, _margin_params, _run_margin),
-    "baseline-a2": (UNIFORM, _disagreement_params,
+    "margin-adgac": (GAUSSIAN, _learner_params(margin_mod.MarginParams), _run_margin),
+    "baseline-a2": (UNIFORM, _learner_params(a2.RunParams),
                     lambda *args: _run_disagreement(a2.run_baseline_a2, *args)),
     "passive-erm": (UNIFORM, lambda config: None, _run_passive_erm),
 }

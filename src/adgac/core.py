@@ -12,6 +12,7 @@ import ast
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,6 +51,31 @@ class TunableConstants:
 
 
 DEFAULT_CONSTANTS = TunableConstants()
+
+
+@dataclass(frozen=True)
+class LearnerParams:
+    """A learner's target: error eps, failure probability delta, and the constants.
+    Each labeling round gets the failure share gamma = delta / (SPLIT log2(1/eps))."""
+
+    SPLIT: ClassVar[int]
+
+    eps: float
+    delta: float
+    constants: TunableConstants = DEFAULT_CONSTANTS
+
+    def __post_init__(self):
+        if not 0.0 < self.eps < 1.0 or not 0.0 < self.delta < 1.0:
+            raise ValueError("eps and delta must lie in (0, 1)")
+        if self.gamma >= 1.0:
+            raise ValueError(f"per-round failure share delta / ({self.SPLIT} log2(1/eps))"
+                             " must be below 1")
+
+    @property
+    def gamma(self) -> float:
+        """The per-round failure share delta / (SPLIT log2(1/eps))."""
+        return self.delta / (self.SPLIT * math.log2(1.0 / self.eps))
+
 
 _FROM_TEXT = {"str": str, "int": int, "float": float}
 

@@ -159,25 +159,11 @@ def minimize_hinge(xs, ys, w_prev, radius: float, tau: float,
     return HingeFit(v=best_v, loss=best_f / tau, iterations=iterations, degraded=degraded)
 
 
-@dataclass(frozen=True)
-class MarginParams:
+class MarginParams(core.LearnerParams):
     """Target error, failure probability, and the constants: the geometry's
     c1, c2, c3, c4 and c1p, the label batch's C3, and n_mult_margin."""
 
-    eps: float
-    delta: float
-    constants: core.TunableConstants = core.DEFAULT_CONSTANTS
-
-    def __post_init__(self):
-        if not 0.0 < self.eps < 1.0 or not 0.0 < self.delta < 1.0:
-            raise ValueError("eps and delta must lie in (0, 1)")
-        if self.gamma >= 1.0:
-            raise ValueError("per-round failure share delta / (8 log2(1/eps)) must be below 1")
-
-    @property
-    def gamma(self) -> float:
-        """Per-round failure share delta / (8 log2(1/eps)) given to each labeling."""
-        return self.delta / (8.0 * math.log2(1.0 / self.eps))
+    SPLIT = 8
 
 
 class MarginSchedule:
@@ -280,7 +266,7 @@ def run_margin_adgac(oracle: Oracle, params: MarginParams, w0=None) -> MarginRun
     w0-angle rather than silently accepted.
     """
     spec = oracle.spec
-    if spec.dist_kind != GAUSSIAN:
+    if spec.ground_truth.kind != GAUSSIAN:
         raise ValueError("margin learning requires the isotropic gaussian scenario")
     schedule = MarginSchedule(params, spec.d, spec.label_noise.effective_kappa)
     flags: list[str] = []

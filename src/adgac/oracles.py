@@ -30,23 +30,24 @@ class CalibrationError(ValueError):
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Score rule g whose sign gives the optimal label; it names the world.
+    """Score rule g whose sign gives the optimal label; its kind names the marginal.
 
-    kind "threshold" scores x - t with t in [0, 1] on Uniform(0, 1); kind
-    "halfspace" scores w . x with a unit direction w on the isotropic
-    gaussian in w's dimension.
+    kind UNIFORM scores x - t with t in [0, 1] on Uniform(0, 1); kind GAUSSIAN
+    scores w . x with a unit direction w on the isotropic gaussian in w's dimension.
     """
+
+    KINDS = (UNIFORM, GAUSSIAN)
 
     kind: str
     threshold: float = 0.0
     direction: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("threshold", "halfspace"):
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown ground truth kind {self.kind!r}")
-        if self.kind == "threshold" and not 0.0 <= self.threshold <= 1.0:
+        if self.kind == UNIFORM and not 0.0 <= self.threshold <= 1.0:
             raise ValueError("uniform-interval threshold must lie in [0, 1]")
-        if self.kind == "halfspace":
+        if self.kind == GAUSSIAN:
             w = np.asarray(self.direction, dtype=float)
             if w.ndim != 1 or w.size == 0:
                 raise ValueError("halfspace ground truth needs a direction vector")
@@ -130,12 +131,8 @@ class ScenarioSpec:
     seed: int = 0
 
     @property
-    def dist_kind(self) -> str:
-        return UNIFORM if self.ground_truth.kind == "threshold" else GAUSSIAN
-
-    @property
     def d(self) -> int:
-        return 1 if self.ground_truth.kind == "threshold" else self.ground_truth.w.size
+        return 1 if self.ground_truth.kind == UNIFORM else self.ground_truth.w.size
 
 
 @dataclass
@@ -153,7 +150,7 @@ def uniform_scenario(threshold: float = 0.5, label_noise: LabelNoiseSpec | None 
                      comparison_noise: ComparisonNoiseSpec | None = None, seed: int = 0) -> ScenarioSpec:
     """Uniform(0,1) instances with a threshold ground truth."""
     return ScenarioSpec(
-        ground_truth=GroundTruth(kind="threshold", threshold=threshold),
+        ground_truth=GroundTruth(kind=UNIFORM, threshold=threshold),
         label_noise=label_noise or LabelNoiseSpec(),
         comparison_noise=comparison_noise or ComparisonNoiseSpec(),
         seed=seed,
@@ -166,7 +163,7 @@ def gaussian_scenario(w_star, label_noise: LabelNoiseSpec | None = None,
     w = np.asarray(w_star, dtype=float)
     w = w / np.linalg.norm(w)
     return ScenarioSpec(
-        ground_truth=GroundTruth(kind="halfspace", direction=tuple(w)),
+        ground_truth=GroundTruth(kind=GAUSSIAN, direction=tuple(w)),
         label_noise=label_noise or LabelNoiseSpec(),
         comparison_noise=comparison_noise or ComparisonNoiseSpec(),
         seed=seed,
@@ -180,7 +177,7 @@ def sample_unlabeled(spec: ScenarioSpec, n: int, rng: np.random.Generator) -> np
     """
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    if spec.dist_kind == UNIFORM:
+    if spec.ground_truth.kind == UNIFORM:
         return rng.random(n)
     return rng.standard_normal((n, spec.d))
 
@@ -193,7 +190,7 @@ def score(spec: ScenarioSpec, x) -> np.ndarray:
     always tie.
     """
     gt = spec.ground_truth
-    if gt.kind == "threshold":
+    if gt.kind == UNIFORM:
         return np.asarray(x, dtype=float) - gt.threshold
     x = np.asarray(x, dtype=float)
     # not x @ w: BLAS rounds a row of a matrix-vector product differently
@@ -256,7 +253,7 @@ def calibrate_band(spec: ScenarioSpec, target_mass: float, which: str = "label")
     """
     if which not in ("label", "comparison"):
         raise ValueError(f"unknown calibration target {which!r}")
-    uniform = spec.dist_kind == UNIFORM
+    uniform = spec.ground_truth.kind == UNIFORM
     # distance from the boundary to the nearer end of the uniform world
     m = min(spec.ground_truth.threshold, 1.0 - spec.ground_truth.threshold)
     if which == "label":
@@ -293,16 +290,16 @@ def noise_bands(spec: ScenarioSpec) -> tuple[float, float]:
 
 
 class Oracle:
-    """The one query path: a trial's scenario, rng stream, counters and bands.
+    """The one query path: a trial's scenario, rng stream from its seed, counters and bands.
 
     The label and comparison bands are calibrated once, here, and every
     answer reads them.  State is per-trial: concurrent trials must each own
     their instance.
     """
 
-    def __init__(self, spec: ScenarioSpec, rng: np.random.Generator | None = None):
+    def __init__(self, spec: ScenarioSpec):
         self.spec = spec
-        self.rng = rng if rng is not None else np.random.default_rng(spec.seed)
+        self.rng = np.random.default_rng(spec.seed)
         self.counters = QueryCounters()
         self._label_band, self._comparison_band = noise_bands(spec)
 

@@ -59,8 +59,7 @@ class TestPassiveErm:
 
 
 def _one_sample(spec, seed_n):
-    rng = np.random.default_rng(spec.seed)
-    oracle = Oracle(spec, rng)
+    oracle = Oracle(spec)
     xs = oracle.sample(seed_n)
     return xs, oracle.label_many(xs)
 

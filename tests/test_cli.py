@@ -2,7 +2,9 @@
 
 import argparse
 import dataclasses
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +12,10 @@ from pathlib import Path
 import pytest
 
 from adgac import bench, cli
+from adgac.a2 import RunParams
 from adgac.bench import CSV_HEADER, ExperimentConfig, parse_report_csv
 from adgac.cli import EXIT_OK, EXIT_THRESHOLD, EXIT_USAGE, main
+from adgac.margin import MarginParams
 from adgac.minimax import ScoreDistribution
 from adgac.oracles import ComparisonNoiseSpec, LabelNoiseSpec
 
@@ -196,6 +200,41 @@ class TestExitCodes:
         assert rc == EXIT_THRESHOLD
 
 
+class TestFailureShare:
+    """Each learner splits delta over its labeling rounds, A² by 4 log2(1/eps)
+    and Margin-ADGAC by 8 log2(1/eps); a share of 1 or more is rejected when
+    the parameters are built, and by the CLI as a usage error naming the rule."""
+
+    A2_RULE = "per-round failure share delta / (4 log2(1/eps)) must be below 1"
+    MARGIN_RULE = "per-round failure share delta / (8 log2(1/eps)) must be below 1"
+
+    def test_a2_share_at_or_above_one_rejected(self):
+        # 0.9 / (4 log2(1/0.9)) is about 1.48
+        with pytest.raises(ValueError, match=re.escape(self.A2_RULE)):
+            RunParams(0.9, 0.9)
+
+    def test_margin_share_below_one_builds(self):
+        # 0.9 / (8 log2(1/0.9)) is about 0.74
+        assert MarginParams(0.9, 0.9).gamma == 0.9 / (8 * math.log2(1 / 0.9))
+
+    def test_margin_share_at_or_above_one_rejected(self):
+        # 0.9 / (8 log2(1/0.95)) is about 1.52
+        with pytest.raises(ValueError, match=re.escape(self.MARGIN_RULE)):
+            MarginParams(0.95, 0.9)
+
+    @pytest.mark.parametrize("command", ["a2", "baseline-a2"])
+    def test_a2_batteries_reject_the_share(self, command, capsys):
+        assert main([command, "--eps", "0.9", "--delta", "0.9"]) == EXIT_USAGE
+        assert self.A2_RULE in capsys.readouterr().err
+
+    def test_margin_battery_runs_below_one(self, capsys):
+        assert main(["margin", "--eps", "0.9", "--delta", "0.9", "--trials", "1"]) == EXIT_OK
+
+    def test_margin_battery_rejects_the_share(self, capsys):
+        assert main(["margin", "--eps", "0.95", "--delta", "0.9"]) == EXIT_USAGE
+        assert self.MARGIN_RULE in capsys.readouterr().err
+
+
 class TestOnePassConfig:
     """A battery's config is built once: the file, then the flags and the
     subcommand's method over it."""
@@ -284,7 +323,7 @@ class TestFlagsAreFields:
 
     @pytest.mark.parametrize("command, flag, allowed", [
         *[(c, flag, allowed) for c in BATTERIES + ["bench"] for flag, allowed in [
-            ("--dist", ExperimentConfig.DISTS),
+            ("--dist", ExperimentConfig.CHOICES["dist"]),
             ("--w-star", ExperimentConfig.W_STARS),
             ("--label-noise", LabelNoiseSpec.KINDS),
             ("--comp-noise", ComparisonNoiseSpec.KINDS)]],

@@ -1,12 +1,14 @@
 """Batch labeling subroutine: sorting, grouping, search, and batch sizes."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import binom
+from scipy.special import bdtrc
+from scipy.stats import binom, chi2
 
 from adgac.core import (RankedGroups, RoundPlan, adgac, batch_size, group_binary_search,
                         noisy_quicksort)
@@ -140,7 +142,7 @@ class TestNoisyQuicksort:
         for seed in range(5):
             runs = []
             for batch in (False, True):
-                oracle = Oracle(spec, np.random.default_rng(seed))
+                oracle = Oracle(dataclasses.replace(spec, seed=seed))
                 xs = oracle.sample(600)
                 if "duplicates" in world:
                     # a few distinct values: most pairs tie, so the tie
@@ -178,7 +180,7 @@ class TestSortProperties:
     def test_permutation_and_exact_count(self, scores, seed):
         # every score inside the flip band, so the comparator is
         # inconsistent across the boundary
-        oracle = Oracle(BAND_WORLD, np.random.default_rng(seed))
+        oracle = Oracle(dataclasses.replace(BAND_WORLD, seed=seed))
         xs = 0.5 + np.array(scores, dtype=float) * BAND_RHO / 4
         m = len(xs)
         order, comps = noisy_quicksort(xs, oracle.pivot_comparator(xs), oracle.rng)
@@ -188,7 +190,7 @@ class TestSortProperties:
     @settings(max_examples=100, deadline=None)
     @given(scores=TIED_SCORES, seed=st.integers(0, 2**32 - 1))
     def test_perfect_comparator_sorts_ties(self, scores, seed):
-        oracle = Oracle(uniform_scenario(0.5), np.random.default_rng(seed))
+        oracle = Oracle(uniform_scenario(0.5, seed=seed))
         xs = np.array(scores, dtype=float)
         order, _ = noisy_quicksort(xs, oracle.pivot_comparator(xs), oracle.rng)
         assert np.all(np.diff(xs[order]) >= 0)
@@ -198,7 +200,7 @@ class TestPartitionGroups:
     """adgac groups its ranking by max(1, round(eps * n)) ranks."""
 
     def _groups(self, n, m, eps):
-        oracle = Oracle(uniform_scenario(0.5), np.random.default_rng(0))
+        oracle = Oracle(uniform_scenario(0.5, seed=0))
         return adgac(np.random.default_rng(1).random(m), RoundPlan(eps, n, 1), oracle).groups
 
     def test_exact_division(self):
@@ -277,13 +279,79 @@ class TestGroupBinarySearch:
         assert abs(fails / trials - exact_tail) <= 4 * se
 
 
+def search_end_law(n_groups, first_positive, take, beta):
+    """The exact law of the group a search ends on, over pure groups.
+
+    Groups before first_positive hold negative points, the rest positive
+    ones, and each of a probe's take labels is flipped with probability
+    beta.  A probe's vote is non-negative when at least ceil(take / 2) of
+    its labels are +1, a binomial tail; a search probes each group at most
+    once on its path, so law(lo, hi) = p_mid law(lo, mid) + (1 - p_mid)
+    law(mid + 1, hi) with mid = (lo + hi) // 2.
+    """
+    q = np.where(np.arange(n_groups) >= first_positive, 1.0 - beta, beta)
+    p = bdtrc(math.ceil(take / 2) - 1, take, q)
+    law = np.zeros(n_groups)
+
+    def walk(lo, hi, mass):
+        if lo == hi:
+            law[lo] += mass
+            return
+        mid = (lo + hi) // 2
+        walk(lo, mid, mass * p[mid])
+        walk(mid + 1, hi, mass * (1.0 - p[mid]))
+
+    walk(0, n_groups - 1, 1.0)
+    return law
+
+
+# (groups, group size, k, beta, first positive group): ROADMAP item 2's three
+# cases, and groups of 4 at k = 2, where a vote ties with probability 0.42
+SEARCH_LAW_CASES = [(40, 1, 1, 0.2, 13), (40, 50, 5, 0.2, 13), (12, 42, 42, 0.3, 5),
+                    (32, 4, 2, 0.3, 11)]
+
+
+@pytest.mark.parametrize("n_groups, size, k, beta, first_positive", SEARCH_LAW_CASES)
+def test_search_ends_on_the_exact_law(n_groups, size, k, beta, first_positive):
+    # the true order ranks the points, and the boundary lies on a group edge,
+    # so every group is pure; 2500 searches on one oracle, against the exact
+    # law by a chi-square test over cells whose expected count is at least 5,
+    # the rarest cells pooled into one
+    m, searches = n_groups * size, 2500
+    items = (np.arange(m) + 0.5) / m
+    oracle = Oracle(uniform_scenario(first_positive * size / m,
+                                     LabelNoiseSpec(kind="massart", beta=beta), seed=2027))
+    groups = RankedGroups(order=np.arange(m), size=size)
+    max_probes = math.ceil(math.log2(n_groups)) + 1
+    probes = [0]
+
+    def label_query(xs):
+        probes[0] += 1
+        assert probes[0] <= max_probes, "the search probed past its depth"
+        return oracle.label_many(xs)
+
+    ends = []
+    for _ in range(searches):
+        probes[0] = 0
+        ends.append(group_binary_search(groups, items, label_query, k, oracle.rng)[0])
+    counts = np.bincount(ends, minlength=n_groups)
+    expected = searches * search_end_law(n_groups, first_positive, min(k, size), beta)
+    rare = np.argsort(expected)
+    rare = rare[:np.searchsorted(np.cumsum(expected[rare]), 5.0) + 1]
+    kept = np.setdiff1d(np.arange(n_groups), rare)
+    observed = np.append(counts[kept], counts[rare].sum())
+    expected = np.append(expected[kept], expected[rare].sum())
+    stat = float(np.sum((observed - expected) ** 2 / expected))
+    assert chi2.sf(stat, len(observed) - 1) >= 1e-4, (observed, expected)
+
+
 @settings(max_examples=100, deadline=None)
 @example(m=9, eps=0.05, seed=0)      # group size 1
 @example(m=103, eps=0.1, seed=1)     # size 10, remainder 3 in the last group
 @given(m=st.integers(1, 300), eps=st.floats(0.001, 0.49), seed=st.integers(0, 2**32 - 1))
 def test_labels_are_a_step_over_groups(m, eps, seed):
     spec = uniform_scenario(0.5, LabelNoiseSpec(kind="massart", beta=0.3))
-    oracle = Oracle(spec, np.random.default_rng(seed))
+    oracle = Oracle(dataclasses.replace(spec, seed=seed))
     xs = oracle.sample(m)
     result = adgac(xs, RoundPlan(eps, m, 3), oracle)
     groups = result.groups
@@ -303,7 +371,7 @@ def test_labels_are_a_step_over_groups(m, eps, seed):
 class TestAdgac:
     def test_empty_input(self):
         spec = uniform_scenario()
-        oracle = Oracle(spec, np.random.default_rng(6))
+        oracle = Oracle(dataclasses.replace(spec, seed=6))
         result = adgac(np.empty(0), RoundPlan(0.05, 100, 5), oracle)
         assert len(result.labels) == 0 and result.groups.n_groups == 0
         assert oracle.counters.snapshot() == (0, 0)
@@ -312,7 +380,7 @@ class TestAdgac:
         spec = uniform_scenario(0.5)
         hits = 0
         for seed in range(100):
-            oracle = Oracle(spec, np.random.default_rng(seed))
+            oracle = Oracle(dataclasses.replace(spec, seed=seed))
             xs = oracle.sample(1000)
             result = adgac(xs, RoundPlan(0.05, 1000, 5), oracle)
             mismatches = int(np.sum(result.labels != bayes_label(spec, xs)))
@@ -326,7 +394,7 @@ class TestAdgac:
             ComparisonNoiseSpec(kind="band-adversarial", nu_prime=1e-4))
         hits = 0
         for seed in range(100):
-            oracle = Oracle(spec, np.random.default_rng(seed))
+            oracle = Oracle(dataclasses.replace(spec, seed=seed))
             xs = oracle.sample(1000)
             result = adgac(xs, RoundPlan(0.05, 1000, 5), oracle)
             mismatches = int(np.sum(result.labels != bayes_label(spec, xs)))
@@ -336,7 +404,7 @@ class TestAdgac:
     def test_output_is_monotone_step_in_rank(self):
         spec = uniform_scenario(0.5, LabelNoiseSpec(kind="massart", beta=0.3))
         for seed in range(20):
-            oracle = Oracle(spec, np.random.default_rng(seed))
+            oracle = Oracle(dataclasses.replace(spec, seed=seed))
             xs = oracle.sample(300)
             result = adgac(xs, RoundPlan(0.1, 300, 7), oracle)
             ranked = result.labels[result.groups.order]
@@ -350,9 +418,8 @@ class TestAdgac:
         # falls on a group edge, otherwise at most one group's worth
         spec = uniform_scenario(0.5)
         for seed in range(30):
-            rng = np.random.default_rng(seed)
-            oracle = Oracle(spec, rng)
-            m = int(rng.integers(8, 65))
+            oracle = Oracle(dataclasses.replace(spec, seed=seed))
+            m = int(oracle.rng.integers(8, 65))
             xs = oracle.sample(m)
             eps = 0.125
             result = adgac(xs, RoundPlan(eps, m, 3), oracle)
@@ -367,7 +434,7 @@ class TestAdgac:
 
     def test_diagnostics_in_test_mode(self):
         spec = uniform_scenario(0.5)
-        oracle = Oracle(spec, np.random.default_rng(7))
+        oracle = Oracle(dataclasses.replace(spec, seed=7))
         xs = oracle.sample(200)
         result = adgac(xs, RoundPlan(0.1, 200, 3), oracle)
         # per group, the majority mu(S_i) and minority fraction q(S_i) of the optimal labels
@@ -407,7 +474,7 @@ def test_adgac_sees_a_halfspace_only_through_its_score(noise, d, m, eps, k, seed
     label_noise, comparison_noise = NOISE_PAIRS[noise]
     world = gaussian_scenario(np.random.default_rng(seed).standard_normal(d),
                               label_noise, comparison_noise)
-    high = Oracle(world, np.random.default_rng(seed))
+    high = Oracle(dataclasses.replace(world, seed=seed))
     xs = high.sample(m)
     low = Oracle(gaussian_scenario([1.0], label_noise, comparison_noise))
     low.rng.bit_generator.state = high.rng.bit_generator.state

@@ -19,6 +19,10 @@ than the sample cap, at kappa 3 the second and at kappa 4 the first, so a
 plan computed up front, or before the early-exit test, would turn these
 early-exit rows into BudgetExceededError rows; the margin row at seed 137 is
 the cap of its first round, raised as EmptyBandError.
+The a2-adgac rows at seeds 132-134 on a grid of 3 at kappa 2.5 pin an open
+defect: the filter empties a coarse grid's version space under power-law
+labels, and the trial raises EmptyVersionSpaceError.  ROADMAP item 14's fix
+is meant to re-pin these rows on purpose.
 A refactor that keeps the rng stream, the permutation and the query counts
 reproduces them exactly; a change that alters behaviour on purpose re-pins
 them and says why.
@@ -74,6 +78,8 @@ CONFIGS = [
     dict(method="a2-adgac", grid=3, trials=1, seed=132, label_noise="tsybakov", kappa=3.0),
     dict(method="margin-adgac", eps=0.2, delta=0.2, trials=1, seed=137,
          dist="isotropic-gaussian", d=2, label_noise="tsybakov", kappa=9.0),
+    # a coarse grid under power-law labels: the version space empties
+    dict(method="a2-adgac", grid=3, trials=3, seed=132, label_noise="tsybakov", kappa=2.5),
 ]
 
 GOLDEN = [
@@ -115,6 +121,9 @@ GOLDEN = [
     "133,a2-adgac,0.05,0.1,0.50178,0.0015811288106919058,0,0,0,early-exit-round-1",
     "132,a2-adgac,0.05,0.1,0.0,1e-05,28296,1425782,1,early-exit-round-2",
     "137,margin-adgac,0.2,0.2,nan,nan,0,0,0,error:EmptyBandError",
+    "132,a2-adgac,0.05,0.1,nan,nan,0,0,0,error:EmptyVersionSpaceError",
+    "133,a2-adgac,0.05,0.1,nan,nan,0,0,0,error:EmptyVersionSpaceError",
+    "134,a2-adgac,0.05,0.1,nan,nan,0,0,0,error:EmptyVersionSpaceError",
 ]
 
 

@@ -45,7 +45,8 @@ def test_trial_draws_only_from_its_oracle(name):
     world, run = CASES[name]
     runs = []
     for seed in (0, 1):
-        oracle = Oracle(dataclasses.replace(world, seed=seed), np.random.default_rng(5))
+        oracle = Oracle(dataclasses.replace(world, seed=seed))
+        oracle.rng = np.random.default_rng(5)
         result = run(oracle)
         runs.append((_fields(result), oracle.counters.snapshot(),
                      oracle.rng.bit_generator.state))

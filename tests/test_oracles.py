@@ -1,6 +1,7 @@
 """Oracle behavior: sampling, noise models, calibration, and accounting."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -72,17 +73,17 @@ class TestScenarioSpec:
         # named twice, so it cannot be named inconsistently
         with pytest.raises(TypeError):
             oracles.ScenarioSpec(dist_kind=oracles.GAUSSIAN,
-                                 ground_truth=oracles.GroundTruth(kind="threshold"))
+                                 ground_truth=oracles.GroundTruth(kind=oracles.UNIFORM))
         with pytest.raises(TypeError):
             oracles.ScenarioSpec(d=2, ground_truth=oracles.GroundTruth(
-                kind="halfspace", direction=(1.0,)))
+                kind=oracles.GAUSSIAN, direction=(1.0,)))
         uniform, gaussian = uniform_scenario(0.3), gaussian_scenario([0.0, 3.0, 4.0])
-        assert (uniform.dist_kind, uniform.d) == (oracles.UNIFORM, 1)
-        assert (gaussian.dist_kind, gaussian.d) == (oracles.GAUSSIAN, 3)
+        assert (uniform.ground_truth.kind, uniform.d) == (oracles.UNIFORM, 1)
+        assert (gaussian.ground_truth.kind, gaussian.d) == (oracles.GAUSSIAN, 3)
 
     def test_threshold_ground_truth_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            oracles.GroundTruth(kind="threshold", threshold=1.5)
+            oracles.GroundTruth(kind=oracles.UNIFORM, threshold=1.5)
 
 
 class TestScore:
@@ -108,14 +109,14 @@ class TestScore:
 class TestLabelOracle:
     def test_massart_zero_flip_is_noiseless(self):
         spec = uniform_scenario(0.5, LabelNoiseSpec(kind="massart", beta=0.0))
-        oracle = Oracle(spec, np.random.default_rng(3))
+        oracle = Oracle(dataclasses.replace(spec, seed=3))
         xs = oracle.sample(500)
         np.testing.assert_array_equal(oracle.label_many(xs), bayes_label(spec, xs))
         assert oracle.counters.labels == 500
 
     def test_massart_flip_rate(self):
         spec = uniform_scenario(0.5, LabelNoiseSpec(kind="massart", beta=0.2))
-        oracle = Oracle(spec, np.random.default_rng(4))
+        oracle = Oracle(dataclasses.replace(spec, seed=4))
         x = 0.9  # optimal label +1
         n = 100_000
         hits = int(np.sum(oracle.label_many(np.full(n, x)) == 1))
@@ -150,7 +151,7 @@ class TestLabelOracle:
 
     def test_adversarial_band_flip(self):
         spec = uniform_scenario(0.5, LabelNoiseSpec(kind="adversarial", nu=0.1))
-        oracle = Oracle(spec, np.random.default_rng(7))
+        oracle = Oracle(dataclasses.replace(spec, seed=7))
         rho = calibrate_band(spec, 0.1, "label")
         # g == 0 ties to +1, and it lies inside the band, so it is flipped
         inside, outside, tie = oracle.label_many(np.array([0.5 + rho / 2, 0.5 + 2 * rho, 0.5]))
@@ -227,7 +228,7 @@ class TestCalibration:
     @staticmethod
     def _realized_mass(spec, rho, which):
         """P[0 <= g < rho] and P[-rho < g < 0], combined as the oracle uses them."""
-        if spec.dist_kind == oracles.UNIFORM:
+        if spec.ground_truth.kind == oracles.UNIFORM:
             # g is x - t with x uniform on [0, 1]: the lengths of [t, t + rho)
             # and (t - rho, t) inside [0, 1]
             t = spec.ground_truth.threshold
@@ -240,7 +241,7 @@ class TestCalibration:
     def _max_mass(spec, which):
         if which == "label":
             return 1.0
-        if spec.dist_kind == oracles.GAUSSIAN:
+        if spec.ground_truth.kind == oracles.GAUSSIAN:
             return 0.5
         t = spec.ground_truth.threshold
         return 2.0 * t * (1.0 - t)
@@ -325,7 +326,7 @@ class TestSingleOwners:
 class TestAccountingAndDeterminism:
     def test_counters_exact(self):
         spec = uniform_scenario(0.5, LabelNoiseSpec(kind="massart", beta=0.1))
-        oracle = Oracle(spec, np.random.default_rng(11))
+        oracle = Oracle(dataclasses.replace(spec, seed=11))
         xs = oracle.sample(50)
         oracle.label_many(xs)
         ask_pairs(oracle, xs[0:40:2], xs[1:40:2])
@@ -407,7 +408,7 @@ class TestLabelMany:
         random = noise.kind != "adversarial"  # adversarial answers draw nothing
         band = 0.0 if random else calibrate_band(spec, noise.nu, "label")
         for seed in range(3):
-            oracle = Oracle(spec, np.random.default_rng(seed))
+            oracle = Oracle(dataclasses.replace(spec, seed=seed))
             xs = self._batch(oracle, kind)
             reference = copy.deepcopy(oracle.rng)
             before = oracle.rng.bit_generator.state
@@ -441,7 +442,7 @@ class TestPivotComparator:
         # per-pair pivots, both orientations, on a sample with many exact
         # ties: one batch call answers as the reference rule on each pair
         spec = self.WORLDS[world]
-        oracle = Oracle(spec, np.random.default_rng(seed))
+        oracle = Oracle(dataclasses.replace(spec, seed=seed))
         xs = oracle.sample(40)[oracle.rng.integers(0, 40, size=60)]
         idx, pivots = oracle.rng.integers(0, len(xs), size=(2, pairs))
         elem_first = oracle.rng.random(pairs) < 0.5
@@ -468,7 +469,8 @@ class TestBatchesOfOne:
     @pytest.mark.parametrize("world", sorted(TestLabelMany.WORLDS))
     def test_label_is_label_many_on_one_instance(self, world):
         spec = TestLabelMany.WORLDS[world]
-        one, many = Oracle(spec, np.random.default_rng(3)), Oracle(spec, np.random.default_rng(3))
+        seeded = dataclasses.replace(spec, seed=3)
+        one, many = Oracle(seeded), Oracle(seeded)
         xs = one.sample(300)
         many.sample(300)
         ys = many.label_many(xs)
@@ -481,7 +483,8 @@ class TestBatchesOfOne:
     @pytest.mark.parametrize("world", sorted(TestPivotComparator.WORLDS))
     def test_compare_is_pivot_comparator_on_one_pair(self, world):
         spec = TestPivotComparator.WORLDS[world]
-        one, many = Oracle(spec, np.random.default_rng(4)), Oracle(spec, np.random.default_rng(4))
+        seeded = dataclasses.replace(spec, seed=4)
+        one, many = Oracle(seeded), Oracle(seeded)
         # few distinct instances, so many pairs tie
         xs = one.sample(30)[one.rng.integers(0, 30, size=300)]
         many.sample(30)[many.rng.integers(0, 30, size=300)]

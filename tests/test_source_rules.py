@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import adgac
 from adgac.bench import TunableConstants
+from adgac.oracles import Oracle
 
 SOURCES = sorted(Path(adgac.__file__).parent.glob("*.py"))
 
@@ -109,6 +111,26 @@ def test_learners_take_the_oracle_alone():
                 if "oracle" in names and names & {"rng", "spec"}:
                     found.append(f"{path.name}:{node.name}")
     assert found == []
+
+
+def test_oracle_takes_the_world_alone():
+    # the world's seed starts the trial's one stream; a generator passed
+    # beside it would be a second source for the same stream
+    assert list(inspect.signature(Oracle).parameters) == ["spec"]
+
+
+def test_one_learner_target_type():
+    # eps and delta are a learner's target, declared once by
+    # core.LearnerParams and once by the config the CLI fills; a second
+    # class holding both restates the target and its checks
+    found = sorted(f"{path.name}:{node.name}"
+                   for path in SOURCES
+                   for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                   if isinstance(node, ast.ClassDef)
+                   and {"eps", "delta"} <= {stmt.target.id for stmt in node.body
+                                            if isinstance(stmt, ast.AnnAssign)
+                                            and isinstance(stmt.target, ast.Name)})
+    assert found == ["bench.py:ExperimentConfig", "core.py:LearnerParams"]
 
 
 def test_no_single_query_calls():
