@@ -1,7 +1,8 @@
 """Comparison-assisted batch labeling (ADGAC), and the lab's tunable constants.
 
-Ranks a dataset with a noisy comparison oracle via randomized quicksort,
-partitions the ranking into contiguous groups, binary-searches the group
+Ranks a dataset with a noisy comparison oracle down to contiguous groups of
+ranks (a randomized quicksort that stops splitting a segment lying inside one
+group, so the order within a group is unspecified), binary-searches the group
 where labels flip from -1 to +1 using small majority-vote label batches, and
 emits a monotone-step labeling of the whole dataset.
 """
@@ -127,20 +128,28 @@ def _parse_flat(text: str, types: dict, what: str) -> dict:
     return out
 
 
+def group_of(ranks, m: int, size: int):
+    """The group of each rank among m ranks in groups of `size`: ranks
+    [j size, (j + 1) size) are group j, and the last group also takes the
+    remainder, so group(r) = min(r // size, max(1, m // size) - 1)."""
+    return np.minimum(ranks // size, max(1, m // size) - 1)
+
+
 @dataclass
 class RankedGroups:
-    """A sorted permutation of the input in contiguous groups of `size` ranks;
-    the last group also takes the remainder, so it runs to m."""
+    """A permutation of the input ranked down to contiguous groups of `size`
+    ranks, as group_of assigns them; the last group runs to m."""
 
     order: np.ndarray                 # rank -> original index
     size: int
 
     @property
     def n_groups(self) -> int:
-        return max(1, len(self.order) // self.size) if len(self.order) else 0
+        m = len(self.order)
+        return int(group_of(m - 1, m, self.size)) + 1 if m else 0
 
     def span(self, gi: int) -> tuple[int, int]:
-        """Group gi's [start, end) over ranks."""
+        """Group gi's [start, end) over ranks: the ranks group_of puts in gi."""
         end = len(self.order) if gi == self.n_groups - 1 else (gi + 1) * self.size
         return gi * self.size, end
 
@@ -167,26 +176,34 @@ class AdgacResult:
     groups: RankedGroups
 
 
-def noisy_quicksort(items, comparator, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Randomized-pivot quicksort driven by a batch pivot comparator.
+def noisy_quicksort(items, comparator, rng: np.random.Generator,
+                    group: int = 1) -> tuple[np.ndarray, int]:
+    """Randomized-pivot quicksort driven by a batch pivot comparator, sorting
+    only down to groups of `group` ranks (group_of's rule).
 
     comparator(idx, pivots, elem_first) says, pair by pair, whether item
     idx[j] ranks below item pivots[j], asked as (item, pivot) where
     elem_first[j] holds, else as (pivot, item); each orientation is a fair
     coin.  Oracle.pivot_comparator builds one.
 
-    Each pass handles every segment of size >= 2 at one recursion depth,
-    left to right: one rng.integers(0, sizes) draws every pivot, uniform in
-    its segment, one rng.random(pairs) every orientation, and one comparator
-    call answers every pair.  Each segment is partitioned stably (the items
-    below its pivot, the pivot, the rest, each in their current order) into
-    its left and right parts, the next level's segments.  Returns the
-    permutation (rank -> input index) and the exact comparison count.
+    Each pass handles every segment at one recursion depth whose first and
+    last ranks lie in different groups, left to right; a segment inside one
+    group is left unsplit, in its current order.  At group = 1 that is every
+    segment of size >= 2, a full sort.  One rng.integers(0, sizes) draws every
+    pivot, uniform in its segment, one rng.random(pairs) every orientation,
+    and one comparator call answers every pair.  Each segment is partitioned
+    stably (the items below its pivot, the pivot, the rest, each in their
+    current order) into its left and right parts, the next level's segments.
+    Returns the permutation (rank -> input index) and the exact comparison
+    count, about 2m ln(m / group) + O(m) for distinct items under a perfect
+    comparator.
     """
-    order, comparisons = np.arange(len(items)), 0
-    starts, sizes = np.array([0]), np.array([len(items)])
+    m = len(items)
+    order, comparisons = np.arange(m), 0
+    starts, sizes = np.array([0]), np.array([m])
     while True:
-        starts, sizes = starts[sizes > 1], sizes[sizes > 1]
+        split = group_of(starts, m, group) < group_of(starts + sizes - 1, m, group)
+        starts, sizes = starts[split], sizes[split]
         if sizes.size == 0:
             return order, comparisons
         pivot_pos = starts + rng.integers(0, sizes)
@@ -270,7 +287,7 @@ def adgac(S, plan: RoundPlan, oracle) -> AdgacResult:
     if plan.k < 1:
         raise ValueError("label batch size must be >= 1")
 
-    order, _ = noisy_quicksort(S, oracle.pivot_comparator(S), oracle.rng)
+    order, _ = noisy_quicksort(S, oracle.pivot_comparator(S), oracle.rng, plan.group_size)
     groups = RankedGroups(order, size=plan.group_size)
     t, _, votes, _ = group_binary_search(groups, S, oracle.label_many, plan.k, oracle.rng)
 

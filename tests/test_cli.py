@@ -192,10 +192,11 @@ class TestExitCodes:
         assert captured.out == "" and f" mass {key} = " in captured.err
 
     def test_min_success_gate(self, capsys):
-        # an impossible gate trips the acceptance exit code
+        # a gate no trial can meet trips the acceptance exit code: adversarial
+        # labels of mass nu = 0.2 hold ADGAC's error near nu/2 = 0.1, far above eps
         rc = main(["adgac-run", "--trials", "1", "--n", "200", "--k", "3",
                    "--eps", "0.01", "--delta", "0.1", "--seed", "1",
-                   "--label-noise", "massart", "--beta", "0.4",
+                   "--label-noise", "adversarial", "--nu", "0.2",
                    "--min-success", "1.0"])
         assert rc == EXIT_THRESHOLD
 

@@ -1,6 +1,7 @@
 """Batch labeling subroutine: sorting, grouping, search, and batch sizes."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -40,15 +41,19 @@ def labels_of(label):
     return lambda xs: np.array([label(x) for x in xs], dtype=int)
 
 
-def level_reference(items, compare, rng):
+def level_reference(items, compare, rng, group=1):
     """Reference sort in plain Python: the same draws per level as
     noisy_quicksort, then one compare(items[a], items[b]) call per pair and
-    list partitions."""
+    list partitions.  A segment whose first and last ranks share a group of
+    `group` ranks, the last group taking the remainder, is left as it is."""
     order = list(range(len(items)))
+    last_group = max(1, len(items) // group) - 1
     comparisons = 0
     segments = [(0, len(items))]
     while True:
-        segments = [(start, size) for start, size in segments if size > 1]
+        segments = [(start, size) for start, size in segments if size > 1
+                    and min(start // group, last_group)
+                    != min((start + size - 1) // group, last_group)]
         if not segments:
             return np.array(order, dtype=int), comparisons
         offsets = rng.integers(0, [size for _, size in segments])
@@ -132,14 +137,15 @@ class TestNoisyQuicksort:
     def test_matches_level_reference(self, world):
         # the numpy level passes must be the plain-Python reference, asking
         # the reference comparator about the scores: same permutation, same
-        # comparison count, and the same rng stream consumed
+        # comparison count, and the same rng stream consumed, from a full
+        # sort (groups of 1) to no sort at all (one group of 600)
         band = ComparisonNoiseSpec(kind="band-adversarial", nu_prime=0.02)
         if world.startswith("uniform"):
             spec = uniform_scenario(0.5, comparison_noise=band if "band" in world else None)
         else:
             spec = gaussian_scenario(np.arange(1.0, 21.0), comparison_noise=band)
         rho = calibrate_band(spec, spec.comparison_noise.nu_prime, "comparison")
-        for seed in range(5):
+        for seed, group in itertools.product(range(5), (1, 7, 50, 600)):
             runs = []
             for batch in (False, True):
                 oracle = Oracle(dataclasses.replace(spec, seed=seed))
@@ -149,7 +155,8 @@ class TestNoisyQuicksort:
                     # rule and both orientations decide the permutation
                     xs = xs[oracle.rng.integers(0, 12, size=len(xs))]
                 if batch:
-                    order, comps = noisy_quicksort(xs, oracle.pivot_comparator(xs), oracle.rng)
+                    order, comps = noisy_quicksort(xs, oracle.pivot_comparator(xs),
+                                                   oracle.rng, group)
                     counted = oracle.counters.comparisons
                 else:
                     asked = []
@@ -158,13 +165,16 @@ class TestNoisyQuicksort:
                         asked.append((g_a, g_b))
                         return compare_reference(g_a, g_b, rho)
 
-                    order, comps = level_reference(score(spec, xs).tolist(), compare, oracle.rng)
+                    order, comps = level_reference(score(spec, xs).tolist(), compare,
+                                                   oracle.rng, group)
                     counted = len(asked)
                 runs.append((order, comps, counted, oracle.rng.random()))
             (order_s, comps_s, counted_s, next_s), (order_b, comps_b, counted_b, next_b) = runs
             np.testing.assert_array_equal(order_b, order_s)
             assert comps_b == comps_s == counted_b == counted_s
             assert next_b == next_s
+            if group == 600:
+                assert comps_b == 0
 
 
 # few distinct scores, so most pairs tie and both orientations matter
@@ -194,6 +204,79 @@ class TestSortProperties:
         xs = np.array(scores, dtype=float)
         order, _ = noisy_quicksort(xs, oracle.pivot_comparator(xs), oracle.rng)
         assert np.all(np.diff(xs[order]) >= 0)
+
+
+def partial_sort_mean(m, group):
+    """Exact mean comparison count of noisy_quicksort(..., group) on m distinct
+    items under a perfect comparator: E(a, b) = (b - a - 1) + (1 / (b - a))
+    sum_p [E(a, p) + E(p + 1, b)] over the pivot's rank p in [a, b), and E = 0
+    once ranks a and b - 1 share a group.  Filled by segment length, with the
+    two sums kept as running row and column sums, in O(m^2)."""
+    in_group = np.minimum(np.arange(m) // group, max(1, m // group) - 1)
+    e, row, col = (np.zeros((m + 1, m + 1)) for _ in range(3))
+    for size in range(1, m + 1):
+        a = np.arange(m - size + 1)
+        b = a + size
+        row[a, b] = row[a, b - 1] + e[a, b - 1]     # sum_p E(a, p)
+        col[a, b] = col[a + 1, b] + e[a + 1, b]     # sum_p E(p + 1, b)
+        e[a, b] = np.where(in_group[a] < in_group[b - 1],
+                           size - 1 + (row[a, b] + col[a, b]) / size, 0.0)
+    return e[0, m]
+
+
+class TestPartialSort:
+    """noisy_quicksort(..., group) ranks only down to RankedGroups' groups."""
+
+    def test_exact_mean_at_groups_of_one_is_quicksort(self):
+        m = 300
+        full = 2.0 * (m + 1) * sum(1.0 / j for j in range(1, m + 1)) - 4.0 * m
+        assert partial_sort_mean(m, 1) == pytest.approx(full, rel=1e-12)
+        assert full == pytest.approx(2582.16, abs=0.01)
+        assert partial_sort_mean(m, m) == 0.0
+
+    @pytest.mark.parametrize("m,group,trials", [(300, 15, 300), (300, 40, 300), (60, 7, 800)])
+    def test_mean_comparisons_match_partial_sort(self, m, group, trials):
+        # as test_mean_comparisons_match_quicksort, against the segment
+        # recursion; 300 // 40 and 60 // 7 leave a remainder in the last group
+        items = np.arange(m, dtype=float)
+        rng = np.random.default_rng(2026)
+        counts = np.array([noisy_quicksort(items, lambda i, p, _: items[i] < items[p],
+                                           rng, group)[1]
+                           for _ in range(trials)], dtype=float)
+        expected = partial_sort_mean(m, group)
+        z = (counts.mean() - expected) / (counts.std(ddof=1) / math.sqrt(trials))
+        assert abs(z) <= 4.0, (counts.mean(), expected, z)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(m=st.integers(0, 400), size=st.integers(1, 120), seed=st.integers(0, 2**32 - 1))
+    def test_no_unsplit_segment_crosses_a_group(self, m, size, seed):
+        # descending input under a perfect comparator: the partition is
+        # stable, so a segment left unsplit keeps its items descending, and
+        # one crossing a span boundary would put its largest item, at its
+        # first rank, in an earlier group than its true rank's
+        items = np.arange(m, dtype=float)[::-1]
+        order, _ = noisy_quicksort(items, lambda i, p, _: items[i] < items[p],
+                                   np.random.default_rng(seed), size)
+        groups = RankedGroups(order, size)
+        true_rank = m - 1 - order
+        for gi in range(groups.n_groups):
+            start, end = groups.span(gi)
+            assert sorted(true_rank[start:end]) == list(range(start, end))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(scores=TIED_SCORES, size=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+    def test_groups_hold_the_full_sorts_scores(self, scores, size, seed):
+        xs = np.array(scores, dtype=float)
+        ranked = []
+        for group in (1, size):
+            oracle = Oracle(uniform_scenario(0.5, seed=seed))
+            order, _ = noisy_quicksort(xs, oracle.pivot_comparator(xs), oracle.rng, group)
+            ranked.append(RankedGroups(order, size))
+        full, partial = ranked
+        for gi in range(full.n_groups):
+            start, end = full.span(gi)
+            assert (sorted(xs[partial.order[start:end]])
+                    == sorted(xs[full.order[start:end]]))
 
 
 class TestPartitionGroups:

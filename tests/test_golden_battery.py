@@ -2,8 +2,11 @@
 
 The adgac-only, a2-adgac and margin-adgac rows sort; they were written by
 the level-synchronous quicksort, which draws every pivot and every
-orientation of one recursion depth in one call each.  The baseline-a2 and
-passive-erm rows never sort; they were written by one scalar label call per
+orientation of one recursion depth in one call each.  The adgac-only and
+a2-adgac rows were re-pinned when ADGAC stopped splitting a segment that lies
+inside one group: fewer comparisons, so every later draw moved.  The
+margin-adgac rows sort groups of one point, a full sort, and did not move.
+The baseline-a2 and passive-erm rows never sort; they were written by one scalar label call per
 instance, before labels were asked in batches, except the gate-flag row at
 seed 111, first pinned when the batch size, the effective kappa and the
 oracle bands each got a single owner.  The rows at seeds 11-15, 21-23,
@@ -17,12 +20,14 @@ The rows at seeds 131-134 and 137 pin that each round's plan is computed
 only when the round runs: at tsybakov kappa 2.5 the third A2 round needs more
 than the sample cap, at kappa 3 the second and at kappa 4 the first, so a
 plan computed up front, or before the early-exit test, would turn these
-early-exit rows into BudgetExceededError rows; the margin row at seed 137 is
+rows, and the kappa 3 row that now empties its space in round 1, into
+BudgetExceededError rows; the margin row at seed 137 is
 the cap of its first round, raised as EmptyBandError.
-The a2-adgac rows at seeds 132-134 on a grid of 3 at kappa 2.5 pin an open
-defect: the filter empties a coarse grid's version space under power-law
-labels, and the trial raises EmptyVersionSpaceError.  ROADMAP item 14's fix
-is meant to re-pin these rows on purpose.
+The a2-adgac rows on a grid of 3 at seed 132, at kappa 3 and at kappa 2.5,
+pin an open defect: the filter empties a coarse grid's version space
+under power-law labels, and the trial raises EmptyVersionSpaceError; seeds
+133 and 134 at kappa 2.5 met it before the partial sort and now reach the
+early exit.  ROADMAP item 14's fix is meant to re-pin these rows on purpose.
 A refactor that keeps the rng stream, the permutation and the query counts
 reproduces them exactly; a change that alters behaviour on purpose re-pins
 them and says why.
@@ -83,19 +88,19 @@ CONFIGS = [
 ]
 
 GOLDEN = [
-    "11,adgac-only,0.05,0.1,0.02,0.004427188724235731,85,10195,1,",
-    "12,adgac-only,0.05,0.1,0.013,0.003582038525755969,85,11216,1,",
-    "13,adgac-only,0.05,0.1,0.017,0.004087909000944126,85,10336,1,",
-    "14,adgac-only,0.05,0.1,0.007,0.0026364749192814255,85,12134,1,",
-    "15,adgac-only,0.05,0.1,0.0111,0.0010477017705435073,85,167283,1,",
-    "17,adgac-only,0.1,0.1,0.003,0.001729450779872038,400,10842,1,",
-    "18,adgac-only,0.1,0.1,0.007,0.0026364749192814255,400,12758,1,",
-    "21,adgac-only,0.05,0.1,0.0455,0.004659922209651144,85,26876,1,tolcomp-gate",
-    "22,adgac-only,0.05,0.1,0.0385,0.004302194207610809,85,23701,1,tolcomp-gate",
-    "23,adgac-only,0.05,0.1,0.0455,0.004659922209651144,85,24983,1,tolcomp-gate",
-    "31,a2-adgac,0.05,0.1,0.00104,0.00010192734667399127,382,10136,5,",
-    "32,a2-adgac,0.05,0.1,0.00208,0.00014407198200899437,415,11229,5,",
-    "33,a2-adgac,0.05,0.1,0.01704,0.0004092632209226722,382,10776,5,",
+    "11,adgac-only,0.05,0.1,0.03,0.005394441583704471,85,7716,1,",
+    "12,adgac-only,0.05,0.1,0.013,0.003582038525755969,85,8728,1,",
+    "13,adgac-only,0.05,0.1,0.017,0.004087909000944126,85,8385,1,",
+    "14,adgac-only,0.05,0.1,0.007,0.0026364749192814255,85,8479,1,",
+    "15,adgac-only,0.05,0.1,0.0111,0.0010477017705435073,85,94489,1,",
+    "17,adgac-only,0.1,0.1,0.003,0.001729450779872038,400,6739,1,",
+    "18,adgac-only,0.1,0.1,0.007,0.0026364749192814255,400,7741,1,",
+    "21,adgac-only,0.05,0.1,0.0435,0.004561126505590478,85,17781,1,tolcomp-gate",
+    "22,adgac-only,0.05,0.1,0.0525,0.004987171041783107,68,15164,1,tolcomp-gate",
+    "23,adgac-only,0.05,0.1,0.0545,0.005075911248239078,68,15864,1,tolcomp-gate",
+    "31,a2-adgac,0.05,0.1,0.01777,0.00041778256426040566,383,5950,5,",
+    "32,a2-adgac,0.05,0.1,0.00573,0.00023868739179102024,350,6230,5,",
+    "33,a2-adgac,0.05,0.1,0.01793,0.000419625012362228,383,6556,5,",
     "41,margin-adgac,0.1,0.2,0.00026,5.098356597963701e-05,73,5427,6,hinge-degraded-round-6",
     "42,margin-adgac,0.1,0.2,0.00042,6.479379599930846e-05,74,5682,6,hinge-degraded-round-3",
     "51,baseline-a2,0.05,0.1,0.01449,0.0003778894004864386,1884,0,5,",
@@ -105,25 +110,25 @@ GOLDEN = [
     "56,baseline-a2,0.05,0.1,0.01597,0.0003964209769928933,1610,0,5,",
     "61,passive-erm,0.05,0.1,0.02648,0.0005077283683230631,2000,0,1,",
     "62,passive-erm,0.05,0.1,0.0151,0.00038564219167513296,2000,0,1,",
-    "71,adgac-only,0.05,0.1,0.005,0.0022304708023195463,85,10795,1,",
-    "72,adgac-only,0.05,0.1,0.003,0.001729450779872038,85,10681,1,",
-    "73,adgac-only,0.05,0.1,0.001,0.001,85,9605,1,",
-    "81,a2-adgac,0.1,0.1,0.00201,0.00014163191377652144,843,12837,4,",
-    "82,a2-adgac,0.1,0.1,0.00959,0.0003081887716968287,631,8870,4,",
+    "71,adgac-only,0.05,0.1,0.005,0.0022304708023195463,85,7880,1,",
+    "72,adgac-only,0.05,0.1,0.003,0.001729450779872038,85,8648,1,",
+    "73,adgac-only,0.05,0.1,0.001,0.001,85,6867,1,",
+    "81,a2-adgac,0.1,0.1,0.00105,0.00010241569703907697,923,6010,4,",
+    "82,a2-adgac,0.1,0.1,0.03119,0.000549701590865444,800,7258,4,",
     "91,margin-adgac,0.2,0.2,0.0016,0.0001263898730120416,61,1301,5,",
-    "101,adgac-only,0.05,0.1,0.023,0.004740358636221525,250,10722,1,tolcomp-gate",
-    "102,adgac-only,0.05,0.1,0.02,0.004427188724235731,250,10530,1,tolcomp-gate",
+    "101,adgac-only,0.05,0.1,0.031,0.0054807846153630225,250,8548,1,tolcomp-gate",
+    "102,adgac-only,0.05,0.1,0.02,0.004427188724235731,250,7594,1,tolcomp-gate",
     "111,baseline-a2,0.1,0.1,0.10774,0.0009804697466010872,2346,0,4,tollabel-gate",
-    "121,adgac-only,0.05,0.1,0.02,0.02,8,250,1,",
-    "122,adgac-only,0.05,0.1,0.0,0.02,10,268,1,",
+    "121,adgac-only,0.05,0.1,0.3,0.0648074069840786,10,267,1,",
+    "122,adgac-only,0.05,0.1,0.0,0.02,10,261,1,",
     "131,a2-adgac,0.05,0.1,0.5003,0.0015811385454791746,0,0,0,early-exit-round-1",
     "132,a2-adgac,0.05,0.1,0.50065,0.0015811374940213137,0,0,0,early-exit-round-1",
     "133,a2-adgac,0.05,0.1,0.50178,0.0015811288106919058,0,0,0,early-exit-round-1",
-    "132,a2-adgac,0.05,0.1,0.0,1e-05,28296,1425782,1,early-exit-round-2",
+    "132,a2-adgac,0.05,0.1,nan,nan,0,0,0,error:EmptyVersionSpaceError",
     "137,margin-adgac,0.2,0.2,nan,nan,0,0,0,error:EmptyBandError",
     "132,a2-adgac,0.05,0.1,nan,nan,0,0,0,error:EmptyVersionSpaceError",
-    "133,a2-adgac,0.05,0.1,nan,nan,0,0,0,error:EmptyVersionSpaceError",
-    "134,a2-adgac,0.05,0.1,nan,nan,0,0,0,error:EmptyVersionSpaceError",
+    "133,a2-adgac,0.05,0.1,0.0,1e-05,3537,54716,1,early-exit-round-2",
+    "134,a2-adgac,0.05,0.1,0.0,1e-05,3537,60170,1,early-exit-round-2",
 ]
 
 
