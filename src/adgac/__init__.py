@@ -3,11 +3,11 @@
 from .oracles import (ComparisonNoiseSpec, GroundTruth, LabelNoiseSpec, Oracle,
                       QueryCounters, ScenarioSpec, bayes_label, calibrate_band,
                       gaussian_scenario, sample_unlabeled, score, uniform_scenario)
-from .core import (DEFAULT_CONSTANTS, AdgacResult, RankedGroups, TunableConstants,
-                   adgac, batch_size, group_binary_search, noisy_quicksort)
+from .core import (DEFAULT_CONSTANTS, AdgacResult, BudgetExceededError, RankedGroups,
+                   TunableConstants, adgac, batch_size, group_binary_search,
+                   noisy_quicksort)
 from .hypotheses import EmptyVersionSpaceError, ExplicitClass, ThresholdClass, VersionSpace
-from .a2 import (BudgetExceededError, RunParams, RunResult, run_a2_adgac,
-                 run_baseline_a2, vc_bound_u)
+from .a2 import RunParams, RunResult, run_a2_adgac, run_baseline_a2, vc_bound_u
 from .margin import (EmptyBandError, HingeFit, MarginParams, MarginRunResult,
                      MarginSchedule, band_membership, fit_initial_direction,
                      hinge_loss_batch, hinge_subgradient,

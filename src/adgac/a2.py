@@ -1,10 +1,11 @@
-"""Disagreement-based active learning over a finite class.
+"""Disagreement-based active learning over a finite class: A2.
 
-Both learners share one round loop: sample unlabeled data, keep the part
-inside the current disagreement region, obtain labels, and filter the version
-space by weighted empirical error.  The comparison-assisted variant labels
-each round's batch with the ADGAC subroutine; the label-only baseline queries
-the labeling oracle directly for every retained instance.
+Both learners run one round loop: sample unlabeled data, keep the part
+inside the current disagreement region, label it, and keep the hypotheses
+whose error count on it lies within n_i eps_i of the round's best survivor.
+They differ only in the labeling step: A2-ADGAC labels each round's batch
+with the ADGAC subroutine, and the label-only baseline queries the labeling
+oracle directly for every retained instance.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
+from .core import BudgetExceededError
 from .hypotheses import ThresholdClass, VersionSpace
 from .oracles import Oracle
 
@@ -26,17 +28,10 @@ MAX_ROUND_SAMPLES = 2_000_000    # a round needing more raises BudgetExceededErr
 
 
 def _is_monotone_step(xs, ys) -> bool:
-    """True when labels sorted by instance value change sign at most once, -1 to +1."""
-    order = np.argsort(np.asarray(xs, dtype=float))
-    sorted_ys = np.asarray(ys)[order]
-    changes = np.flatnonzero(sorted_ys[1:] != sorted_ys[:-1])
-    if changes.size == 0:
-        return True
-    return changes.size == 1 and sorted_ys[0] == -1
-
-
-class BudgetExceededError(RuntimeError):
-    """A round needs more samples or queries than the configured cap."""
+    """True when +-1 labels sorted by instance value change sign at most once,
+    -1 to +1: when they never decrease."""
+    sorted_ys = np.asarray(ys)[np.argsort(np.asarray(xs, dtype=float))]
+    return bool(np.all(sorted_ys[1:] >= sorted_ys[:-1]))
 
 
 class NonContiguousVersionSpaceError(RuntimeError):
@@ -120,21 +115,28 @@ def plan(params: RunParams, d: float, kappa: float):
 
 
 def run_a2_adgac(oracle: Oracle, klass, params: RunParams) -> RunResult:
-    """Comparison-assisted disagreement learner; returns the first survivor."""
-    return _run_rounds(oracle, klass, params, use_comparisons=True)
+    """A2-ADGAC: A2 whose rounds are labeled by ADGAC, a comparison ranking plus
+    a few label batches per round; returns the first survivor."""
+    return _run_rounds(oracle, klass, params,
+                       lambda subset, row: core.adgac(subset, row, oracle).labels)
 
 
 def run_baseline_a2(oracle: Oracle, klass, params: RunParams) -> RunResult:
-    """Label-only baseline: every retained instance is labeled directly.
+    """Label-only A2: every retained instance is labeled directly; returns the
+    first survivor."""
+    return _run_rounds(oracle, klass, params, lambda subset, row: oracle.label_many(subset))
 
-    Filtering uses the excess-error form (count above the round's best
-    hypothesis), which reduces to the absolute rule on clean labels but keeps
-    the optimum alive when the direct labels themselves are noisy.
+
+def _run_rounds(oracle: Oracle, klass, params: RunParams, label) -> RunResult:
+    """A2's round loop (Balcan, Beygelzimer & Langford, ICML 2006), with
+    label(subset, row) as its labeling step.
+
+    Round i keeps a hypothesis when its error count on the round's labeled
+    subset lies below n_i eps_i above the least count among the survivors, so
+    the round's best survivor always stays.  A threshold interval that monotone-
+    step labels split raises NonContiguousVersionSpaceError: their error
+    profile is V-shaped, so its sublevel sets are intervals.
     """
-    return _run_rounds(oracle, klass, params, use_comparisons=False)
-
-
-def _run_rounds(oracle: Oracle, klass, params: RunParams, use_comparisons: bool) -> RunResult:
     space = VersionSpace(klass)
     trace: list[RoundTrace] = []
     flags: list[str] = []
@@ -145,23 +147,16 @@ def _run_rounds(oracle: Oracle, klass, params: RunParams, use_comparisons: bool)
             break
         row = next(rows)  # after the early exit: a round never run may be over the cap
         s_tilde = oracle.sample(row.n)
-        mask = space.dis_mask(s_tilde)
-        subset = s_tilde[mask]
+        subset = s_tilde[space.dis_mask(s_tilde)]
         labels_before, comps_before = oracle.counters.snapshot()
-        if len(subset) > 0:
-            if use_comparisons:
-                result = core.adgac(subset, row, oracle)
-                counts = klass.error_counts(subset, result.labels)
-                was_interval = isinstance(klass, ThresholdClass) and space.is_contiguous()
-                space = space.filter_by_counts(counts, row.n * row.eps)
-                if (was_interval and _is_monotone_step(subset, result.labels)
-                        and not space.is_contiguous()):
-                    raise NonContiguousVersionSpaceError(
-                        f"round {i}: monotone-step labels must keep an interval alive")
-            else:
-                counts = klass.error_counts(subset, oracle.label_many(subset))
-                alive_min = counts[space.alive].min()
-                space = space.filter_by_counts(counts - alive_min, row.n * row.eps)
+        # an empty subset costs no query, and its zero counts keep every survivor
+        ys = label(subset, row)
+        counts = klass.error_counts(subset, ys)
+        was_interval = isinstance(klass, ThresholdClass) and space.is_contiguous()
+        space = space.filter_by_counts(counts - counts[space.alive].min(), row.n * row.eps)
+        if was_interval and not space.is_contiguous() and _is_monotone_step(subset, ys):
+            raise NonContiguousVersionSpaceError(
+                f"round {i}: monotone-step labels must keep an interval alive")
         labels_after, comps_after = oracle.counters.snapshot()
         trace.append(RoundTrace(round=i, plan=row, subset_size=len(subset),
                                 labels=labels_after - labels_before,

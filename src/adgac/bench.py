@@ -248,33 +248,31 @@ METHODS = {
 
 
 def run_single_trial(config: ExperimentConfig, trial_index: int) -> TrialReport:
-    """Run one fully independent trial at seed = base seed + trial index."""
+    """Run one fully independent trial at seed = base seed + trial index.
+
+    A trial that raises is recorded, never fatal: its row is flagged
+    error:<exception type> and keeps the queries its oracle counted.
+    """
     seed = config.seed + trial_index
-    oracle = Oracle(config.scenario(seed))
-    flags = _gate_flags(config)
-    _, params, runner = METHODS[config.method]
-    started = time.perf_counter()
-    err, err_se, rounds, run_flags = runner(config, params(config), oracle)
+    oracle, started = None, time.perf_counter()
+    try:
+        oracle = Oracle(config.scenario(seed))
+        _, params, runner = METHODS[config.method]
+        started = time.perf_counter()
+        err, err_se, rounds, run_flags = runner(config, params(config), oracle)
+        flags = ";".join(_gate_flags(config) + run_flags)
+    except Exception as exc:  # noqa: BLE001 - a battery must survive any trial
+        err, err_se, rounds, flags = float("nan"), float("nan"), 0, f"error:{type(exc).__name__}"
     wall_ms = (time.perf_counter() - started) * 1e3
+    labels, comparisons = oracle.counters.snapshot() if oracle else (0, 0)
     return TrialReport(seed=seed, method=config.method, epsilon=config.eps,
-                       delta=config.delta, err=err, err_se=err_se,
-                       labels=oracle.counters.labels,
-                       comparisons=oracle.counters.comparisons,
-                       rounds=rounds, wall_ms=wall_ms, flags=";".join(flags + run_flags))
+                       delta=config.delta, err=err, err_se=err_se, labels=labels,
+                       comparisons=comparisons, rounds=rounds, wall_ms=wall_ms, flags=flags)
 
 
 def run_trials(config: ExperimentConfig) -> tuple[list[TrialReport], dict]:
-    """Run the battery; per-trial failures are recorded, never fatal."""
-    reports: list[TrialReport] = []
-    for i in range(config.trials):
-        try:
-            reports.append(run_single_trial(config, i))
-        except Exception as exc:  # noqa: BLE001 - battery must survive any trial
-            reports.append(TrialReport(
-                seed=config.seed + i, method=config.method, epsilon=config.eps,
-                delta=config.delta, err=float("nan"), err_se=float("nan"),
-                labels=0, comparisons=0, rounds=0, wall_ms=0.0,
-                flags=f"error:{type(exc).__name__}"))
+    """Run the battery, one run_single_trial row per trial."""
+    reports = [run_single_trial(config, i) for i in range(config.trials)]
     return reports, summarize(reports, config.eps)
 
 

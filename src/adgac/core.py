@@ -154,6 +154,10 @@ class RankedGroups:
         return gi * self.size, end
 
 
+class BudgetExceededError(RuntimeError):
+    """A round needs more samples or queries than the configured cap."""
+
+
 @dataclass(frozen=True)
 class RoundPlan:
     """One adgac call's budget: error target eps, ambient sample count n, label batch k."""

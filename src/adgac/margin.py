@@ -20,12 +20,12 @@ from .oracles import GAUSSIAN, Oracle
 
 SEED_BATCH = 32                  # labeled points the initial direction is fitted to
 SEED_FIT_ITERS = 800             # hinge steps of that fit
-MAX_ROUND_SAMPLES = 5_000_000    # a round needing more raises EmptyBandError
+MAX_ROUND_SAMPLES = 5_000_000    # a round needing more raises BudgetExceededError
 MIN_ROUND_SAMPLES = 64           # keeps early-round bands from coming up empty
 
 
 class EmptyBandError(RuntimeError):
-    """A round's band contained no samples; raise the sample-size multiplier."""
+    """A round's band caught no samples; raise the sample-size multiplier."""
 
 
 class InfeasibleIterateError(RuntimeError):
@@ -211,7 +211,7 @@ class MarginSchedule:
         for j in range(self.rounds):
             n, eps = self.n(j), self.eps_k(j)
             if n > MAX_ROUND_SAMPLES:
-                raise EmptyBandError(f"round {j} needs n={n} > cap {MAX_ROUND_SAMPLES}")
+                raise core.BudgetExceededError(f"round {j} needs n={n} > cap {MAX_ROUND_SAMPLES}")
             yield core.RoundPlan(eps, n, core.batch_size(eps, self.params.gamma,
                                                          self.label_kappa, self.constants.C3))
 

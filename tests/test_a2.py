@@ -86,6 +86,33 @@ class TestRunA2:
         with pytest.raises(NonContiguousVersionSpaceError):
             run_a2_adgac(Oracle(spec), Alternating(np.linspace(0.0, 1.0, 101)), params)
 
+    def test_best_survivor_stays_when_every_count_exceeds_the_threshold(self):
+        # round 1 labels about all n_1 samples, so every count exceeds
+        # n_1 eps_1 and an absolute rule would empty the space; counts above
+        # the best survivor's keep the thresholds within n_i eps_i of index 0
+        class Offset(ThresholdClass):
+            def error_counts(self, xs, ys):
+                return len(xs) + np.arange(len(self))
+
+        klass = Offset(np.linspace(0.0, 1.0, 101))
+        params = RunParams(eps=0.1, delta=0.1)
+        results = [learner(Oracle(uniform_scenario(0.5, seed=3)), klass, params)
+                   for learner in (run_a2_adgac, run_baseline_a2)]
+        for res in results:
+            assert res.hypothesis_index == 0
+            assert [t.survivors for t in res.trace] == [29, 29, 29, 29]
+
+    def test_both_adversaries_inside_the_gates_keep_the_space(self):
+        # adversarial labels and band-adversarial comparisons, each inside its
+        # gate: an absolute filter emptied the space in about half the trials
+        config = ExperimentConfig(method="a2-adgac", eps=0.156, delta=0.279, grid=673,
+                                  threshold=0.694, label_noise="adversarial", nu=0.075,
+                                  comp_noise="band-adversarial", nu_prime=0.0038,
+                                  trials=20, seed=500)
+        assert bench._gate_flags(config) == []
+        reports, _ = bench.run_trials(config)
+        assert [r.flags for r in reports if "error:" in r.flags] == []
+
     def test_space_split_by_noisy_comparisons_raises_no_alarm(self):
         # band-adversarial comparisons inside the gate C2 eps^2 delta: an
         # earlier round's labels follow the noisy ranking and split the space,

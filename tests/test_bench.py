@@ -120,6 +120,26 @@ class TestBatteryDeterminism:
         assert summary["failed_trials"] == 2
         assert summary["success_rate"] == 0.0
 
+    def test_error_row_keeps_the_queries_its_trial_asked(self, monkeypatch):
+        # a learner that asks 5 labels and then raises: the row counts them
+        def broken(xs, plan, oracle):
+            oracle.label_many(xs[:5])
+            raise FloatingPointError("learner failed")
+
+        monkeypatch.setattr(bench.core, "adgac", broken)
+        reports, summary = run_trials(self._config(trials=2))
+        assert [(r.labels, r.comparisons, r.rounds, r.flags) for r in reports] == [
+            (5, 0, 0, "error:FloatingPointError")] * 2
+        assert summary["labels_total"] == 10
+
+    def test_error_before_the_oracle_exists_counts_nothing(self, monkeypatch):
+        def no_oracle(spec):
+            raise RuntimeError("no oracle")
+
+        monkeypatch.setattr(bench, "Oracle", no_oracle)
+        (report,), _ = run_trials(self._config(trials=1))
+        assert (report.labels, report.comparisons, report.flags) == (0, 0, "error:RuntimeError")
+
 
 class TestReportFiles:
     def _reports(self, tmp_path, trials=2):

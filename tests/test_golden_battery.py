@@ -19,15 +19,17 @@ fit; every draw up to that fit, and so the error, is unchanged.
 The rows at seeds 131-134 and 137 pin that each round's plan is computed
 only when the round runs: at tsybakov kappa 2.5 the third A2 round needs more
 than the sample cap, at kappa 3 the second and at kappa 4 the first, so a
-plan computed up front, or before the early-exit test, would turn these
-rows, and the kappa 3 row that now empties its space in round 1, into
-BudgetExceededError rows; the margin row at seed 137 is
-the cap of its first round, raised as EmptyBandError.
-The a2-adgac rows on a grid of 3 at seed 132, at kappa 3 and at kappa 2.5,
-pin an open defect: the filter empties a coarse grid's version space
-under power-law labels, and the trial raises EmptyVersionSpaceError; seeds
-133 and 134 at kappa 2.5 met it before the partial sort and now reach the
-early exit.  ROADMAP item 14's fix is meant to re-pin these rows on purpose.
+plan computed up front, or before the early-exit test, would turn these rows
+into BudgetExceededError rows.  The kappa 3 row on a grid of 3 keeps one
+survivor after round 1 and exits before round 2, whose row is over the cap.
+The margin row at seed 137 is the cap of its first round; the error row keeps
+the 32 labels of the seed batch, asked before the cap is met.
+The a2-adgac rows at seeds 31-33, 81 and 82, and on a grid of 3 at seed 132
+at kappa 3 and 2.5, were re-pinned when A2-ADGAC came to keep, as the
+baseline always did, the hypotheses within n_i eps_i of the round's best
+survivor.  Under the absolute count rule it used before, a search that
+landed one group off the boundary left no threshold of the coarse grid alive,
+and the two grid-3 trials raised EmptyVersionSpaceError.
 A refactor that keeps the rng stream, the permutation and the query counts
 reproduces them exactly; a change that alters behaviour on purpose re-pins
 them and says why.
@@ -83,7 +85,7 @@ CONFIGS = [
     dict(method="a2-adgac", grid=3, trials=1, seed=132, label_noise="tsybakov", kappa=3.0),
     dict(method="margin-adgac", eps=0.2, delta=0.2, trials=1, seed=137,
          dist="isotropic-gaussian", d=2, label_noise="tsybakov", kappa=9.0),
-    # a coarse grid under power-law labels: the version space empties
+    # a coarse grid under power-law labels: the round's best survivor stays
     dict(method="a2-adgac", grid=3, trials=3, seed=132, label_noise="tsybakov", kappa=2.5),
 ]
 
@@ -98,9 +100,9 @@ GOLDEN = [
     "21,adgac-only,0.05,0.1,0.0435,0.004561126505590478,85,17781,1,tolcomp-gate",
     "22,adgac-only,0.05,0.1,0.0525,0.004987171041783107,68,15164,1,tolcomp-gate",
     "23,adgac-only,0.05,0.1,0.0545,0.005075911248239078,68,15864,1,tolcomp-gate",
-    "31,a2-adgac,0.05,0.1,0.01777,0.00041778256426040566,383,5950,5,",
-    "32,a2-adgac,0.05,0.1,0.00573,0.00023868739179102024,350,6230,5,",
-    "33,a2-adgac,0.05,0.1,0.01793,0.000419625012362228,383,6556,5,",
+    "31,a2-adgac,0.05,0.1,0.01968,0.0004392345341614204,383,6730,5,",
+    "32,a2-adgac,0.05,0.1,0.00687,0.0002612049597538301,350,7146,5,",
+    "33,a2-adgac,0.05,0.1,0.01884,0.00042994248917733167,383,6556,5,",
     "41,margin-adgac,0.1,0.2,0.00026,5.098356597963701e-05,73,5427,6,hinge-degraded-round-6",
     "42,margin-adgac,0.1,0.2,0.00042,6.479379599930846e-05,74,5682,6,hinge-degraded-round-3",
     "51,baseline-a2,0.05,0.1,0.01449,0.0003778894004864386,1884,0,5,",
@@ -113,8 +115,8 @@ GOLDEN = [
     "71,adgac-only,0.05,0.1,0.005,0.0022304708023195463,85,7880,1,",
     "72,adgac-only,0.05,0.1,0.003,0.001729450779872038,85,8648,1,",
     "73,adgac-only,0.05,0.1,0.001,0.001,85,6867,1,",
-    "81,a2-adgac,0.1,0.1,0.00105,0.00010241569703907697,923,6010,4,",
-    "82,a2-adgac,0.1,0.1,0.03119,0.000549701590865444,800,7258,4,",
+    "81,a2-adgac,0.1,0.1,0.02935,0.0005337469203658228,932,5722,4,",
+    "82,a2-adgac,0.1,0.1,0.006,0.0002442130217658346,814,7106,4,",
     "91,margin-adgac,0.2,0.2,0.0016,0.0001263898730120416,61,1301,5,",
     "101,adgac-only,0.05,0.1,0.031,0.0054807846153630225,250,8548,1,tolcomp-gate",
     "102,adgac-only,0.05,0.1,0.02,0.004427188724235731,250,7594,1,tolcomp-gate",
@@ -124,9 +126,9 @@ GOLDEN = [
     "131,a2-adgac,0.05,0.1,0.5003,0.0015811385454791746,0,0,0,early-exit-round-1",
     "132,a2-adgac,0.05,0.1,0.50065,0.0015811374940213137,0,0,0,early-exit-round-1",
     "133,a2-adgac,0.05,0.1,0.50178,0.0015811288106919058,0,0,0,early-exit-round-1",
-    "132,a2-adgac,0.05,0.1,nan,nan,0,0,0,error:EmptyVersionSpaceError",
-    "137,margin-adgac,0.2,0.2,nan,nan,0,0,0,error:EmptyBandError",
-    "132,a2-adgac,0.05,0.1,nan,nan,0,0,0,error:EmptyVersionSpaceError",
+    "132,a2-adgac,0.05,0.1,0.0,1e-05,28296,485172,1,early-exit-round-2",
+    "137,margin-adgac,0.2,0.2,nan,nan,32,0,0,error:BudgetExceededError",
+    "132,a2-adgac,0.05,0.1,0.0,1e-05,3537,66383,1,early-exit-round-2",
     "133,a2-adgac,0.05,0.1,0.0,1e-05,3537,54716,1,early-exit-round-2",
     "134,a2-adgac,0.05,0.1,0.0,1e-05,3537,60170,1,early-exit-round-2",
 ]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from adgac import core, margin
-from adgac.core import TunableConstants
+from adgac.core import BudgetExceededError, TunableConstants
 from adgac.margin import (EmptyBandError, HingeFit, InfeasibleIterateError,
                           MarginParams, MarginSchedule, band_membership,
                           fit_initial_direction, hinge_loss_batch,
@@ -486,7 +486,7 @@ class TestRunMargin:
         else:
             cap, first = ns[1] - 1, 0
         monkeypatch.setattr(margin, "MAX_ROUND_SAMPLES", cap)
-        with pytest.raises(EmptyBandError,
+        with pytest.raises(BudgetExceededError,
                            match=rf"^round {first} needs n={ns[max(first, 1)]} > cap {cap}$"):
             run_margin_adgac(Oracle(gaussian_scenario(w_star, seed=3)), params, w0=w_star)
 
