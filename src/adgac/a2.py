@@ -50,11 +50,13 @@ class RunParams(core.LearnerParams):
 
 @dataclass
 class RoundTrace:
-    round: int
+    """A round's plan, the size of the subset it labeled, the labeling call's
+    record (None on a baseline round, which asks subset_size labels and no
+    comparisons), and the survivors after the round."""
+
     plan: core.RoundPlan
     subset_size: int
-    labels: int
-    comparisons: int
+    call: core.AdgacResult | None
     survivors: int
 
 
@@ -117,19 +119,23 @@ def plan(params: RunParams, d: float, kappa: float):
 def run_a2_adgac(oracle: Oracle, klass, params: RunParams) -> RunResult:
     """A2-ADGAC: A2 whose rounds are labeled by ADGAC, a comparison ranking plus
     a few label batches per round; returns the first survivor."""
-    return _run_rounds(oracle, klass, params,
-                       lambda subset, row: core.adgac(subset, row, oracle).labels)
+    def label(subset, row):
+        call = core.adgac(subset, row, oracle)
+        return call.labels, call
+
+    return _run_rounds(oracle, klass, params, label)
 
 
 def run_baseline_a2(oracle: Oracle, klass, params: RunParams) -> RunResult:
     """Label-only A2: every retained instance is labeled directly; returns the
     first survivor."""
-    return _run_rounds(oracle, klass, params, lambda subset, row: oracle.label_many(subset))
+    return _run_rounds(oracle, klass, params,
+                       lambda subset, row: (oracle.label_many(subset), None))
 
 
 def _run_rounds(oracle: Oracle, klass, params: RunParams, label) -> RunResult:
     """A2's round loop (Balcan, Beygelzimer & Langford, ICML 2006), with
-    label(subset, row) as its labeling step.
+    label(subset, row) -> (labels, the call's record or None) as its labeling step.
 
     Round i keeps a hypothesis when its error count on the round's labeled
     subset lies below n_i eps_i above the least count among the survivors, so
@@ -148,20 +154,15 @@ def _run_rounds(oracle: Oracle, klass, params: RunParams, label) -> RunResult:
         row = next(rows)  # after the early exit: a round never run may be over the cap
         s_tilde = oracle.sample(row.n)
         subset = s_tilde[space.dis_mask(s_tilde)]
-        labels_before, comps_before = oracle.counters.snapshot()
         # an empty subset costs no query, and its zero counts keep every survivor
-        ys = label(subset, row)
+        ys, call = label(subset, row)
         counts = klass.error_counts(subset, ys)
         was_interval = isinstance(klass, ThresholdClass) and space.is_contiguous()
         space = space.filter_by_counts(counts - counts[space.alive].min(), row.n * row.eps)
         if was_interval and not space.is_contiguous() and _is_monotone_step(subset, ys):
             raise NonContiguousVersionSpaceError(
                 f"round {i}: monotone-step labels must keep an interval alive")
-        labels_after, comps_after = oracle.counters.snapshot()
-        trace.append(RoundTrace(round=i, plan=row, subset_size=len(subset),
-                                labels=labels_after - labels_before,
-                                comparisons=comps_after - comps_before,
-                                survivors=len(space)))
+        trace.append(RoundTrace(row, len(subset), call, survivors=len(space)))
         if oracle.counters.labels > MAX_LABELS:
             raise BudgetExceededError("label budget exhausted")
         if oracle.counters.comparisons > MAX_COMPARISONS:

@@ -24,7 +24,7 @@ from .core import (DEFAULT_CONSTANTS, TunableConstants, _format_flat, _parse_fla
 from .hypotheses import ThresholdClass
 from .oracles import (ADVERSARIAL, BAND_ADVERSARIAL, GAUSSIAN, MASSART, PERFECT,
                       UNIFORM, ComparisonNoiseSpec, GroundTruth, LabelNoiseSpec, Oracle,
-                      ScenarioSpec, bayes_label, gaussian_scenario, noise_bands,
+                      QueryCounters, ScenarioSpec, bayes_label, gaussian_scenario, noise_bands,
                       sample_unlabeled, uniform_scenario)
 
 _ERR_MC_SAMPLES = 100_000
@@ -264,10 +264,11 @@ def run_single_trial(config: ExperimentConfig, trial_index: int) -> TrialReport:
     except Exception as exc:  # noqa: BLE001 - a battery must survive any trial
         err, err_se, rounds, flags = float("nan"), float("nan"), 0, f"error:{type(exc).__name__}"
     wall_ms = (time.perf_counter() - started) * 1e3
-    labels, comparisons = oracle.counters.snapshot() if oracle else (0, 0)
+    counters = oracle.counters if oracle else QueryCounters()
     return TrialReport(seed=seed, method=config.method, epsilon=config.eps,
-                       delta=config.delta, err=err, err_se=err_se, labels=labels,
-                       comparisons=comparisons, rounds=rounds, wall_ms=wall_ms, flags=flags)
+                       delta=config.delta, err=err, err_se=err_se, labels=counters.labels,
+                       comparisons=counters.comparisons, rounds=rounds, wall_ms=wall_ms,
+                       flags=flags)
 
 
 def run_trials(config: ExperimentConfig) -> tuple[list[TrialReport], dict]:

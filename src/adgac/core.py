@@ -174,10 +174,18 @@ class RoundPlan:
 
 @dataclass
 class AdgacResult:
-    """Predicted labels aligned to the input order; the oracle counts the queries."""
+    """One adgac call's record: its plan, the labels it predicts (aligned to the
+    input order), the ranked groups, what it asked (the sort's comparisons and
+    the search's label queries), each probed group's vote sum, and the end
+    group, None on an empty input, where no probe runs."""
 
+    plan: RoundPlan
     labels: np.ndarray
     groups: RankedGroups
+    comparisons: int
+    label_queries: int
+    votes: dict[int, int]
+    boundary: int | None
 
 
 def noisy_quicksort(items, comparator, rng: np.random.Generator,
@@ -285,22 +293,25 @@ def adgac(S, plan: RoundPlan, oracle) -> AdgacResult:
     pivot_comparator, label_many and the rng stream, and owns the counters."""
     m = len(S)
     if m == 0:
-        return AdgacResult(labels=np.empty(0, dtype=int), groups=RankedGroups(np.arange(0), 1))
+        return AdgacResult(plan, np.empty(0, dtype=int), RankedGroups(np.arange(0), 1),
+                           comparisons=0, label_queries=0, votes={}, boundary=None)
     if not 0.0 < plan.eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     if plan.k < 1:
         raise ValueError("label batch size must be >= 1")
 
-    order, _ = noisy_quicksort(S, oracle.pivot_comparator(S), oracle.rng, plan.group_size)
+    order, comparisons = noisy_quicksort(S, oracle.pivot_comparator(S), oracle.rng,
+                                         plan.group_size)
     groups = RankedGroups(order, size=plan.group_size)
-    t, _, votes, _ = group_binary_search(groups, S, oracle.label_many, plan.k, oracle.rng)
+    t, label_queries, votes, _ = group_binary_search(groups, S, oracle.label_many, plan.k,
+                                                     oracle.rng)
 
     start, end = groups.span(t)
     # over ranks: -1 before group t, its majority on it, +1 after it
     yhat = np.empty(m, dtype=int)
     yhat[groups.order] = np.repeat([-1, 1 if votes[t] >= 0 else -1, 1],
                                    [start, end - start, m - end])
-    return AdgacResult(labels=yhat, groups=groups)
+    return AdgacResult(plan, yhat, groups, comparisons, label_queries, votes, boundary=t)
 
 
 def batch_size(eps: float, delta: float, kappa: float, c3: float) -> int:

@@ -218,16 +218,12 @@ class MarginSchedule:
 
 @dataclass
 class MarginRoundTrace:
-    """Fit k, the draw it was fit on, the plan and the queries of labeling the draw."""
+    """Fit k: the record of the call that labeled the draw it was fit on, the
+    fit's hinge loss, and the iterate w_k it gave."""
 
-    round: int
-    plan: core.RoundPlan
-    r_k: float
-    tau_k: float
-    sample_size: int
+    call: core.AdgacResult
     loss: float
-    labels: int
-    comparisons: int
+    w: np.ndarray
 
 
 @dataclass
@@ -237,7 +233,6 @@ class MarginRunResult:
     trace: list[MarginRoundTrace] = field(default_factory=list)
     flags: list[str] = field(default_factory=list)
     schedule: MarginSchedule | None = None
-    iterates: list[np.ndarray] = field(default_factory=list)
 
 
 def fit_initial_direction(xs, ys) -> np.ndarray:
@@ -281,7 +276,6 @@ def run_margin_adgac(oracle: Oracle, params: MarginParams, w0=None) -> MarginRun
         flags.append("w0-angle")
 
     trace: list[MarginRoundTrace] = []
-    iterates = [w.copy()]
     for k, row in enumerate(schedule.plan(), 1):
         # fit k reads round k-1's draw, labeled at that round's plan: round
         # 0's draw whole, a later one cut to the band around the last iterate
@@ -292,12 +286,9 @@ def run_margin_adgac(oracle: Oracle, params: MarginParams, w0=None) -> MarginRun
             if len(xs) == 0:
                 raise EmptyBandError(f"band |w.x| <= {b:.4g} caught no samples at "
                                      f"n={row.n}; increase n_mult_margin")
-        labels_before, comps_before = oracle.counters.snapshot()
-        ys = core.adgac(xs, row, oracle).labels
-        labels_after, comps_after = oracle.counters.snapshot()
-
+        call = core.adgac(xs, row, oracle)
         r_k, tau_k = schedule.r(k), schedule.tau(k)
-        fit = minimize_hinge(xs, ys, w, r_k, tau_k)
+        fit = minimize_hinge(xs, call.labels, w, r_k, tau_k)
         if fit.degraded:
             flags.append(f"hinge-degraded-round-{k}")
         v = fit.v
@@ -312,11 +303,7 @@ def run_margin_adgac(oracle: Oracle, params: MarginParams, w0=None) -> MarginRun
         w = v / nv
         if not abs(np.linalg.norm(w) - 1.0) <= 1e-12:
             raise InfeasibleIterateError(f"round {k}: iterate norm {np.linalg.norm(w)!r} is not 1")
-        iterates.append(w.copy())
-        trace.append(MarginRoundTrace(round=k, plan=row, r_k=r_k, tau_k=tau_k,
-                                      sample_size=len(xs), loss=fit.loss,
-                                      labels=labels_after - labels_before,
-                                      comparisons=comps_after - comps_before))
+        trace.append(MarginRoundTrace(call, fit.loss, w))
 
     return MarginRunResult(w_hat=w, rounds_run=schedule.rounds, trace=trace, flags=flags,
-                           schedule=schedule, iterates=iterates)
+                           schedule=schedule)

@@ -142,9 +142,6 @@ class QueryCounters:
     labels: int = 0
     comparisons: int = 0
 
-    def snapshot(self) -> tuple[int, int]:
-        return (self.labels, self.comparisons)
-
 
 def uniform_scenario(threshold: float = 0.5, label_noise: LabelNoiseSpec | None = None,
                      comparison_noise: ComparisonNoiseSpec | None = None, seed: int = 0) -> ScenarioSpec:

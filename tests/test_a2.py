@@ -10,7 +10,14 @@ from adgac.a2 import (BudgetExceededError, NonContiguousVersionSpaceError, RunPa
                       run_a2_adgac, run_baseline_a2, vc_bound_u)
 from adgac.bench import ExperimentConfig, measure_error
 from adgac.hypotheses import ThresholdClass
-from adgac.oracles import LabelNoiseSpec, Oracle, uniform_scenario
+from adgac.oracles import LabelNoiseSpec, Oracle, QueryCounters, uniform_scenario
+
+
+def assert_empty_call(t):
+    """An empty subset's record: its plan, no label, no query, no probe, no end group."""
+    c = t.call
+    assert len(c.labels) == 0
+    assert (c.plan, c.comparisons, c.label_queries, c.votes, c.boundary) == (t.plan, 0, 0, {}, None)
 
 
 class TestVcBound:
@@ -72,7 +79,7 @@ class TestRunA2:
         assert res.hypothesis_index == 0
         assert res.flags == ["early-exit-round-1"]
         assert res.trace == [] and res.rounds_run == 0
-        assert oracle.counters.snapshot() == (0, 0)
+        assert oracle.counters == QueryCounters(0, 0)
 
     def test_split_survivors_after_monotone_labels_raise(self):
         # a class whose error counts keep every other threshold alive breaks
@@ -158,8 +165,8 @@ class TestRunA2:
         params = RunParams(eps=0.05, delta=0.1)
         oracle = Oracle(spec)
         res = run_a2_adgac(oracle, klass, params)
-        assert oracle.counters.labels == sum(t.labels for t in res.trace)
-        assert oracle.counters.comparisons == sum(t.comparisons for t in res.trace)
+        assert oracle.counters.labels == sum(t.call.label_queries for t in res.trace)
+        assert oracle.counters.comparisons == sum(t.call.comparisons for t in res.trace)
 
     def test_per_round_label_bound(self):
         spec = uniform_scenario(0.5, LabelNoiseSpec(kind="massart", beta=0.2), seed=9)
@@ -168,11 +175,11 @@ class TestRunA2:
         res = run_a2_adgac(Oracle(spec), klass, params)
         for t in res.trace:
             if t.subset_size == 0:
-                assert t.labels == 0
+                assert_empty_call(t)
                 continue
             groups = max(1, t.subset_size // t.plan.group_size)
             # one extra batch can occur when every probe votes negative
-            assert t.labels <= t.plan.k * (math.ceil(math.log2(max(2, groups))) + 1)
+            assert t.call.label_queries <= t.plan.k * (math.ceil(math.log2(max(2, groups))) + 1)
 
     def test_class_size_free_labels(self):
         params = RunParams(eps=0.05, delta=0.1)
@@ -223,7 +230,7 @@ class TestBaseline:
     def test_singleton_class_zero_queries(self):
         oracle = Oracle(uniform_scenario(0.5))
         run_baseline_a2(oracle, ThresholdClass([0.5]), RunParams(eps=0.1, delta=0.1))
-        assert oracle.counters.snapshot() == (0, 0)
+        assert oracle.counters == QueryCounters(0, 0)
 
     def test_empty_round_leaves_space_unchanged(self):
         # a two-hypothesis class whose disagreement region has tiny mass:
@@ -231,7 +238,8 @@ class TestBaseline:
         klass = ThresholdClass([0.5, 0.5 + 1e-9])
         params = RunParams(eps=0.25, delta=0.2)
         res = run_a2_adgac(Oracle(uniform_scenario(0.5, seed=3)), klass, params)
-        for t in res.trace:
-            if t.subset_size == 0:
-                assert t.labels == 0 and t.comparisons == 0
+        empty = [t for t in res.trace if t.subset_size == 0]
+        assert empty
+        for t in empty:
+            assert_empty_call(t)
         assert res.trace[-1].survivors == 2

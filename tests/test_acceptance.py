@@ -68,8 +68,8 @@ def test_ac3_a2_end_to_end():
     klass = ThresholdClass(np.linspace(0, 1, 1001))
     params = a2.RunParams(eps=0.05, delta=0.1)
     res = a2.run_a2_adgac(oracle, klass, params)
-    accounting = (oracle.counters.labels == sum(t.labels for t in res.trace)
-                  and oracle.counters.comparisons == sum(t.comparisons for t in res.trace))
+    accounting = (oracle.counters.labels == sum(t.call.label_queries for t in res.trace)
+                  and oracle.counters.comparisons == sum(t.call.comparisons for t in res.trace))
     elapsed = time.perf_counter() - started
     ok = summary["success_rate"] >= 0.90 and accounting and elapsed < 120.0
     _verdict("AC-3", ok,

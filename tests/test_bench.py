@@ -12,7 +12,7 @@ from adgac.bench import (CSV_HEADER, DEFAULT_CONSTANTS, ExperimentConfig,
                          TunableConstants, emit_report, parse_report_csv,
                          passive_erm, run_trials)
 from adgac.hypotheses import ThresholdClass
-from adgac.oracles import Oracle, uniform_scenario
+from adgac.oracles import Oracle, QueryCounters, uniform_scenario
 
 
 class TestPassiveErm:
@@ -21,7 +21,7 @@ class TestPassiveErm:
         klass = ThresholdClass(np.linspace(0, 1, 101))
         oracle = Oracle(spec)
         idx = passive_erm(oracle, klass, 5000)
-        assert oracle.counters.snapshot() == (5000, 0)
+        assert oracle.counters == QueryCounters(5000, 0)
         assert abs(klass.grid[idx] - 0.5) < 0.02
 
     def test_single_sample_picks_an_extreme_fit(self):

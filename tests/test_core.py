@@ -13,7 +13,7 @@ from scipy.stats import binom, chi2
 
 from adgac.core import (RankedGroups, RoundPlan, adgac, batch_size, group_binary_search,
                         noisy_quicksort)
-from adgac.oracles import (ComparisonNoiseSpec, LabelNoiseSpec, Oracle,
+from adgac.oracles import (ComparisonNoiseSpec, LabelNoiseSpec, Oracle, QueryCounters,
                            bayes_label, calibrate_band, gaussian_scenario,
                            score, uniform_scenario)
 from references import compare_reference
@@ -457,7 +457,11 @@ class TestAdgac:
         oracle = Oracle(dataclasses.replace(spec, seed=6))
         result = adgac(np.empty(0), RoundPlan(0.05, 100, 5), oracle)
         assert len(result.labels) == 0 and result.groups.n_groups == 0
-        assert oracle.counters.snapshot() == (0, 0)
+        assert oracle.counters == QueryCounters(0, 0)
+        # the record: its plan, and no query, no probe and no end group
+        assert result.plan == RoundPlan(0.05, 100, 5)
+        assert (result.comparisons, result.label_queries, result.votes,
+                result.boundary) == (0, 0, {}, None)
 
     def test_noiseless_mismatch_bound(self):
         spec = uniform_scenario(0.5)
@@ -566,7 +570,7 @@ def test_adgac_sees_a_halfspace_only_through_its_score(noise, d, m, eps, k, seed
     b = adgac(score(world, xs)[:, None], plan, low)
     np.testing.assert_array_equal(a.groups.order, b.groups.order)
     np.testing.assert_array_equal(a.labels, b.labels)
-    assert high.counters.snapshot() == low.counters.snapshot()
+    assert high.counters == low.counters
     assert high.rng.random() == low.rng.random()
 
 

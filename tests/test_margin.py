@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from adgac import core, margin
+from adgac import margin
 from adgac.core import BudgetExceededError, TunableConstants
 from adgac.margin import (EmptyBandError, HingeFit, InfeasibleIterateError,
                           MarginParams, MarginSchedule, band_membership,
@@ -448,7 +448,7 @@ class TestRunMargin:
         params = MarginParams(eps=0.1, delta=0.2)
         res = run_margin_adgac(Oracle(gaussian_scenario(w_star, seed=21)), params, w0=w_star)
         sched = res.schedule
-        for k, w_k in enumerate(res.iterates[1:], start=1):
+        for k, w_k in enumerate((t.w for t in res.trace), start=1):
             angle = math.acos(float(np.clip(w_k @ w_star, -1, 1)))
             assert angle <= sched.r(k) + 0.05
         final = math.acos(float(np.clip(res.w_hat @ w_star, -1, 1)))
@@ -540,36 +540,32 @@ class TestRunMargin:
         oracle = Oracle(gaussian_scenario(
             w_star, LabelNoiseSpec(kind="massart", beta=0.2), seed=4))
         params = MarginParams(eps=0.1, delta=0.2)
-        per_call = []  # (labels, comparisons) each core.adgac call asks
-        labeled = []   # (points, labels) of each core.adgac call
         fitted = []    # (points, labels) each minimize_hinge call reads
-        real_adgac, real_hinge = core.adgac, margin.minimize_hinge
-
-        def adgac_spy(S, plan, oracle):
-            before = oracle.counters.snapshot()
-            result = real_adgac(S, plan, oracle)
-            after = oracle.counters.snapshot()
-            per_call.append((after[0] - before[0], after[1] - before[1]))
-            labeled.append((np.copy(S), np.copy(result.labels)))
-            return result
+        real_hinge = margin.minimize_hinge
 
         def hinge_spy(xs, ys, *args, **kwargs):
             fitted.append((np.copy(xs), np.copy(ys)))
             return real_hinge(xs, ys, *args, **kwargs)
 
-        monkeypatch.setattr(core, "adgac", adgac_spy)
         monkeypatch.setattr(margin, "minimize_hinge", hinge_spy)
         res = run_margin_adgac(oracle, params)
-        # one labeling per round, each traced; only the seed batch is labeled outside
-        assert len(per_call) == len(res.trace) == res.rounds_run
-        assert [(t.labels, t.comparisons) for t in res.trace] == per_call
-        assert [t.sample_size for t in res.trace] == [len(S) for S, _ in labeled]
-        assert oracle.counters.labels == margin.SEED_BATCH + sum(n for n, _ in per_call)
-        assert oracle.counters.comparisons == sum(c for _, c in per_call)
-        # the seed fit reads the seed batch, then fit k reads what call k labeled
+        calls = [t.call for t in res.trace]
+        # one labeling per round, each recorded; only the seed batch is labeled outside
+        assert len(calls) == res.rounds_run
+        assert oracle.counters.labels == margin.SEED_BATCH + sum(c.label_queries for c in calls)
+        assert oracle.counters.comparisons == sum(c.comparisons for c in calls)
+        # call j labels round j's draw: whole in round 0, cut to the band later
+        sched = res.schedule
+        assert [c.plan.n for c in calls] == [sched.n(j) for j in range(res.rounds_run)]
+        assert len(calls[0].labels) == calls[0].plan.n
+        assert all(0 < len(c.labels) <= c.plan.n for c in calls)
+        # the seed fit reads the seed batch, then fit k reads what call k labeled,
+        # which for k >= 2 lies in the band around fit k-1's iterate
         seed_fit, *round_fits = fitted
         assert len(seed_fit[0]) == margin.SEED_BATCH
-        assert len(round_fits) == len(labeled)
-        for (fit_xs, fit_ys), (S, labels) in zip(round_fits, labeled):
-            np.testing.assert_array_equal(fit_xs, S)
-            np.testing.assert_array_equal(fit_ys, labels)
+        assert len(round_fits) == len(calls)
+        for (fit_xs, fit_ys), call in zip(round_fits, calls):
+            assert len(fit_xs) == len(call.labels)
+            np.testing.assert_array_equal(fit_ys, call.labels)
+        for k, ((fit_xs, _), prev) in enumerate(zip(round_fits[1:], res.trace), start=2):
+            assert band_membership(prev.w, fit_xs, sched.b(k - 1)).all()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from adgac import oracles
-from adgac.oracles import (ComparisonNoiseSpec, LabelNoiseSpec, Oracle,
+from adgac.oracles import (ComparisonNoiseSpec, LabelNoiseSpec, Oracle, QueryCounters,
                            CalibrationError, bayes_label, calibrate_band,
                            gaussian_scenario, sample_unlabeled, score,
                            uniform_scenario)
@@ -320,7 +320,7 @@ class TestSingleOwners:
         below = oracle.pivot_comparator(np.array([a, b]))
         assert below(np.array([1]), 0, np.array([False])).tolist() == [False]
         assert below(np.array([0]), 1, np.array([True])).tolist() == [True]
-        assert oracle.counters.snapshot() == (4, 2)
+        assert oracle.counters == QueryCounters(4, 2)
 
 
 class TestAccountingAndDeterminism:
@@ -330,7 +330,7 @@ class TestAccountingAndDeterminism:
         xs = oracle.sample(50)
         oracle.label_many(xs)
         ask_pairs(oracle, xs[0:40:2], xs[1:40:2])
-        assert oracle.counters.snapshot() == (50, 20)
+        assert oracle.counters == QueryCounters(50, 20)
 
     def test_identical_seed_identical_stream(self):
         spec = uniform_scenario(0.5, LabelNoiseSpec(kind="massart", beta=0.3), seed=77)
@@ -423,7 +423,7 @@ class TestLabelMany:
                     expected.append(1 if eta == 1.0 else -1)
             assert ys.dtype.kind == "i" and ys.shape == (len(xs),)
             np.testing.assert_array_equal(ys, np.array(expected, dtype=int))
-            assert oracle.counters.snapshot() == (len(xs), 0)
+            assert oracle.counters == QueryCounters(len(xs), 0)
             assert drew == (len(xs) > 0 and random)
             assert oracle.rng.random() == reference.random()
 
@@ -457,7 +457,7 @@ class TestPivotComparator:
         np.testing.assert_array_equal(below, np.array(expected, dtype=bool))
         # the comparator draws nothing and counts each pair once
         assert oracle.rng.bit_generator.state == before
-        assert oracle.counters.snapshot() == (0, pairs)
+        assert oracle.counters == QueryCounters(0, pairs)
 
 
 class TestBatchesOfOne:
@@ -477,7 +477,7 @@ class TestBatchesOfOne:
         for i, x in enumerate(xs):
             y = one.label(x)
             assert type(y) is int and y == ys[i]
-            assert one.counters.snapshot() == (i + 1, 0)
+            assert one.counters == QueryCounters(i + 1, 0)
         assert one.rng.random() == many.rng.random()
 
     @pytest.mark.parametrize("world", sorted(TestPivotComparator.WORLDS))
@@ -492,5 +492,5 @@ class TestBatchesOfOne:
         below = many.pivot_comparator(xs)(idx, pivots, True)
         for n, (i, p) in enumerate(zip(idx, pivots), start=1):
             assert one.compare(xs[i], xs[p]) == (-1 if below[n - 1] else 1)
-            assert one.counters.snapshot() == (0, n)
+            assert one.counters == QueryCounters(0, n)
         assert one.rng.random() == many.rng.random()

@@ -1,5 +1,5 @@
 """The round plan: every trace row keeps the RoundPlan its labeling read, and
-that row alone bounds the labels the labeling asked for.
+that row alone bounds the labels the labeling's record says it asked for.
 
 One adgac call on m points with g = plan.group_size ranks per group has
 G = max(1, floor(m / g)) groups, the last of L = m - (G - 1) g ranks.  Its
@@ -51,17 +51,18 @@ def test_a2_rows_keep_their_plan_and_lie_in_its_band(noise):
         rows = a2.plan(params, KLASS.vc_dim, oracle.spec.label_noise.effective_kappa)
         assert [t.plan for t in res.trace] == [next(rows) for _ in res.trace]
         for t in res.trace:
+            assert t.call.plan == t.plan and len(t.call.labels) == t.subset_size
             lo, hi = label_band(t.subset_size, t.plan)
-            assert lo <= t.labels <= hi, (seed, t)
+            assert lo <= t.call.label_queries <= hi, (seed, t)
 
 
 def test_baseline_rows_label_every_retained_instance():
     params = a2.RunParams(eps=0.05, delta=0.1)
     for seed in SEEDS:
-        res = a2.run_baseline_a2(Oracle(uniform_scenario(0.5, NOISES["massart"], seed=seed)),
-                                 KLASS, params)
-        assert res.trace
-        assert all(t.labels == t.subset_size for t in res.trace)
+        oracle = Oracle(uniform_scenario(0.5, NOISES["massart"], seed=seed))
+        res = a2.run_baseline_a2(oracle, KLASS, params)
+        assert res.trace and all(t.call is None for t in res.trace)
+        assert oracle.counters.labels == sum(t.subset_size for t in res.trace)
 
 
 def test_margin_rows_keep_their_plan_and_lie_in_its_band():
@@ -70,10 +71,10 @@ def test_margin_rows_keep_their_plan_and_lie_in_its_band():
     for seed in range(3):
         oracle = Oracle(gaussian_scenario(w_star, NOISES["massart"], seed=seed))
         res = margin.run_margin_adgac(oracle, params)
-        assert [t.plan for t in res.trace] == list(res.schedule.plan())
+        assert [t.call.plan for t in res.trace] == list(res.schedule.plan())
         for t in res.trace:
-            lo, hi = label_band(t.sample_size, t.plan)
-            assert lo <= t.labels <= hi, (seed, t)
+            lo, hi = label_band(len(t.call.labels), t.call.plan)
+            assert lo <= t.call.label_queries <= hi, (seed, t.call)
 
 
 @pytest.mark.parametrize("k", [0, 3])

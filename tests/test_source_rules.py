@@ -158,3 +158,24 @@ def test_every_tunable_constant_is_read():
                  and id(node) not in skip}
     fields = {f.name for f in dataclasses.fields(TunableConstants)}
     assert sorted(fields - read) == []
+
+
+def test_learners_read_the_counters_only_against_the_budgets():
+    # a call's record says what it asked, so QueryCounters is plain data and
+    # a learner reads oracle.counters only to hold a run's total to its
+    # budget; a reading before and after a call would count the call again
+    tree = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    counters = next(node for node in ast.walk(tree["oracles.py"])
+                    if isinstance(node, ast.ClassDef) and node.name == "QueryCounters")
+    assert [stmt.name for stmt in counters.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))] == []
+    found = []
+    for name in ("a2.py", "margin.py"):
+        budgeted = {id(node) for cmp in ast.walk(tree[name]) if isinstance(cmp, ast.Compare)
+                    and {"MAX_LABELS", "MAX_COMPARISONS"} & {
+                        n.id for n in ast.walk(cmp) if isinstance(n, ast.Name)}
+                    for node in ast.walk(cmp)}
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree[name])
+                  if isinstance(node, ast.Attribute) and node.attr == "counters"
+                  and id(node) not in budgeted]
+    assert found == []
