@@ -9,7 +9,6 @@ echoed config as sidecar files.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import tempfile
@@ -130,25 +129,23 @@ class ExperimentConfig:
                                  self.comparison_noise_spec(), seed=seed)
 
     def to_text(self) -> str:
-        return _format_flat(self, "experiment config") + "\n" + self.constants.to_text()
+        return (_format_flat(self, "experiment config") + "\n"
+                + _format_flat(self.constants, "tunable constants"))
 
     @classmethod
     def from_text(cls, text: str, **fields) -> "ExperimentConfig":
-        """Parse a flat config, each key by its field's declared type, and lay
-        fields over it: the flags, a battery's method, and a constants file's
-        object as `constants`.  A constant set inline applies over those
-        constants, or over the frozen defaults when none are given.  A method
-        that runs on one world takes it as `dist` when nothing sets `dist`."""
+        """Parse a flat config, each key by its field's declared type and each
+        constant over the frozen defaults, then lay fields over it: the flags
+        and a battery's method.  A method that runs on one world takes it as
+        `dist` when nothing sets `dist`."""
         const_types = field_parsers(TunableConstants)
-        kwargs = _parse_flat(text, field_parsers(cls) | const_types, "config")
-        const_kwargs = {key: kwargs.pop(key) for key in const_types.keys() & kwargs.keys()}
+        kwargs = _parse_flat(text, field_parsers(cls) | const_types)
+        constants = {key: kwargs.pop(key) for key in const_types.keys() & kwargs.keys()}
         kwargs.update(fields)
         if "method" not in kwargs:
             raise ValueError("no method: set `method` in the config file or run a battery")
         kwargs.setdefault("dist", METHODS.get(kwargs["method"], (None,))[0] or UNIFORM)
-        kwargs["constants"] = dataclasses.replace(kwargs.get("constants", DEFAULT_CONSTANTS),
-                                                  **const_kwargs)
-        return cls(**kwargs)
+        return cls(constants=TunableConstants(**constants), **kwargs)
 
 
 def measure_error(predict_fn, spec: ScenarioSpec,
@@ -219,10 +216,10 @@ def _run_disagreement(learner, config: ExperimentConfig, params: a2.RunParams,
 
 def _run_margin(config: ExperimentConfig, params: margin_mod.MarginParams, oracle: Oracle):
     result = margin_mod.run_margin_adgac(oracle, params)
-    w_hat = result.w_hat
+    w_hat = result.trace[-1].w
     err, err_se = measure_error(lambda pts: np.where(np.asarray(pts) @ w_hat >= 0, 1, -1),
                                 oracle.spec)
-    return err, err_se, result.rounds_run, result.flags
+    return err, err_se, len(result.trace), result.flags
 
 
 def _run_passive_erm(config: ExperimentConfig, params: None, oracle: Oracle):

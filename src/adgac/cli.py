@@ -47,9 +47,8 @@ def _add_scenario_flags(p: argparse.ArgumentParser):
         p.add_argument(_FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")), dest=f.name,
                        type=parsers[f.name], choices=cls.CHOICES.get(f.name), default=None,
                        help=f.metadata.get("help"))
-    p.add_argument("--config", default=None, help="flat key = value config file")
-    p.add_argument("--constants", dest="constants_file", default=None,
-                   help="tunable constants file")
+    p.add_argument("--config", default=None,
+                   help="flat key = value config file; constants are keys too")
     p.add_argument("--min-success", type=float, default=None,
                    help="fail (exit 3) when the success rate falls below this")
 
@@ -58,8 +57,6 @@ def _build_config(args) -> bench.ExperimentConfig:
     # each scenario flag's dest, and a battery's method, is the ExperimentConfig field it sets
     fields = {f.name for f in dataclasses.fields(bench.ExperimentConfig)}
     given = {name: val for name, val in vars(args).items() if name in fields and val is not None}
-    if args.constants_file:
-        given["constants"] = bench.TunableConstants.from_text(Path(args.constants_file).read_text())
     text = Path(args.config).read_text() if args.config else ""
     return bench.ExperimentConfig.from_text(text, **given)
 

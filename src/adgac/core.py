@@ -43,13 +43,6 @@ class TunableConstants:
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"constant {f.name} = {value!r} must be finite and > 0")
 
-    def to_text(self) -> str:
-        return _format_flat(self, "tunable constants")
-
-    @classmethod
-    def from_text(cls, text: str) -> "TunableConstants":
-        return cls(**_parse_flat(text, field_parsers(cls), "constant"))
-
 
 DEFAULT_CONSTANTS = TunableConstants()
 
@@ -94,7 +87,7 @@ def _format_flat(obj, heading: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_flat(text: str, types: dict, what: str) -> dict:
+def _parse_flat(text: str, types: dict) -> dict:
     """Parse the flat `key = value` config format with `#` comments; a quoted
     value is a Python string literal, which may hold `#` and escapes.
 
@@ -119,11 +112,11 @@ def _parse_flat(text: str, types: dict, what: str) -> dict:
         else:
             val = val.split("#", 1)[0].rstrip()
         if key not in types:
-            raise ValueError(f"unknown {what} key {key!r}")
+            raise ValueError(f"unknown config key {key!r}")
         try:
             out[key] = types[key](val)
         except ValueError:
-            raise ValueError(f"{what} key {key} = {val!r} is not a valid "
+            raise ValueError(f"config key {key} = {val!r} is not a valid "
                              f"{types[key].__name__}") from None
     return out
 

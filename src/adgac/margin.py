@@ -228,8 +228,8 @@ class MarginRoundTrace:
 
 @dataclass
 class MarginRunResult:
-    w_hat: np.ndarray
-    rounds_run: int
+    """A run: the final direction is trace[-1].w, one trace row per round."""
+
     trace: list[MarginRoundTrace] = field(default_factory=list)
     flags: list[str] = field(default_factory=list)
     schedule: MarginSchedule | None = None
@@ -254,8 +254,9 @@ def fit_initial_direction(xs, ys) -> np.ndarray:
     return v / nv if nv > 1e-12 else start
 
 
-def run_margin_adgac(oracle: Oracle, params: MarginParams, w0=None) -> MarginRunResult:
-    """Run the banded hinge-minimization learner; returns the final direction.
+def run_margin_adgac(oracle: Oracle, params: MarginParams) -> MarginRunResult:
+    """Run the banded hinge-minimization learner from the seed fit on
+    SEED_BATCH labeled draws; the last trace row holds the final direction.
 
     An initial direction farther than a right angle from the truth is flagged
     w0-angle rather than silently accepted.
@@ -266,10 +267,8 @@ def run_margin_adgac(oracle: Oracle, params: MarginParams, w0=None) -> MarginRun
     schedule = MarginSchedule(params, spec.d, spec.label_noise.effective_kappa)
     flags: list[str] = []
 
-    if w0 is None:
-        seed_xs = oracle.sample(SEED_BATCH)
-        w0 = fit_initial_direction(seed_xs, oracle.label_many(seed_xs))
-    w = np.asarray(w0, dtype=float)
+    seed_xs = oracle.sample(SEED_BATCH)
+    w = fit_initial_direction(seed_xs, oracle.label_many(seed_xs))
     w = w / np.linalg.norm(w)
     cosine = float(np.clip(np.dot(w, spec.ground_truth.w), -1.0, 1.0))
     if math.acos(cosine) > math.pi / 2.0:
@@ -305,5 +304,4 @@ def run_margin_adgac(oracle: Oracle, params: MarginParams, w0=None) -> MarginRun
             raise InfeasibleIterateError(f"round {k}: iterate norm {np.linalg.norm(w)!r} is not 1")
         trace.append(MarginRoundTrace(call, fit.loss, w))
 
-    return MarginRunResult(w_hat=w, rounds_run=schedule.rounds, trace=trace, flags=flags,
-                           schedule=schedule)
+    return MarginRunResult(trace=trace, flags=flags, schedule=schedule)

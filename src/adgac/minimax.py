@@ -34,12 +34,12 @@ class LemmaStack:
         return np.sqrt(2.0 * self.ns * self.t / (self.ns + 1.0))
 
 
-def make_lemma_instance(xs, ys, t=None, ns=None) -> LemmaStack:
-    """Validate entries and default t to the achieved constraint value.
+def make_lemma_instance(xs, ys, ns=None) -> LemmaStack:
+    """Validate entries and set each row's t to its achieved constraint value.
 
     With ``ns``, xs and ys are 2-D stacks of rows zero-padded past each row's
-    length ns[r], and t is per row.  Without it, 1-D xs and ys are one
-    instance, the one-row stack.
+    length ns[r].  Without it, 1-D xs and ys are one instance, the one-row
+    stack.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -60,16 +60,8 @@ def make_lemma_instance(xs, ys, t=None, ns=None) -> LemmaStack:
     # with the vector length, so a padded row could differ from its instance
     # in the last bit
     tail = np.cumsum(ys[:, ::-1], axis=1)[:, ::-1]
-    achieved = np.array([np.dot(x[:n], y[:n]) for x, y, n in zip(xs, tail, ns.tolist())],
-                        dtype=float)
-    if t is None:
-        t = achieved
-    else:
-        t = np.broadcast_to(np.asarray(t, dtype=float), achieved.shape)
-        over = achieved > t + 1e-12 * np.maximum(1.0, np.abs(t))
-        if over.any():
-            r = int(np.argmax(over))
-            raise ValueError(f"constraint violated: achieved {achieved[r]:.6g} > t {t[r]:.6g}")
+    t = np.array([np.dot(x[:n], y[:n]) for x, y, n in zip(xs, tail, ns.tolist())],
+                 dtype=float)
     return LemmaStack(xs=xs, ys=ys, ns=ns, t=t)
 
 
@@ -96,9 +88,9 @@ def lemma_min_f(stack: LemmaStack) -> tuple[np.ndarray, np.ndarray]:
     return fmin, k
 
 
-def equality_instance(n: int, t: float = 1.0) -> LemmaStack:
-    """The tight configuration x_i = y_i = sqrt(2 t / (n (n + 1))), one row."""
-    a = math.sqrt(2.0 * t / (n * (n + 1.0)))
+def equality_instance(n: int) -> LemmaStack:
+    """The tight configuration at t = 1, x_i = y_i = sqrt(2 / (n (n + 1))), one row."""
+    a = math.sqrt(2.0 / (n * (n + 1.0)))
     xs = np.full(n, a)
     return make_lemma_instance(xs, xs)
 

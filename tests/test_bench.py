@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from adgac import bench
-from adgac.bench import (CSV_HEADER, DEFAULT_CONSTANTS, ExperimentConfig,
-                         TunableConstants, emit_report, parse_report_csv,
-                         passive_erm, run_trials)
+from adgac.bench import (CSV_HEADER, DEFAULT_CONSTANTS, ExperimentConfig, emit_report,
+                         parse_report_csv, passive_erm, run_trials)
 from adgac.hypotheses import ThresholdClass
 from adgac.oracles import Oracle, QueryCounters, uniform_scenario
 
@@ -243,8 +242,8 @@ class TestConfigFormat:
 
     def test_constants_round_trip(self):
         c = dataclasses.replace(DEFAULT_CONSTANTS, C3=7.5, n_mult=2.0)
-        again = TunableConstants.from_text(c.to_text())
-        assert again == c
+        cfg = ExperimentConfig(method="a2-adgac", constants=c)
+        assert ExperimentConfig.from_text(cfg.to_text()).constants == c
 
     def test_constants_inline_in_config(self):
         cfg = ExperimentConfig.from_text("method = adgac-only\nC3 = 9.0\n")

@@ -27,6 +27,13 @@ class TestExitCodes:
     def test_missing_bench_config_is_usage_error(self, capsys):
         assert main(["bench"]) == EXIT_USAGE
 
+    def test_constants_flag_is_unrecognized(self, tmp_path, capsys):
+        # constants are keys of the one --config file
+        path = tmp_path / "constants.txt"
+        path.write_text("C3 = 7.5\n")
+        assert main(["a2", "--constants", str(path)]) == EXIT_USAGE
+        assert "unrecognized arguments: --constants" in capsys.readouterr().err
+
     def test_bad_flag_value_is_usage_error(self, capsys):
         assert main(["adgac-run", "--eps", "not-a-number"]) == EXIT_USAGE
 
@@ -126,12 +133,12 @@ class TestExitCodes:
         path = tmp_path / "constants.txt"
         path.write_text(line + "\n")
         world = ["--dist", "isotropic-gaussian"] if command == "margin" else ["--grid", "101"]
-        assert main([command, "--constants", str(path), "--trials", "2"] + world) == EXIT_USAGE
+        assert main([command, "--config", str(path), "--trials", "2"] + world) == EXIT_USAGE
         key = line.split(" = ")[0]
         assert f"constant {key} = " in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,flag,text,named", [
-        ("a2", "--constants", "C3 = abc\n", "C3 = 'abc'"),
+        pytest.param("a2", "--config", "C3 = abc\n", "C3 = 'abc'", id="a2-config-C3"),
         ("bench", "--config", "method = a2-adgac\ntrials = two\n", "trials = 'two'"),
         ("bench", "--config", "method = adgac-only\nc1 = x\n", "c1 = 'x'"),
     ])
@@ -304,8 +311,7 @@ class TestFlagsAreFields:
                    if isinstance(a, argparse._SubParsersAction))
         dests = {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        assert dests == fields - {"method", "constants"} | {"config", "constants_file",
-                                                            "min_success"}
+        assert dests == fields - {"method", "constants"} | {"config", "min_success"}
 
     @pytest.mark.parametrize("flag, value", [("--trials", "2.5"), ("--grid", "1e3")])
     def test_flag_parses_by_its_field_type(self, flag, value, capsys):
@@ -422,7 +428,7 @@ class TestBatteries:
         out = tmp_path / "o.csv"
         rc = main(["adgac-run", "--trials", "1", "--n", "200",
                    "--eps", "0.05", "--delta", "0.1",
-                   "--constants", str(consts), "--out", str(out)])
+                   "--config", str(consts), "--out", str(out)])
         assert rc == EXIT_OK
         sidecar = (tmp_path / "o.csv.config.txt").read_text()
         assert "C3 = 2.0" in sidecar
@@ -434,8 +440,25 @@ class TestBatteries:
         assert main(["erm", "--trials", "1", "--n", "50", "--grid", "101", "--seed", "9",
                      "--threshold", "0.3", "--label-noise", "massart", "--beta", "0.1",
                      "--comp-noise", "band-adversarial", "--nu-prime", "0.001",
-                     "--constants", "consts.txt", "--out", "erm.csv"]) == EXIT_OK
+                     "--config", "consts.txt", "--out", "erm.csv"]) == EXIT_OK
         assert (tmp_path / "erm.csv.config.txt").read_text() == SIDECAR
+
+    def test_config_sidecar_replays_the_battery(self, tmp_path, capsys):
+        # a battery's .config.txt is a --config file: bench reruns it at its
+        # constants, row for row but wall_ms, with the same summary
+        consts = tmp_path / "consts.txt"
+        consts.write_text("C3 = 7.5\nn_mult = 2.0\n")
+        first, again, plain = (tmp_path / f"{name}.csv" for name in ("first", "again", "plain"))
+        battery = ["a2", "--grid", "1001", "--eps", "0.1", "--seed", "7", "--trials", "2"]
+        assert main(battery + ["--config", str(consts), "--out", str(first)]) == EXIT_OK
+        assert main(["bench", "--config", f"{first}.config.txt", "--out", str(again)]) == EXIT_OK
+        assert main(battery + ["--out", str(plain)]) == EXIT_OK
+        assert rows_but_wall_ms(again) == rows_but_wall_ms(first)
+        assert (Path(f"{again}.summary.txt").read_text()
+                == Path(f"{first}.summary.txt").read_text())
+        # the constants were read: every trial asks another number of labels
+        labels = [[r.labels for r in parse_report_csv(str(path))] for path in (first, plain)]
+        assert all(a != b for a, b in zip(*labels))
 
     def test_a2_battery_small(self, capsys):
         rc = main(["a2", "--trials", "1", "--eps", "0.1", "--delta", "0.2",
@@ -477,15 +500,21 @@ class TestBatteries:
                 check=True, timeout=120)
             codes = [EXIT_OK] * len(OPTIMIZED_BATTERIES)
             assert out.stdout.splitlines()[-1] == f"{not mode} {codes}"
-            csvs[bool(mode)] = {
-                method: [line.split(",")[:WALL_MS] + line.split(",")[WALL_MS + 1:]
-                         for line in (out_dir / f"{method}.csv").read_text().splitlines()]
-                for method, *_ in OPTIMIZED_BATTERIES}
+            csvs[bool(mode)] = {method: rows_but_wall_ms(out_dir / f"{method}.csv")
+                                for method, *_ in OPTIMIZED_BATTERIES}
         assert csvs[True] == csvs[False]
         assert all(len(rows) == 3 for rows in csvs[False].values())
 
 
 WALL_MS = CSV_HEADER.split(",").index("wall_ms")
+
+
+def rows_but_wall_ms(path):
+    """A report CSV's rows, each without its wall_ms column."""
+    return [line.split(",")[:WALL_MS] + line.split(",")[WALL_MS + 1:]
+            for line in Path(path).read_text().splitlines()]
+
+
 NOISY = ["--trials", "2", "--seed", "6", "--label-noise", "massart", "--beta", "0.2"]
 OPTIMIZED_BATTERIES = [
     ("adgac-run", *NOISY, "--n", "300", "--comp-noise", "band-adversarial",

@@ -431,6 +431,11 @@ class TestBandMembership:
         assert abs(est - target) <= 3 * se
 
 
+def start_at(monkeypatch, w):
+    """Make the run start at w: the seed batch is still drawn and labeled."""
+    monkeypatch.setattr(margin, "fit_initial_direction", lambda xs, ys: w)
+
+
 class TestRunMargin:
     def test_noiseless_small_battery(self):
         params = MarginParams(eps=0.1, delta=0.2)
@@ -438,20 +443,22 @@ class TestRunMargin:
         for seed in range(10):
             w_star = np.array([math.cos(seed), math.sin(seed)])
             res = run_margin_adgac(Oracle(gaussian_scenario(w_star, seed=seed)), params)
-            angle = math.acos(float(np.clip(res.w_hat @ w_star, -1, 1)))
+            w_hat = res.trace[-1].w
+            angle = math.acos(float(np.clip(w_hat @ w_star, -1, 1)))
             hits += (angle / math.pi) <= 0.1
-            assert abs(np.linalg.norm(res.w_hat) - 1.0) <= 1e-12
+            assert abs(np.linalg.norm(w_hat) - 1.0) <= 1e-12
         assert hits >= 9
 
-    def test_truth_start_stays_close(self):
+    def test_truth_start_stays_close(self, monkeypatch):
         w_star = np.array([1.0, 0.0])
         params = MarginParams(eps=0.1, delta=0.2)
-        res = run_margin_adgac(Oracle(gaussian_scenario(w_star, seed=21)), params, w0=w_star)
+        start_at(monkeypatch, w_star)
+        res = run_margin_adgac(Oracle(gaussian_scenario(w_star, seed=21)), params)
         sched = res.schedule
         for k, w_k in enumerate((t.w for t in res.trace), start=1):
             angle = math.acos(float(np.clip(w_k @ w_star, -1, 1)))
             assert angle <= sched.r(k) + 0.05
-        final = math.acos(float(np.clip(res.w_hat @ w_star, -1, 1)))
+        final = math.acos(float(np.clip(res.trace[-1].w @ w_star, -1, 1)))
         assert final / math.pi <= 0.1
 
     def test_empty_band_raises_advice(self, monkeypatch):
@@ -460,8 +467,9 @@ class TestRunMargin:
         oracle = Oracle(gaussian_scenario(w_star, seed=2))
         params = MarginParams(eps=0.1, delta=0.2,
                               constants=TunableConstants(n_mult_margin=1e-9))
+        start_at(monkeypatch, w_star)
         with pytest.raises(EmptyBandError):
-            run_margin_adgac(oracle, params, w0=w_star)
+            run_margin_adgac(oracle, params)
 
     @pytest.mark.parametrize("case", ["below-n1", "between", "below-last"])
     def test_round_sample_cap_raises_naming_the_round(self, monkeypatch, case):
@@ -473,11 +481,12 @@ class TestRunMargin:
         sched = MarginSchedule(params, d=2)
         ns = {k: sched.n(k) for k in range(1, sched.rounds + 1)}
         w_star = np.array([1.0, 0.0])
+        start_at(monkeypatch, w_star)
         if case == "below-last":
             assert list(ns.values()) == [64, 112, 370, 1074, 2911]
             monkeypatch.setattr(margin, "MAX_ROUND_SAMPLES", 2000)
-            res = run_margin_adgac(Oracle(gaussian_scenario(w_star, seed=3)), params, w0=w_star)
-            assert res.rounds_run == len(res.trace) == sched.rounds
+            res = run_margin_adgac(Oracle(gaussian_scenario(w_star, seed=3)), params)
+            assert len(res.trace) == sched.rounds
             return
         if case == "between":
             cap = ns[(1 + sched.rounds) // 2]
@@ -488,7 +497,7 @@ class TestRunMargin:
         monkeypatch.setattr(margin, "MAX_ROUND_SAMPLES", cap)
         with pytest.raises(BudgetExceededError,
                            match=rf"^round {first} needs n={ns[max(first, 1)]} > cap {cap}$"):
-            run_margin_adgac(Oracle(gaussian_scenario(w_star, seed=3)), params, w0=w_star)
+            run_margin_adgac(Oracle(gaussian_scenario(w_star, seed=3)), params)
 
     @pytest.mark.parametrize("v,message", [
         # opposite to w: distance 2 exceeds every round's radius (at most pi/2)
@@ -501,20 +510,22 @@ class TestRunMargin:
                             lambda *args, **kwargs: HingeFit(v=v, loss=0.0, iterations=1))
         w_star = np.array([1.0, 0.0, 0.0])
         oracle = Oracle(gaussian_scenario(w_star, seed=5))
+        start_at(monkeypatch, w_star)
         with pytest.raises(InfeasibleIterateError, match=message):
-            run_margin_adgac(oracle, MarginParams(eps=0.2, delta=0.2), w0=w_star)
+            run_margin_adgac(oracle, MarginParams(eps=0.2, delta=0.2))
 
     def test_requires_gaussian_scenario(self):
         from adgac.oracles import uniform_scenario
         with pytest.raises(ValueError):
             run_margin_adgac(Oracle(uniform_scenario()), MarginParams(eps=0.1, delta=0.2))
 
-    def test_bad_initial_direction_flagged_not_dropped(self):
+    def test_bad_initial_direction_flagged_not_dropped(self, monkeypatch):
         w_star = np.array([1.0, 0.0])
         params = MarginParams(eps=0.2, delta=0.2)
-        res = run_margin_adgac(Oracle(gaussian_scenario(w_star, seed=8)), params, w0=-w_star)
+        start_at(monkeypatch, -w_star)
+        res = run_margin_adgac(Oracle(gaussian_scenario(w_star, seed=8)), params)
         assert "w0-angle" in res.flags
-        assert res.rounds_run == res.schedule.rounds  # the run still completed
+        assert len(res.trace) == res.schedule.rounds  # the run still completed
 
     def test_initial_direction_from_seed_batch(self):
         rng = np.random.default_rng(7)
@@ -551,12 +562,12 @@ class TestRunMargin:
         res = run_margin_adgac(oracle, params)
         calls = [t.call for t in res.trace]
         # one labeling per round, each recorded; only the seed batch is labeled outside
-        assert len(calls) == res.rounds_run
+        assert len(calls) == res.schedule.rounds
         assert oracle.counters.labels == margin.SEED_BATCH + sum(c.label_queries for c in calls)
         assert oracle.counters.comparisons == sum(c.comparisons for c in calls)
         # call j labels round j's draw: whole in round 0, cut to the band later
         sched = res.schedule
-        assert [c.plan.n for c in calls] == [sched.n(j) for j in range(res.rounds_run)]
+        assert [c.plan.n for c in calls] == [sched.n(j) for j in range(len(calls))]
         assert len(calls[0].labels) == calls[0].plan.n
         assert all(0 < len(c.labels) <= c.plan.n for c in calls)
         # the seed fit reads the seed batch, then fit k reads what call k labeled,

@@ -15,13 +15,12 @@ from adgac.minimax import (LemmaStack, ScoreDistribution,
 class TestLemmaScan:
     def test_equality_configuration_is_tight(self):
         for n in range(1, 9):
-            for t in (0.37, 1.0, 4.2):
-                inst = equality_instance(n, t)
-                fmin, _ = lemma_min_f(inst)
-                assert abs(fmin[0] - math.sqrt(2 * n * inst.t[0] / (n + 1))) <= 1e-9
+            inst = equality_instance(n)
+            fmin, _ = lemma_min_f(inst)
+            assert abs(fmin[0] - math.sqrt(2 * n * inst.t[0] / (n + 1))) <= 1e-9
 
     def test_n_one_boundary(self):
-        inst = make_lemma_instance([1.0], [1.0], t=1.0)
+        inst = make_lemma_instance([1.0], [1.0])
         fmin, k = lemma_min_f(inst)
         assert fmin[0] == 1.0
         assert math.sqrt(2 * 1 * 1 / 2) == 1.0
@@ -41,10 +40,6 @@ class TestLemmaScan:
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
             make_lemma_instance([-0.1, 0.2], [0.1, 0.2])
-
-    def test_constraint_violation_rejected(self):
-        with pytest.raises(ValueError):
-            make_lemma_instance([1.0, 1.0], [1.0, 1.0], t=0.5)
 
 
 def _reference_scan(xs, ys):
@@ -107,11 +102,6 @@ class TestLemmaStack:
     def test_nonzero_padding_rejected(self):
         with pytest.raises(ValueError, match="past a row's length"):
             make_lemma_instance([[1.0, 0.0], [1.0, 2.0]], [[1.0, 3.0], [1.0, 1.0]], ns=[1, 2])
-
-    def test_row_constraint_violation_rejected(self):
-        with pytest.raises(ValueError, match="constraint violated"):
-            make_lemma_instance([[1.0, 0.0], [1.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]],
-                                t=[1.0, 0.5], ns=[1, 2])
 
     def test_row_violation_raises(self):
         # t below the achieved value: the bound is too small for the row's minimum

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import adgac
+from adgac import a2, bench, core, margin
 from adgac.bench import TunableConstants
 from adgac.oracles import Oracle
 
@@ -117,6 +118,19 @@ def test_oracle_takes_the_world_alone():
     # the world's seed starts the trial's one stream; a generator passed
     # beside it would be a second source for the same stream
     assert list(inspect.signature(Oracle).parameters) == ["spec"]
+
+
+def test_entry_points_take_the_paper_inputs_alone():
+    # each entry point README names takes its budget (params, plan or n),
+    # its data or class, and the oracle: a parameter that only a test sets
+    # is a second way into a run
+    entry_points = {core.adgac: ["S", "plan", "oracle"],
+                    a2.run_a2_adgac: ["oracle", "klass", "params"],
+                    a2.run_baseline_a2: ["oracle", "klass", "params"],
+                    margin.run_margin_adgac: ["oracle", "params"],
+                    bench.passive_erm: ["oracle", "klass", "n"]}
+    assert {fn.__name__: list(inspect.signature(fn).parameters) for fn in entry_points} == {
+        fn.__name__: names for fn, names in entry_points.items()}
 
 
 def test_one_learner_target_type():
