@@ -81,14 +81,13 @@ def _run_battery(args) -> int:
 def _cmd_lemma_check(args) -> int:
     if args.instances < 0 or args.max_n < 1:
         raise _UsageError("need --instances >= 0 and --max-n >= 1")
+    # three whole-stack draws in README's order (ns, xs, ys): a seed names its instances
     rng = np.random.default_rng(args.seed)
-    xs = np.zeros((args.instances, args.max_n))
-    ys = np.zeros_like(xs)
-    ns = np.empty(args.instances, dtype=int)
-    for r in range(args.instances):
-        n = ns[r] = int(rng.integers(1, args.max_n + 1))
-        rng.random(out=xs[r, :n])  # the draws of rng.random(n), written in place
-        rng.random(out=ys[r, :n])
+    ns = rng.integers(1, args.max_n + 1, size=args.instances)
+    xs = rng.random((args.instances, args.max_n))
+    ys = rng.random((args.instances, args.max_n))
+    padding = np.arange(args.max_n) >= ns[:, None]
+    xs[padding] = ys[padding] = 0.0
     stack = minimax.make_lemma_instance(xs, ys, ns=ns)
     fmin, _ = minimax.lemma_min_f(stack)  # raises on violation
     worst_slack = (stack.bound - fmin).min(initial=float("inf"))

@@ -162,8 +162,8 @@ class GhatConstruction:
 def construct_ghat(base: ScoreDistribution, nu_prime: float) -> GhatConstruction:
     """Build the adversarial monotone distortion for a target comparison error.
 
-    Requires both classes to carry mass at least sqrt(nu'); the interval
-    [a, b] straddling zero holds exactly that much mass on each side.
+    Requires both classes to carry mass at least sqrt(nu') and a finite
+    interval [a, b] straddling zero that holds exactly that much mass on each side.
     """
     if not nu_prime >= 0:  # written so that NaN fails it
         raise ValueError(f"comparison error mass {nu_prime!r} must be nonnegative")
@@ -174,8 +174,9 @@ def construct_ghat(base: ScoreDistribution, nu_prime: float) -> GhatConstruction
     if min(f0, 1.0 - f0) < root:
         raise ValueError(
             f"class mass {min(f0, 1.0 - f0):.4g} below sqrt(nu') = {root:.4g}")
-    a = float(base.ppf(f0 - root))
-    b = float(base.ppf(f0 + root))
+    a, b = map(float, base.ppf([f0 - root, f0 + root]))
+    if not (math.isfinite(a) and math.isfinite(b)):  # the gaussian ppf at 0 or 1
+        raise ValueError(f"sqrt(nu') = {root:.4g} takes all of a class: interval [{a}, {b}]")
     return GhatConstruction(base=base, nu_prime=nu_prime, a=a, b=b)
 
 

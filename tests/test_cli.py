@@ -9,9 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from adgac import bench, cli
+from adgac import bench, cli, minimax
 from adgac.a2 import RunParams
 from adgac.bench import CSV_HEADER, ExperimentConfig, parse_report_csv
 from adgac.cli import EXIT_OK, EXIT_THRESHOLD, EXIT_USAGE, main
@@ -53,6 +54,21 @@ class TestExitCodes:
         assert main(["minimax-check", "--grid", "100", "--nu-prime", nu]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == "" and "usage error" in captured.err
+
+    def test_minimax_check_infinite_interval_is_usage_error(self, capsys):
+        # the gaussian fold at nu' = 0.25 has interval [-inf, inf]: it printed
+        # `t = nan` and missed the threshold (exit 3)
+        argv = ["minimax-check", "--grid", "100", "--base", "gaussian", "--nu-prime", "0.25"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "interval" in captured.err
+
+    @pytest.mark.parametrize("base,nu", [("uniform", "0.25"), ("gaussian", "0.2499")])
+    def test_minimax_check_near_whole_class_fold_ok(self, base, nu, capsys):
+        argv = ["minimax-check", "--grid", "4000", "--base", base, "--nu-prime", nu]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "nan" not in out and "inf" not in out
 
     @pytest.mark.parametrize("grid", ["0", "1", "-5"])
     def test_minimax_check_short_grid_is_usage_error(self, grid, capsys):
@@ -533,12 +549,92 @@ def _equality_lines(max_n):
                    for n in range(1, max_n + 1))
 
 
-class TestCheckGoldens:
-    """stdout pinned byte for byte, as printed by the per-instance lemma loop
-    and the scipy.stats gaussian before the batched scan replaced them."""
+class _CountingRng:
+    """A Generator that records the name of each method called on it."""
 
-    @pytest.mark.parametrize("seed,slack", [("0", "1.983e-03"), ("7", "1.316e-03"),
-                                            ("12345", "4.453e-04")])
+    def __init__(self, rng):
+        self._rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        attr = getattr(self._rng, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return attr(*args, **kwargs)
+        return counted
+
+
+class TestLemmaDraws:
+    """lemma-check draws its random instances from default_rng(seed) in three
+    calls: ns = integers(1, max_n + 1, size=instances), then
+    xs = random((instances, max_n)), then ys = random((instances, max_n)),
+    each row zeroed past its n."""
+
+    @staticmethod
+    def _documented_stack(seed, instances, max_n):
+        rng = np.random.default_rng(seed)
+        ns = rng.integers(1, max_n + 1, size=instances)
+        xs = rng.random((instances, max_n))
+        ys = rng.random((instances, max_n))
+        padding = np.arange(max_n) >= ns[:, None]
+        xs[padding] = 0.0
+        ys[padding] = 0.0
+        return xs, ys, ns
+
+    @pytest.mark.parametrize("instances", ["1", "1000", "1001"])
+    def test_three_draw_calls(self, instances, monkeypatch, capsys):
+        made = []
+        real = np.random.default_rng
+
+        def counting(seed=None):
+            made.append(_CountingRng(real(seed)))
+            return made[-1]
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        assert main(["lemma-check", "--instances", instances, "--seed", "3"]) == EXIT_OK
+        assert [rng.calls for rng in made] == [["integers", "random", "random"]]
+
+    @pytest.mark.parametrize("max_n", [1, 3, 8])
+    def test_slack_line_is_the_documented_stack(self, max_n, monkeypatch, capsys):
+        seed, instances = 11, 1000
+        seen = []
+        real = minimax.make_lemma_instance
+
+        def spy(xs, ys, ns=None):
+            seen.append((np.array(xs), np.array(ys), ns))
+            return real(xs, ys, ns=ns)
+        monkeypatch.setattr(minimax, "make_lemma_instance", spy)
+        argv = ["lemma-check", "--instances", str(instances), "--max-n", str(max_n),
+                "--seed", str(seed)]
+        assert main(argv) == EXIT_OK
+        first_line = capsys.readouterr().out.splitlines()[0]
+
+        xs, ys, ns = self._documented_stack(seed, instances, max_n)
+        cli_xs, cli_ys, cli_ns = seen[0]  # the random stack; the equality rows follow
+        np.testing.assert_array_equal(cli_ns, ns)
+        np.testing.assert_array_equal(cli_xs, xs)
+        np.testing.assert_array_equal(cli_ys, ys)
+        assert set(ns.tolist()) == set(range(1, max_n + 1))  # every n in [1, max_n] is drawn
+        padding = np.arange(max_n) >= ns[:, None]
+        assert not cli_xs[padding].any() and not cli_ys[padding].any()
+        assert (cli_xs[~padding] > 0).all() and (cli_ys[~padding] > 0).all()
+
+        stack = real(xs, ys, ns=ns)
+        fmin, _ = minimax.lemma_min_f(stack)
+        slack = (stack.bound - fmin).min()
+        assert first_line == f"{instances} random instances: bound holds, worst slack {slack:.3e}"
+
+
+class TestCheckGoldens:
+    """stdout pinned byte for byte. The lemma slack lines are those of the
+    three whole-stack draws (every n, then every x, then every y; see
+    TestLemmaDraws), which name other instances than the earlier per-instance
+    draws at the same seed; the equality lines and the minimax lines are as
+    printed by the per-instance lemma loop and the scipy.stats gaussian."""
+
+    @pytest.mark.parametrize("seed,slack", [("0", "1.817e-03"), ("7", "5.185e-03"),
+                                            ("12345", "5.380e-04")])
     def test_lemma_check(self, seed, slack, capsys):
         assert main(["lemma-check", "--instances", "1000", "--seed", seed]) == EXIT_OK
         assert capsys.readouterr().out == (

@@ -138,6 +138,16 @@ class TestGhatConstruction:
         with pytest.raises(ValueError):
             construct_ghat(base, 0.5)  # sqrt = 0.707 > class mass 0.5
 
+    def test_whole_class_fold_needs_a_finite_interval(self):
+        # at nu' = 0.25 the fold takes all of each class: the uniform interval
+        # is the support [-1/2, 1/2], the gaussian one would be [-inf, inf]
+        uniform = construct_ghat(ScoreDistribution("uniform"), 0.25)
+        assert (uniform.a, uniform.b) == (-0.5, 0.5)
+        with pytest.raises(ValueError, match="interval"):
+            construct_ghat(ScoreDistribution("gaussian"), 0.25)
+        ghat = construct_ghat(ScoreDistribution("gaussian"), 0.2499)
+        assert math.isfinite(ghat.a) and math.isfinite(ghat.b)
+
     def test_gaussian_base_supported(self):
         base = ScoreDistribution("gaussian")
         ghat = construct_ghat(base, 0.01)
