@@ -1,4 +1,4 @@
-"""Seeded trial batteries, baselines, and CSV reporting.
+"""Seeded trial batteries, baselines, the flat config format, and CSV reporting.
 
 A battery is a scenario plus a method plus trial count; trial i runs fully
 independently at seed base + i with its own oracle, counters, and rng stream,
@@ -9,6 +9,8 @@ echoed config as sidecar files.
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import math
 import os
 import tempfile
@@ -18,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import a2, core, margin as margin_mod
-from .core import (DEFAULT_CONSTANTS, TunableConstants, _format_flat, _parse_flat,
-                   field_parsers)
+from .core import DEFAULT_CONSTANTS, TunableConstants
 from .hypotheses import ThresholdClass
 from .oracles import (ADVERSARIAL, BAND_ADVERSARIAL, GAUSSIAN, MASSART, PERFECT,
                       UNIFORM, ComparisonNoiseSpec, GroundTruth, LabelNoiseSpec, Oracle,
@@ -28,6 +29,56 @@ from .oracles import (ADVERSARIAL, BAND_ADVERSARIAL, GAUSSIAN, MASSART, PERFECT,
 
 _ERR_MC_SAMPLES = 100_000
 _ERR_MC_SALT = 0x5A17
+
+
+_FROM_TEXT = {"str": str, "int": int, "float": float}
+
+
+def field_parsers(cls) -> dict:
+    """Each field of dataclass cls declared str, int or float (a string under
+    postponed annotations) -> the parser of its raw text: the flat fields."""
+    return {f.name: _FROM_TEXT[f.type] for f in dataclasses.fields(cls) if f.type in _FROM_TEXT}
+
+
+def _format_flat(obj, heading: str) -> str:
+    """The flat fields of obj under a `# heading` line, as _parse_flat reads them."""
+    lines = [f"# {heading}"] + [f"{name} = {getattr(obj, name)!r}"
+                                for name in field_parsers(type(obj))]
+    return "\n".join(lines) + "\n"
+
+
+def _parse_flat(text: str, types: dict) -> dict:
+    """Parse the flat `key = value` config format with `#` comments; a quoted
+    value is a Python string literal, which may hold `#` and escapes.
+
+    types maps each known key to the converter of its raw text; an unknown
+    key, or a value its converter rejects, is a ValueError naming the key.
+    """
+    out: dict = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ValueError(f"line {lineno}: expected `key = value`, got {line!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if val.startswith(("'", '"')):
+            try:
+                val = ast.literal_eval(val)
+            except (SyntaxError, ValueError):
+                val = None
+            if not isinstance(val, str):
+                raise ValueError(f"line {lineno}: bad quoted value in {line!r}")
+        else:
+            val = val.split("#", 1)[0].rstrip()
+        if key not in types:
+            raise ValueError(f"unknown config key {key!r}")
+        try:
+            out[key] = types[key](val)
+        except ValueError:
+            raise ValueError(f"config key {key} = {val!r} is not a valid "
+                             f"{types[key].__name__}") from None
+    return out
 
 
 @dataclass
@@ -63,7 +114,6 @@ class ExperimentConfig:
     dist: str = UNIFORM
     d: int = 1
     threshold: float = 0.5
-    w_star: str = "random"          # "random" (per-trial) or "e1"
     label_noise: str = MASSART
     beta: float = 0.0
     kappa: float = 1.0
@@ -78,9 +128,8 @@ class ExperimentConfig:
     constants: TunableConstants = DEFAULT_CONSTANTS
     out: str = field(default="", metadata={"help": "CSV output path"})
 
-    W_STARS = ("random", "e1")
     # field -> its allowed values, read by the check below and by the flag's choices
-    CHOICES = {"dist": GroundTruth.KINDS, "w_star": W_STARS, "label_noise": LabelNoiseSpec.KINDS,
+    CHOICES = {"dist": GroundTruth.KINDS, "label_noise": LabelNoiseSpec.KINDS,
                "comp_noise": ComparisonNoiseSpec.KINDS}
     # integer field -> its least value, checked for every method
     INT_FLOORS = {"trials": 1, "seed": 0, "d": 1, "n_samples": 1, "grid": 1, "k": 0}
@@ -118,13 +167,8 @@ class ExperimentConfig:
         if self.dist == UNIFORM:
             return uniform_scenario(self.threshold, self.label_noise_spec(),
                                     self.comparison_noise_spec(), seed=seed)
-        if self.w_star == "e1":
-            w = np.zeros(self.d)
-            w[0] = 1.0
-        else:
-            w_rng = np.random.default_rng([seed, 0xD12])
-            w = w_rng.standard_normal(self.d)
-            w = w / np.linalg.norm(w)
+        w = np.random.default_rng([seed, 0xD12]).standard_normal(self.d)
+        w = w / np.linalg.norm(w)
         return gaussian_scenario(w, self.label_noise_spec(),
                                  self.comparison_noise_spec(), seed=seed)
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bench, core, minimax
+from . import bench, minimax
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -40,7 +40,7 @@ _BATTERY_NAMES = {"adgac-only": "adgac-run", "a2-adgac": "a2", "margin-adgac": "
 
 def _add_scenario_flags(p: argparse.ArgumentParser):
     cls = bench.ExperimentConfig
-    parsers = core.field_parsers(cls)
+    parsers = bench.field_parsers(cls)
     for f in dataclasses.fields(cls):
         if f.name in ("method", "constants"):
             continue

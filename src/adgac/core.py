@@ -9,7 +9,6 @@ emits a monotone-step labeling of the whole dataset.
 
 from __future__ import annotations
 
-import ast
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -69,56 +68,6 @@ class LearnerParams:
     def gamma(self) -> float:
         """The per-round failure share delta / (SPLIT log2(1/eps))."""
         return self.delta / (self.SPLIT * math.log2(1.0 / self.eps))
-
-
-_FROM_TEXT = {"str": str, "int": int, "float": float}
-
-
-def field_parsers(cls) -> dict:
-    """Each field of dataclass cls declared str, int or float (a string under
-    postponed annotations) -> the parser of its raw text: the flat fields."""
-    return {f.name: _FROM_TEXT[f.type] for f in dataclasses.fields(cls) if f.type in _FROM_TEXT}
-
-
-def _format_flat(obj, heading: str) -> str:
-    """The flat fields of obj under a `# heading` line, as _parse_flat reads them."""
-    lines = [f"# {heading}"] + [f"{name} = {getattr(obj, name)!r}"
-                                for name in field_parsers(type(obj))]
-    return "\n".join(lines) + "\n"
-
-
-def _parse_flat(text: str, types: dict) -> dict:
-    """Parse the flat `key = value` config format with `#` comments; a quoted
-    value is a Python string literal, which may hold `#` and escapes.
-
-    types maps each known key to the converter of its raw text; an unknown
-    key, or a value its converter rejects, is a ValueError naming the key.
-    """
-    out: dict = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"line {lineno}: expected `key = value`, got {line!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if val.startswith(("'", '"')):
-            try:
-                val = ast.literal_eval(val)
-            except (SyntaxError, ValueError):
-                val = None
-            if not isinstance(val, str):
-                raise ValueError(f"line {lineno}: bad quoted value in {line!r}")
-        else:
-            val = val.split("#", 1)[0].rstrip()
-        if key not in types:
-            raise ValueError(f"unknown config key {key!r}")
-        try:
-            out[key] = types[key](val)
-        except ValueError:
-            raise ValueError(f"config key {key} = {val!r} is not a valid "
-                             f"{types[key].__name__}") from None
-    return out
 
 
 def group_of(ranks, m: int, size: int):
@@ -182,7 +131,7 @@ class AdgacResult:
 
 
 def noisy_quicksort(items, comparator, rng: np.random.Generator,
-                    group: int = 1) -> tuple[np.ndarray, int]:
+                    group: int) -> tuple[np.ndarray, int]:
     """Randomized-pivot quicksort driven by a batch pivot comparator, sorting
     only down to groups of `group` ranks (group_of's rule).
 

@@ -20,6 +20,7 @@ from .oracles import GAUSSIAN, Oracle
 
 SEED_BATCH = 32                  # labeled points the initial direction is fitted to
 SEED_FIT_ITERS = 800             # hinge steps of that fit
+HINGE_PATIENCE = 200             # steps without improvement before a level restart
 MAX_ROUND_SAMPLES = 5_000_000    # a round needing more raises BudgetExceededError
 MIN_ROUND_SAMPLES = 64           # keeps early-round bands from coming up empty
 
@@ -90,7 +91,7 @@ class HingeFit:
 
 
 def minimize_hinge(xs, ys, w_prev, radius: float, tau: float,
-                   max_iters: int = 1500, patience: int = 200) -> HingeFit:
+                   max_iters: int = 1500) -> HingeFit:
     """Projected subgradient descent for the ball-constrained hinge loss.
 
     Works on the rescaled objective mean(max(tau - y (v . x), 0)) with
@@ -111,6 +112,7 @@ def minimize_hinge(xs, ys, w_prev, radius: float, tau: float,
         raise ValueError("w_prev must lie in the unit ball")
     n = len(ys)
     yx = xs * ys[:, None]
+    patience = HINGE_PATIENCE
 
     def margins(v):
         return tau - ys * (xs @ v)
@@ -170,7 +172,7 @@ class MarginSchedule:
     """Per-round geometry: band width b_k, radius r_k, hinge scale tau_k,
     z_k^2 = r_k^2 + b_{k-1}^2, error budget eps_k, and sample size n_k."""
 
-    def __init__(self, params: MarginParams, d: int, label_kappa: float = 1.0):
+    def __init__(self, params: MarginParams, d: int, label_kappa: float):
         self.params = params
         self.constants = c = params.constants
         self.d = d
@@ -241,7 +243,7 @@ def fit_initial_direction(xs, ys) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     start = (xs * ys[:, None]).mean(axis=0)
-    nrm = float(np.linalg.norm(start))
+    nrm = _norm(start)
     if nrm < 1e-12:
         start = np.zeros(xs.shape[1])
         start[0] = 1.0
@@ -250,7 +252,7 @@ def fit_initial_direction(xs, ys) -> np.ndarray:
     # B(start, 2) contains the whole unit ball, so only the norm constraint binds
     fit = minimize_hinge(xs, ys, start, radius=2.0, tau=1.0, max_iters=SEED_FIT_ITERS)
     v = fit.v
-    nv = float(np.linalg.norm(v))
+    nv = _norm(v)
     return v / nv if nv > 1e-12 else start
 
 
@@ -269,7 +271,7 @@ def run_margin_adgac(oracle: Oracle, params: MarginParams) -> MarginRunResult:
 
     seed_xs = oracle.sample(SEED_BATCH)
     w = fit_initial_direction(seed_xs, oracle.label_many(seed_xs))
-    w = w / np.linalg.norm(w)
+    w = w / _norm(w)
     cosine = float(np.clip(np.dot(w, spec.ground_truth.w), -1.0, 1.0))
     if math.acos(cosine) > math.pi / 2.0:
         flags.append("w0-angle")
@@ -292,16 +294,16 @@ def run_margin_adgac(oracle: Oracle, params: MarginParams) -> MarginRunResult:
             flags.append(f"hinge-degraded-round-{k}")
         v = fit.v
         # written as not (<=) so that a NaN iterate fails too
-        if not np.linalg.norm(v - w) <= r_k + 1e-9:
+        if not _norm(v - w) <= r_k + 1e-9:
             raise InfeasibleIterateError(f"round {k}: fit left the ball of radius {r_k:.4g}")
-        nv = float(np.linalg.norm(v))
+        nv = _norm(v)
         if nv < 1e-12:
             flags.append(f"null-minimizer-round-{k}")
             v = w.copy()
             nv = 1.0
         w = v / nv
-        if not abs(np.linalg.norm(w) - 1.0) <= 1e-12:
-            raise InfeasibleIterateError(f"round {k}: iterate norm {np.linalg.norm(w)!r} is not 1")
+        if not abs(_norm(w) - 1.0) <= 1e-12:
+            raise InfeasibleIterateError(f"round {k}: iterate norm {_norm(w)!r} is not 1")
         trace.append(MarginRoundTrace(call, fit.loss, w))
 
     return MarginRunResult(trace=trace, flags=flags, schedule=schedule)

@@ -104,7 +104,7 @@ class ScoreDistribution:
 
     KINDS = ("uniform", "gaussian")
 
-    def __init__(self, kind: str = "uniform"):
+    def __init__(self, kind: str):
         if kind not in self.KINDS:
             raise ValueError(f"unknown score distribution {kind!r}")
         self.kind = kind

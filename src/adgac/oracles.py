@@ -239,7 +239,7 @@ def _ranks_below(g, g_pivot, elem_first, band: float):
     return below
 
 
-def calibrate_band(spec: ScenarioSpec, target_mass: float, which: str = "label") -> float:
+def calibrate_band(spec: ScenarioSpec, target_mass: float, which: str) -> float:
     """The band radius rho realizing a target corruption mass, exactly.
 
     For labels the mass is P[|g(X)| < rho]; for comparisons it is the

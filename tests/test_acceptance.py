@@ -124,7 +124,7 @@ def test_ac5_margin_learner():
     success = summary["success_rate"]
 
     # schedule identities, recomputed from the formula parts every round
-    sched = MarginSchedule(MarginParams(eps=0.1, delta=0.2), d=2)
+    sched = MarginSchedule(MarginParams(eps=0.1, delta=0.2), d=2, label_kappa=1.0)
     identities = all(
         sched.z2(k) == sched.r(k) ** 2 + sched.b(k - 1) ** 2
         and sched.eps_k(k) == (sched.params.constants.c3 * sched.tau(k) ** 2 * sched.b(k)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from adgac import bench
-from adgac.bench import (CSV_HEADER, DEFAULT_CONSTANTS, ExperimentConfig, emit_report,
-                         parse_report_csv, passive_erm, run_trials)
+from adgac.bench import (CSV_HEADER, DEFAULT_CONSTANTS, ExperimentConfig, TunableConstants,
+                         emit_report, parse_report_csv, passive_erm, run_trials)
 from adgac.hypotheses import ThresholdClass
 from adgac.oracles import Oracle, QueryCounters, uniform_scenario
 
@@ -216,7 +216,7 @@ class TestConfigFormat:
 
     def test_every_field_parses_by_its_declared_type(self):
         cfg = ExperimentConfig(method="margin-adgac", eps=0.2, delta=0.3, trials=2, seed=5,
-                               dist="isotropic-gaussian", d=3, threshold=0.25, w_star="e1",
+                               dist="isotropic-gaussian", d=3, threshold=0.25,
                                label_noise="tsybakov", beta=0.1, kappa=1.5, mu=0.5, nu=0.01,
                                comp_noise="band-adversarial", nu_prime=1e-3, grid=11,
                                n_samples=50, k=3, out="runs.csv")
@@ -268,3 +268,35 @@ class TestGateFlags:
                                comp_noise="band-adversarial", nu_prime=1e-4)
         reports, _ = run_trials(cfg)
         assert "tolcomp-gate" not in reports[0].flags
+
+    # each gate on both sides: a mass 1e-6 (relative) inside it raises no
+    # flag, one as far past it does
+    both_sides = pytest.mark.parametrize("side, past", [(1.0 - 1e-6, False), (1.0 + 1e-6, True)],
+                                         ids=["inside", "past"])
+
+    @both_sides
+    @pytest.mark.parametrize("label_noise, kappa, gate_kappa, C2", [
+        ("massart", 1.0, 1.0, 1.0),
+        ("massart", 1.5, 1.0, 0.5),      # kappa counts only under tsybakov noise
+        ("tsybakov", 1.5, 1.5, 1.0),
+    ])
+    def test_comparison_gate_is_C2_eps_to_2kappa_delta(self, label_noise, kappa, gate_kappa,
+                                                       C2, side, past):
+        # nu' <= C2 eps^(2 kappa) delta, kappa the label noise exponent
+        eps, delta = 0.2, 0.1
+        cfg = ExperimentConfig(method="adgac-only", eps=eps, delta=delta,
+                               label_noise=label_noise, kappa=kappa,
+                               comp_noise="band-adversarial",
+                               nu_prime=C2 * eps ** (2 * gate_kappa) * delta * side,
+                               constants=TunableConstants(C2=C2))
+        assert bench._gate_flags(cfg) == (["tolcomp-gate"] if past else [])
+
+    @both_sides
+    @pytest.mark.parametrize("C4", [1.0, 2.0])
+    def test_label_gate_is_C4_eps(self, C4, side, past):
+        # nu <= C4 eps, whatever delta
+        eps = 0.2
+        cfg = ExperimentConfig(method="adgac-only", eps=eps, delta=0.1,
+                               label_noise="adversarial", nu=C4 * eps * side,
+                               constants=TunableConstants(C4=C4))
+        assert bench._gate_flags(cfg) == (["tollabel-gate"] if past else [])

@@ -35,6 +35,13 @@ class TestExitCodes:
         assert main(["a2", "--constants", str(path)]) == EXIT_USAGE
         assert "unrecognized arguments: --constants" in capsys.readouterr().err
 
+    def test_w_star_flag_is_unrecognized(self, capsys):
+        # every gaussian trial draws its own w*; the law is rotation-invariant,
+        # so no setting picks it
+        assert main(["margin", "--dist", "isotropic-gaussian", "--dim", "2",
+                     "--w-star", "e1"]) == EXIT_USAGE
+        assert "unrecognized arguments: --w-star" in capsys.readouterr().err
+
     def test_bad_flag_value_is_usage_error(self, capsys):
         assert main(["adgac-run", "--eps", "not-a-number"]) == EXIT_USAGE
 
@@ -83,10 +90,9 @@ class TestExitCodes:
         ["margin", "--dist", "isotropic-gaussian", "--dim", "0"],
         ["erm", "--dist", "isotropic-gaussian", "--dim", "3"],
         ["margin", "--dist", "uniform-interval", "--dim", "2"],
-        ["margin", "--dist", "isotropic-gaussian", "--dim", "0", "--w-star", "e1"],
-        ["margin", "--dist", "isotropic-gaussian", "--dim", "-1", "--w-star", "e1"],
-    ], ids=["threshold-1.5", "beta-0.7", "dim-0", "erm-gaussian", "margin-uniform", "dim-0-e1",
-            "dim-minus-1-e1"])
+        ["margin", "--dist", "isotropic-gaussian", "--dim", "-1"],
+    ], ids=["threshold-1.5", "beta-0.7", "dim-0", "erm-gaussian", "margin-uniform",
+            "dim-minus-1"])
     def test_invalid_world_is_usage_error(self, argv, capsys):
         assert main(argv + ["--trials", "2"]) == EXIT_USAGE
         err = capsys.readouterr().err
@@ -166,12 +172,13 @@ class TestExitCodes:
         assert named in capsys.readouterr().err
 
     def test_unknown_w_star_in_config_is_usage_error(self, tmp_path, capsys):
-        # the --w-star flag has choices; a config file's value is checked the same
+        # w_star is no config key: a sidecar that still holds it is rejected,
+        # naming it, as the --w-star flag is
         path = tmp_path / "bench.txt"
         path.write_text('method = "margin-adgac"\ndist = "isotropic-gaussian"\nd = 3\n'
-                        'eps = 0.2\ndelta = 0.2\nw_star = "e2"\n')
+                        "eps = 0.2\ndelta = 0.2\nw_star = 'random'\n")
         assert main(["bench", "--config", str(path)]) == EXIT_USAGE
-        assert "w_star" in capsys.readouterr().err
+        assert "unknown config key 'w_star'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ['label_noise = "tsybakov-ish"', 'comp_noise = "band"'])
     def test_unknown_choice_in_config_names_its_key(self, tmp_path, capsys, line):
@@ -344,13 +351,16 @@ class TestFlagsAreFields:
         parser = cli.build_parser()
         assert {parser.parse_args([c]).method for c in BATTERIES} == set(bench.METHODS)
 
+    # ids are pytest's positional ones from when each command also had a
+    # --w-star row (position 1 of 4), so every row keeps its id
     @pytest.mark.parametrize("command, flag, allowed", [
-        *[(c, flag, allowed) for c in BATTERIES + ["bench"] for flag, allowed in [
-            ("--dist", ExperimentConfig.CHOICES["dist"]),
-            ("--w-star", ExperimentConfig.W_STARS),
-            ("--label-noise", LabelNoiseSpec.KINDS),
-            ("--comp-noise", ComparisonNoiseSpec.KINDS)]],
-        ("minimax-check", "--base", ScoreDistribution.KINDS),
+        *[pytest.param(c, flag, allowed, id=f"{c}-{flag}-allowed{4 * i + j}")
+          for i, c in enumerate(BATTERIES + ["bench"]) for j, flag, allowed in [
+              (0, "--dist", ExperimentConfig.CHOICES["dist"]),
+              (2, "--label-noise", LabelNoiseSpec.KINDS),
+              (3, "--comp-noise", ComparisonNoiseSpec.KINDS)]],
+        pytest.param("minimax-check", "--base", ScoreDistribution.KINDS,
+                     id="minimax-check---base-allowed24"),
     ])
     def test_choices_are_the_checkers_tuple(self, command, flag, allowed):
         # a restated set of allowed values drifts from the one its checker reads
@@ -370,7 +380,6 @@ SIDECAR = (
     "dist = 'uniform-interval'\n"
     "d = 1\n"
     "threshold = 0.3\n"
-    "w_star = 'random'\n"
     "label_noise = 'massart'\n"
     "beta = 0.1\n"
     "kappa = 1.0\n"

@@ -45,7 +45,7 @@ def _observe(constants: TunableConstants) -> dict:
 
     rp = a2.RunParams(eps=0.1, delta=0.1, constants=constants)
     mparams = margin.MarginParams(eps=0.2, delta=0.2, constants=constants)
-    sched = margin.MarginSchedule(mparams, d=2)
+    sched = margin.MarginSchedule(mparams, d=2, label_kappa=1.0)
     noisy = uniform_scenario(0.5, LabelNoiseSpec(kind="massart", beta=0.2), seed=3)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(core, "adgac", spy)

@@ -78,20 +78,20 @@ def level_reference(items, compare, rng, group=1):
 class TestNoisyQuicksort:
     def test_singleton(self):
         items = np.array([3.0])
-        order, comps = noisy_quicksort(items, batch_of(items), np.random.default_rng(0))
+        order, comps = noisy_quicksort(items, batch_of(items), np.random.default_rng(0), 1)
         assert list(order) == [0] and comps == 0
 
     def test_perfect_comparator_sorts(self):
         items = np.array([0.3, 0.1, 0.2])
         for seed in range(20):
             order, _ = noisy_quicksort(items, batch_of(items),
-                                       np.random.default_rng(seed))
+                                       np.random.default_rng(seed), 1)
             np.testing.assert_allclose(items[order], [0.1, 0.2, 0.3])
 
     def test_output_is_permutation(self):
         rng = np.random.default_rng(1)
         items = rng.random(200)
-        order, comps = noisy_quicksort(items, batch_of(items), rng)
+        order, comps = noisy_quicksort(items, batch_of(items), rng, 1)
         assert sorted(order) == list(range(200))
         assert comps > 0
 
@@ -102,7 +102,7 @@ class TestNoisyQuicksort:
         counts = []
         for seed in range(200):
             _, comps = noisy_quicksort(items, batch_of(items),
-                                       np.random.default_rng(seed))
+                                       np.random.default_rng(seed), 1)
             counts.append(comps)
         assert np.mean(counts) <= 2.0 * m * math.log(m)
 
@@ -113,7 +113,7 @@ class TestNoisyQuicksort:
         # a pivot's position is its rank and a biased position moves the mean
         items = np.arange(m, dtype=float)
         rng = np.random.default_rng(2026)
-        counts = np.array([noisy_quicksort(items, lambda i, p, _: items[i] < items[p], rng)[1]
+        counts = np.array([noisy_quicksort(items, lambda i, p, _: items[i] < items[p], rng, 1)[1]
                            for _ in range(trials)], dtype=float)
         expected = 2.0 * (m + 1) * sum(1.0 / j for j in range(1, m + 1)) - 4.0 * m
         z = (counts.mean() - expected) / (counts.std(ddof=1) / math.sqrt(trials))
@@ -127,7 +127,7 @@ class TestNoisyQuicksort:
         trials = 400
         for seed in range(trials):
             order, _ = noisy_quicksort(items, batch_of(items, lambda a, b: 1),
-                                       np.random.default_rng(seed))
+                                       np.random.default_rng(seed), 1)
             wins_first += order[0] == 0
         assert abs(wins_first / trials - 0.5) < 0.1
 
@@ -193,7 +193,7 @@ class TestSortProperties:
         oracle = Oracle(dataclasses.replace(BAND_WORLD, seed=seed))
         xs = 0.5 + np.array(scores, dtype=float) * BAND_RHO / 4
         m = len(xs)
-        order, comps = noisy_quicksort(xs, oracle.pivot_comparator(xs), oracle.rng)
+        order, comps = noisy_quicksort(xs, oracle.pivot_comparator(xs), oracle.rng, 1)
         assert sorted(order.tolist()) == list(range(m))
         assert comps == oracle.counters.comparisons <= m * (m - 1) // 2
 
@@ -202,7 +202,7 @@ class TestSortProperties:
     def test_perfect_comparator_sorts_ties(self, scores, seed):
         oracle = Oracle(uniform_scenario(0.5, seed=seed))
         xs = np.array(scores, dtype=float)
-        order, _ = noisy_quicksort(xs, oracle.pivot_comparator(xs), oracle.rng)
+        order, _ = noisy_quicksort(xs, oracle.pivot_comparator(xs), oracle.rng, 1)
         assert np.all(np.diff(xs[order]) >= 0)
 
 

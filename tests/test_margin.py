@@ -146,7 +146,7 @@ def hinge_case(name):
     if name == "stalled":
         xs = np.array([[1.0, 0.0], [1.0, 0.0]])
         ys = np.array([1, -1])
-        return (xs, ys, np.array([1.0, 0.0]), 0.5, 0.5), dict(max_iters=50, patience=5)
+        return (xs, ys, np.array([1.0, 0.0]), 0.5, 0.5), dict(max_iters=margin.HINGE_PATIENCE + 50)
     if name == "zero-loss":
         # separable with margin 0.3 about a w* inside the ball, but not by
         # the start: the loop takes steps, then stops at loss 0
@@ -158,7 +158,7 @@ def hinge_case(name):
         return (xs, ys, np.array([1.0, 0.0]), 0.5, 0.2), {}
     if name == "level-restart":
         xs, ys, w_prev = noisy_batch(5, 150, seed=12, flip=0.2)
-        return (xs, ys, w_prev, 0.6, 0.05), dict(patience=20)
+        return (xs, ys, w_prev, 0.6, 0.05), {}
     raise KeyError(name)
 
 
@@ -325,7 +325,8 @@ class TestMinimizeHinge:
         radius = rng.uniform(0.4, 1.0)
         fit = minimize_hinge(xs, ys, w_prev, radius, tau)
         grid_min = hinge_grid_minimum(xs, ys, w_prev, radius, tau)
-        kappa_prec = MarginSchedule(MarginParams(eps=0.1, delta=0.2), d=2).kappa_prec
+        kappa_prec = MarginSchedule(MarginParams(eps=0.1, delta=0.2), d=2,
+                                    label_kappa=1.0).kappa_prec
         assert fit.loss <= grid_min + kappa_prec / 8.0
 
     def test_whole_ball_matches_unconstrained_then_normalized(self):
@@ -371,18 +372,75 @@ class TestMinimizeHinge:
 
     def test_degraded_flag_on_stalled_budget(self):
         # contradictory labels at a single point: the loss floor is 1 and no
-        # step can improve it, so a tiny budget with a short window flags
+        # step can improve it, so a budget past the patience window flags
         xs = np.array([[1.0, 0.0], [1.0, 0.0]])
         ys = np.array([1, -1])
         fit = minimize_hinge(xs, ys, np.array([1.0, 0.0]), radius=0.5, tau=0.5,
-                             max_iters=50, patience=5)
+                             max_iters=margin.HINGE_PATIENCE + 50)
         assert fit.degraded
         assert fit.loss >= 1.0 - 1e-9
 
 
+def schedule_reference(params, d, kappa):
+    """Rows k = 0 .. rounds of (b_k, r_k, tau_k, eps_k, n_k), written out from the
+    localization schedule of Awasthi, Balcan & Long (STOC 2014) that the
+    paper's Margin-ADGAC runs, with the lab's constants c1, c2, c3, c4, c1p
+    and n_mult_margin:
+      M = max(2 / (c2 pi), 2) and kappa' = 1 / (4 c1p M), the hinge precision;
+      b_k = c1p M^-k, the band width;
+      r_k = min(M^-(k-1) / c2, pi / 2), the search radius;
+      tau_k = c1 kappa' min(b_{k-1}, 1/9) / 6, the hinge scale;
+      eps_k = c3 kappa'^2 tau_k^2 b_k / (256 c4 (r_k^2 + b_{k-1}^2)), the error budget;
+      n_k = max(64, ceil(n_mult_margin max((d / b_k') log^3 max(e, d k' / delta),
+                                           (1/eps)^(2 kappa - 1) log(1/delta)))),
+    k' = max(k, 1), for R = ceil(log2(4 / eps)) rounds."""
+    c, eps, delta = params.constants, params.eps, params.delta
+    M = max(2.0 / (c.c2 * math.pi), 2.0)
+    kp = 1.0 / (4.0 * c.c1p * M)
+    rounds = math.ceil(math.log2(4.0 / eps))
+
+    def b(k):
+        return c.c1p * M ** -k
+
+    rows = []
+    for k in range(rounds + 1):
+        r = min(M ** -(k - 1) / c.c2, math.pi / 2.0)
+        tau = c.c1 * kp * min(b(k - 1), 1.0 / 9.0) / 6.0
+        eps_k = c.c3 * kp ** 2 * tau ** 2 * b(k) / (256.0 * c.c4 * (r ** 2 + b(k - 1) ** 2))
+        kk = max(k, 1)
+        sample = max(d / b(kk) * math.log(max(math.e, d * kk / delta)) ** 3,
+                     (1.0 / eps) ** (2.0 * kappa - 1.0) * math.log(1.0 / delta))
+        rows.append((b(k), r, tau, eps_k, max(64, math.ceil(c.n_mult_margin * sample))))
+    return rows
+
+
+# (eps, delta, d, kappa, constants): the frozen constants, where M = 2/(c2 pi)
+# and the first n_k sit on the 64 floor; and other constants, where M = 2 and
+# the (1/eps)^(2 kappa - 1) term sets the first n_k
+SCHEDULE_POINTS = [
+    (0.1, 0.2, 2, 1.0, TunableConstants()),
+    (0.02, 0.1, 5, 1.5, TunableConstants(c1=0.3, c2=0.5, c3=0.5, c4=3.0, c1p=0.5,
+                                         n_mult_margin=0.5)),
+]
+
+
 class TestSchedule:
+    @pytest.mark.parametrize("eps, delta, d, kappa, constants", SCHEDULE_POINTS)
+    def test_table_matches_the_formulas(self, eps, delta, d, kappa, constants):
+        params = MarginParams(eps=eps, delta=delta, constants=constants)
+        sched = MarginSchedule(params, d, kappa)
+        ref = schedule_reference(params, d, kappa)
+        assert sched.rounds == len(ref) - 1
+        for k, (b, r, tau, eps_k, n) in enumerate(ref):
+            got = (sched.b(k), sched.r(k), sched.tau(k), sched.eps_k(k))
+            assert got == pytest.approx((b, r, tau, eps_k), rel=1e-12), k
+            assert sched.n(k) == n, k
+        # round j asks for eps_j and n_j
+        assert [(row.eps, row.n) for row in sched.plan()] == [
+            (pytest.approx(eps_k, rel=1e-12), n) for _, _, _, eps_k, n in ref[:-1]]
+
     def _schedule(self):
-        return MarginSchedule(MarginParams(eps=0.1, delta=0.2), d=2)
+        return MarginSchedule(MarginParams(eps=0.1, delta=0.2), d=2, label_kappa=1.0)
 
     def test_growth_constant(self):
         sched = self._schedule()
@@ -437,6 +495,43 @@ def start_at(monkeypatch, w):
 
 
 class TestRunMargin:
+    def test_round_k_bands_at_b_k_minus_1_and_fits_in_ball_r_k(self, monkeypatch):
+        # round k keeps the draw's points with |w_{k-1} . x| <= b_{k-1} (round
+        # 1 keeps them all) and fits them in the ball of radius r_k about
+        # w_{k-1} at hinge scale tau_k, each read from schedule_reference
+        bands, fits = [], []
+
+        def band(w, x, b):
+            mask = band_membership(w, x, b)
+            bands.append((w, x, b, mask))
+            return mask
+
+        def fit(xs, ys, w_prev, radius, tau, **kwargs):
+            fits.append((xs, w_prev, radius, tau))
+            return minimize_hinge(xs, ys, w_prev, radius, tau, **kwargs)
+
+        monkeypatch.setattr(margin, "band_membership", band)
+        monkeypatch.setattr(margin, "minimize_hinge", fit)
+        w_star = np.array([1.0, 0.0])
+        start_at(monkeypatch, w_star)
+        params = MarginParams(eps=0.1, delta=0.2)
+        res = run_margin_adgac(Oracle(gaussian_scenario(
+            w_star, LabelNoiseSpec(kind="massart", beta=0.1), seed=7)), params)
+        ref = schedule_reference(params, d=2, kappa=1.0)
+        ws = [w_star] + [t.w for t in res.trace]
+        assert len(fits) == len(res.trace) == len(ref) - 1 and len(bands) == len(fits) - 1
+        for k, (xs, w_prev, radius, tau) in enumerate(fits, 1):
+            np.testing.assert_array_equal(w_prev, ws[k - 1])
+            assert (radius, tau) == pytest.approx(ref[k][1:3], rel=1e-12), k
+            if k == 1:
+                assert len(xs) == ref[0][4]
+                continue
+            w, x, b, mask = bands[k - 2]
+            np.testing.assert_array_equal(w, ws[k - 1])
+            assert b == pytest.approx(ref[k - 1][0], rel=1e-12), k
+            np.testing.assert_array_equal(xs, x[mask])
+            assert np.all(np.abs(xs @ ws[k - 1]) <= ref[k - 1][0])
+
     def test_noiseless_small_battery(self):
         params = MarginParams(eps=0.1, delta=0.2)
         hits = 0
@@ -478,7 +573,7 @@ class TestRunMargin:
         # n stops the first round whose n exceeds it.  Only rounds 0 to R-1
         # draw, so a cap below n(R) alone lets the run finish
         params = MarginParams(eps=0.2, delta=0.2)
-        sched = MarginSchedule(params, d=2)
+        sched = MarginSchedule(params, d=2, label_kappa=1.0)
         ns = {k: sched.n(k) for k in range(1, sched.rounds + 1)}
         w_star = np.array([1.0, 0.0])
         start_at(monkeypatch, w_star)

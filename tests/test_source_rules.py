@@ -16,6 +16,14 @@ from adgac.oracles import Oracle
 SOURCES = sorted(Path(adgac.__file__).parent.glob("*.py"))
 
 
+def defaulted(fn) -> list[str]:
+    """The names of fn's parameters that carry a default."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    return [arg.arg for arg in positional[len(positional) - len(a.defaults):]] + [
+        arg.arg for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None]
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"__init__.py", "core.py", "oracles.py"}
 
@@ -90,13 +98,40 @@ def test_constant_defaults_live_only_in_tunable_constants():
                           if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
                           and stmt.target.id in names]
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                a = node.args
-                positional = a.posonlyargs + a.args
-                defaulted = positional[len(positional) - len(a.defaults):] + [
-                    arg for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None]
-                found += [f"{path.name}:{node.name}({arg.arg}=...)" for arg in defaulted
-                          if arg.arg in names]
+                found += [f"{path.name}:{node.name}({arg}=...)" for arg in defaulted(node)
+                          if arg in names]
     assert found == []
+
+
+# every defaulted parameter in src/, and why it keeps its default
+KEPT_DEFAULTS = {
+    "bench.py:measure_error(n_mc)": "the benchmark's tracer reads the default",
+    "bench.py:emit_report(config, summary)":
+        "the benchmark's worker leaves out config, and summary comes after it",
+    "cli.py:main(argv)": "the console entry point passes nothing",
+    "hypotheses.py:VersionSpace.__init__(alive)": "src/ builds both a whole and a cut space",
+    "margin.py:minimize_hinge(max_iters)": "1500 for a round's fit; the seed fit passes 800",
+    "minimax.py:make_lemma_instance(ns)": "the CLI passes row lengths, equality_instance not",
+    "oracles.py:uniform_scenario(threshold, label_noise, comparison_noise, seed)":
+        "a world constructor: bench passes every argument, so no run reads a default",
+    "oracles.py:gaussian_scenario(label_noise, comparison_noise, seed)":
+        "a world constructor: bench passes every argument, so no run reads a default",
+}
+
+
+def test_every_parameter_default_is_kept_on_purpose():
+    # a default that only tests leave out is a second way into a call: the
+    # tests then run a path that no run takes
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {id(fn): f"{cls.name}." for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        found += [f"{path.name}:{owner.get(id(node), '')}{node.name}({', '.join(args)})"
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and (args := defaulted(node))]
+    assert sorted(found) == sorted(KEPT_DEFAULTS)
 
 
 def test_learners_take_the_oracle_alone():
