@@ -366,10 +366,10 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def emit_report(reports: list[TrialReport], path: str,
-                config: ExperimentConfig | None = None,
-                summary: dict | None = None) -> list[str]:
-    """Write the CSV, the summary table, and the config sidecar atomically.
+def emit_report(reports: list[TrialReport], path: str, summary: dict,
+                config: ExperimentConfig | None = None) -> list[str]:
+    """Write the CSV, the summary table, and the config sidecar (when config
+    is given) atomically.
 
     Returns the list of files written.  I/O failures surface with the path.
     """
@@ -380,10 +380,9 @@ def emit_report(reports: list[TrialReport], path: str,
         body = "\n".join([CSV_HEADER] + [r.to_csv_row() for r in reports]) + "\n"
         _atomic_write(path, body)
         written.append(path)
-        if summary is not None:
-            spath = path + ".summary.txt"
-            _atomic_write(spath, summary_table(summary))
-            written.append(spath)
+        spath = path + ".summary.txt"
+        _atomic_write(spath, summary_table(summary))
+        written.append(spath)
         if config is not None:
             cpath = path + ".config.txt"
             _atomic_write(cpath, config.to_text())

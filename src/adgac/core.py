@@ -130,57 +130,101 @@ class AdgacResult:
     boundary: int | None
 
 
-def noisy_quicksort(items, comparator, rng: np.random.Generator,
+def noisy_quicksort(items, ranking, rng: np.random.Generator,
                     group: int) -> tuple[np.ndarray, int]:
-    """Randomized-pivot quicksort driven by a batch pivot comparator, sorting
-    only down to groups of `group` ranks (group_of's rule).
+    """Randomized-pivot quicksort asking the comparison oracle, sorting only
+    down to groups of `group` ranks (group_of's rule).
 
-    comparator(idx, pivots, elem_first) says, pair by pair, whether item
-    idx[j] ranks below item pivots[j], asked as (item, pivot) where
-    elem_first[j] holds, else as (pivot, item); each orientation is a fair
-    coin.  Oracle.pivot_comparator builds one.
-
-    Each pass handles every segment at one recursion depth whose first and
-    last ranks lie in different groups, left to right; a segment inside one
-    group is left unsplit, in its current order.  At group = 1 that is every
+    ranking(items) returns the oracle's answers as one oracles.Ranking
+    (Oracle.ranking is one); it is asked only when m >= 2.  The sort is
+    level-synchronous: each pass handles every segment at one recursion depth
+    whose first and last ranks lie in different groups, left to right; a
+    segment inside one group is left unsplit.  At group = 1 that is every
     segment of size >= 2, a full sort.  One rng.integers(0, sizes) draws every
-    pivot, uniform in its segment, one rng.random(pairs) every orientation,
-    and one comparator call answers every pair.  Each segment is partitioned
-    stably (the items below its pivot, the pivot, the rest, each in their
-    current order) into its left and right parts, the next level's segments.
-    Returns the permutation (rank -> input index) and the exact comparison
-    count, about 2m ln(m / group) + O(m) for distinct items under a perfect
-    comparator.
+    pivot, uniform over its segment's items in input order, and one
+    rng.random(pairs) every orientation, a fair coin per (item, pivot) pair.
+    Each segment splits into the items the oracle ranks below its pivot and
+    the rest, the next level's segments; each lists its items by input index.
+
+    A segment holds a range of the ranking's ranks, so the pass splits it at
+    its pivot's rank, and reads a coin only for an item that ties with the
+    pivot: asked (item, pivot) on heads, the tie ranks the item above.  Both
+    are what a pairwise quicksort making the same draws, one comparison per
+    pair, would do.  Returns the permutation (rank -> input index; an unsplit
+    segment in input order) and the exact comparison count, about
+    2m ln(m / group) + O(m) for distinct items under a perfect comparator.
     """
     m = len(items)
-    order, comparisons = np.arange(m), 0
+    if m < 2:
+        return np.arange(m), 0
+    ranked = ranking(items)
+    by_rank, tie = ranked.order.copy(), ranked.tie   # ties swap ranks as they split
+    has_ties = tie[-1] < m - 1
+    rank_of = np.empty(m, dtype=np.intp)
+    rank_of[by_rank] = np.arange(m)
+    cut = np.zeros(m + 1, dtype=bool)                # the first rank of each final segment
+    cut[0] = True
+    comparisons = 0
     starts, sizes = np.array([0]), np.array([m])
     while True:
         split = group_of(starts, m, group) < group_of(starts + sizes - 1, m, group)
         starts, sizes = starts[split], sizes[split]
         if sizes.size == 0:
-            return order, comparisons
-        pivot_pos = starts + rng.integers(0, sizes)
-        # every position of every segment but its pivot, segments left to right
-        seg = np.repeat(np.arange(sizes.size), sizes)
-        pos = np.arange(seg.size) - (np.cumsum(sizes) - sizes - starts)[seg]
-        keep = pos != pivot_pos[seg]
-        pos, seg = pos[keep], seg[keep]
-        idx, pivots = order[pos], order[pivot_pos]
-        below = comparator(idx, pivots[seg], rng.random(pos.size) < 0.5)
-        comparisons += pos.size
-        # stable ranks: among the segment's pairs, and among its pairs below
-        pair_first = (np.cumsum(sizes - 1) - (sizes - 1))[seg]
-        rank = np.arange(pos.size) - pair_first
-        below_before = np.cumsum(below) - below
-        rank_below = below_before - below_before[pair_first]
-        n_below = np.bincount(seg[below], minlength=sizes.size)
-        new_pivot = starts + n_below
-        order[np.where(below, starts[seg] + rank_below,
-                       new_pivot[seg] + 1 + rank - rank_below)] = idx
-        order[new_pivot] = pivots
-        starts = np.column_stack((starts, new_pivot + 1)).ravel()
-        sizes = np.column_stack((n_below, sizes - n_below - 1)).ravel()
+            break
+        offsets = rng.integers(0, sizes)
+        first = sizes.cumsum() - sizes
+        total = int(first[-1] + sizes[-1])
+        pairs = total - sizes.size
+        coins = rng.random(pairs)
+        ranked.ask(pairs)
+        comparisons += pairs
+        # every segment's items in input order, segments left to right
+        ranks = np.arange(total) + (starts - first).repeat(sizes)
+        in_order = (starts * m).repeat(sizes) + by_rank[ranks]
+        in_order.sort()
+        pivots = in_order[first + offsets] % m
+        at = rank_of[pivots]
+        if has_ties:
+            _split_ties(at, starts, sizes, in_order, coins, by_rank, rank_of, tie)
+        cut[at] = True
+        cut[at + 1] = True
+        starts, sizes = (np.array((starts, at + 1)).T.ravel(),
+                         np.array((at - starts, starts + sizes - at - 1)).T.ravel())
+    # each final segment's items in input order, at its ranks
+    seg_start = np.maximum.accumulate(np.where(cut[:m], np.arange(m), 0))
+    order = seg_start * m + by_rank
+    order.sort()
+    return order % m, comparisons
+
+
+def _split_ties(at, starts, sizes, in_order, coins, by_rank, rank_of, tie):
+    """noisy_quicksort's split where a pivot ties with other items of its
+    segment: each such item goes below the pivot on tails, above it on heads,
+    by the coin of its (item, pivot) pair.  Moves the tied items' ranks in
+    by_rank and rank_of, and the pivots' ranks in at."""
+    m = len(by_rank)
+    cls = tie[at]
+    lo = np.maximum(tie.searchsorted(cls), starts)
+    hi = np.minimum(tie.searchsorted(cls, side="right"), starts + sizes)
+    tied = np.flatnonzero(hi - lo > 1)
+    if tied.size == 0:
+        return
+    first = sizes.cumsum() - sizes
+    pivots = by_rank[at]
+    n = hi[tied] - lo[tied]
+    seg = tied.repeat(n)
+    r = np.arange(n.sum()) + (lo[tied] - (n.cumsum() - n)).repeat(n)
+    item = by_rank[r]
+    # a pair's coin sits at its item's place among the segment's items in
+    # input order, the pivot skipped; the pivot's own row reads coin 0
+    is_pivot = item == pivots[seg]
+    place = in_order.searchsorted(starts[seg] * m + item) - first[seg]
+    pair = first[seg] - seg + place - (item > pivots[seg])
+    heads = coins[np.where(is_pivot, 0, pair)] < 0.5
+    side = np.where(is_pivot, 1, np.where(heads, 2, 0))   # below, the pivot, above
+    by_rank[r] = item[np.lexsort((side, seg))]
+    rank_of[by_rank[r]] = r
+    at[tied] = lo[tied] + np.bincount(seg[side == 0], minlength=at.size)[tied]
 
 
 def group_binary_search(groups: RankedGroups, items, label_query, k: int,
@@ -232,7 +276,7 @@ def group_binary_search(groups: RankedGroups, items, label_query, k: int,
 def adgac(S, plan: RoundPlan, oracle) -> AdgacResult:
     """Label the instances S with comparisons plus a few label batches, at plan's
     group size and label batch per probed group.  The oracle supplies
-    pivot_comparator, label_many and the rng stream, and owns the counters."""
+    ranking, label_many and the rng stream, and owns the counters."""
     m = len(S)
     if m == 0:
         return AdgacResult(plan, np.empty(0, dtype=int), RankedGroups(np.arange(0), 1),
@@ -242,8 +286,7 @@ def adgac(S, plan: RoundPlan, oracle) -> AdgacResult:
     if plan.k < 1:
         raise ValueError("label batch size must be >= 1")
 
-    order, comparisons = noisy_quicksort(S, oracle.pivot_comparator(S), oracle.rng,
-                                         plan.group_size)
+    order, comparisons = noisy_quicksort(S, oracle.ranking, oracle.rng, plan.group_size)
     groups = RankedGroups(order, size=plan.group_size)
     t, label_queries, votes, _ = group_binary_search(groups, S, oracle.label_many, plan.k,
                                                      oracle.rng)

@@ -9,6 +9,7 @@ counted exactly once, so query complexity can be audited after any experiment.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -239,6 +240,43 @@ def _ranks_below(g, g_pivot, elem_first, band: float):
     return below
 
 
+def _rank(g, band: float) -> tuple[np.ndarray, np.ndarray]:
+    """_ranks_below's answers on a batch of scores g, as one ranking.
+
+    The rule orders every pair by g, except that it ranks an in-band positive
+    (0 <= g < band) below an in-band negative (-band < g < 0).  So it ranks
+    by g with those two runs swapped: g <= -band, then 0 <= g < band, then
+    -band < g < 0, then g >= band.  Only exactly equal scores tie.  Returns
+    (order, tie): order[r] is the index at rank r, lowest first, in any order
+    within a tie, and tie[r] the number of r's tie class, counted from 0 up.
+    """
+    order = np.argsort(g)
+    s = g[order]
+    if band > 0:
+        lo = s.searchsorted(-band, side="right")    # the first g > -band
+        zero, hi = s.searchsorted([0.0, band])      # the first g >= 0, g >= band
+        if lo < zero < hi:                          # both in-band runs hold scores
+            order = np.concatenate((order[:lo], order[zero:hi], order[lo:zero], order[hi:]))
+            s = g[order]
+    tie = np.zeros(len(s), dtype=np.intp)
+    (s[1:] != s[:-1]).cumsum(out=tie[1:])
+    return order, tie
+
+
+@dataclass(frozen=True)
+class Ranking:
+    """A batch ranked by the comparison oracle's answers, as _rank returns
+    it: order[r] is the batch index at rank r, lowest first, and tie[r] the
+    number of r's tie class (non-decreasing, from 0).  Two items of different
+    classes answer as their ranks in either orientation; two of one class
+    answer by which was asked first.  ask(pairs) counts pairs a caller asked
+    of the ranking."""
+
+    order: np.ndarray
+    tie: np.ndarray
+    ask: Callable[[int], None]
+
+
 def calibrate_band(spec: ScenarioSpec, target_mass: float, which: str) -> float:
     """The band radius rho realizing a target corruption mass, exactly.
 
@@ -318,26 +356,19 @@ class Oracle:
         return _labels_from_scores(self.spec.label_noise, g, self._label_band, self.rng)
 
     def compare(self, x, x_prime) -> int:
-        """pivot_comparator on the one pair (x, x_prime): +1 when it ranks x
-        higher, else -1; adds 1 to counters.comparisons."""
-        below = self.pivot_comparator(np.stack([x, x_prime]))
-        return -1 if below(np.array([0]), np.array([1]), True)[0] else 1
+        """Ask the comparison oracle about the one pair (x, x_prime), by
+        _ranks_below's rule: +1 when it ranks x higher, else -1; adds 1 to
+        counters.comparisons."""
+        g = score(self.spec, np.stack([x, x_prime]))
+        self.counters.comparisons += 1
+        return -1 if _ranks_below(g[0], g[1], True, self._comparison_band) else 1
 
-    def pivot_comparator(self, S):
-        """Ask the comparison oracle about pairs of the dataset S, scored once.
+    def ranking(self, S) -> Ranking:
+        """The comparison oracle's answers about the dataset S, scored once,
+        as one Ranking (_rank's rule).  Its ask(pairs) adds pairs to
+        counters.comparisons; ranking asks nothing and draws nothing."""
+        order, tie = _rank(score(self.spec, S), self._comparison_band)
+        return Ranking(order, tie, self._count_comparisons)
 
-        Returns below(idx, pivots, elem_first): for each pair (i, p) of idx
-        and pivots (or one scalar pivot p), whether the oracle ranks S[i]
-        below S[p] by _ranks_below's rule, asked as (S[i], S[p]) where the
-        caller's elem_first holds and as (S[p], S[i]) elsewhere.  Each call
-        adds len(idx) to counters.comparisons.
-        """
-        g = score(self.spec, S)
-        band = self._comparison_band
-        counters = self.counters
-
-        def below(idx, pivots, elem_first):
-            counters.comparisons += len(idx)
-            return _ranks_below(g[idx], g[pivots], elem_first, band)
-
-        return below
+    def _count_comparisons(self, pairs: int) -> None:
+        self.counters.comparisons += pairs

@@ -171,7 +171,7 @@ class TestReportFiles:
                              ids=["no-flags-column", "extra-column"])
     def test_row_with_wrong_column_count_names_its_line(self, tmp_path, edit):
         cfg, reports, summary = self._reports(tmp_path)
-        emit_report(reports, cfg.out)
+        emit_report(reports, cfg.out, summary)
         lines = Path(cfg.out).read_text().splitlines()
         lines[2] = edit(lines[2])
         Path(cfg.out).write_text("\n".join(lines) + "\n")
@@ -189,7 +189,7 @@ class TestReportFiles:
 
     def test_empty_reports_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_report([], str(tmp_path / "x.csv"))
+            emit_report([], str(tmp_path / "x.csv"), {})
 
 
 class TestConfigFormat:

@@ -14,22 +14,22 @@ from scipy.stats import binom, chi2
 from adgac.core import (RankedGroups, RoundPlan, adgac, batch_size, group_binary_search,
                         noisy_quicksort)
 from adgac.oracles import (ComparisonNoiseSpec, LabelNoiseSpec, Oracle, QueryCounters,
-                           bayes_label, calibrate_band, gaussian_scenario,
+                           Ranking, bayes_label, calibrate_band, gaussian_scenario,
                            score, uniform_scenario)
 from references import compare_reference
 
 
-def perfect_comparator(a, b):
-    return 1 if a - b >= 0 else -1
+def perfect_ranking(items):
+    """The perfect comparison oracle's ranking of items by their own values:
+    the scores of a uniform world at threshold 0."""
+    return Oracle(uniform_scenario(0.0)).ranking(items)
 
 
-def batch_of(items, compare=perfect_comparator):
-    """Lift a scalar comparator to the batch pivot API, one pair at a time."""
-    def below(idx, pivots, elem_first):
-        return np.array([compare(items[i], items[p]) == -1 if first
-                         else compare(items[p], items[i]) == 1
-                         for i, p, first in zip(idx, pivots, elem_first)], dtype=bool)
-    return below
+def all_tied(items):
+    """A ranking in which every pair ties, so each answer ranks whichever
+    item was asked first higher, in both orientations."""
+    return Ranking(np.arange(len(items)), np.zeros(len(items), dtype=np.intp),
+                   lambda pairs: None)
 
 
 def spans(groups):
@@ -78,20 +78,20 @@ def level_reference(items, compare, rng, group=1):
 class TestNoisyQuicksort:
     def test_singleton(self):
         items = np.array([3.0])
-        order, comps = noisy_quicksort(items, batch_of(items), np.random.default_rng(0), 1)
+        order, comps = noisy_quicksort(items, perfect_ranking, np.random.default_rng(0), 1)
         assert list(order) == [0] and comps == 0
 
     def test_perfect_comparator_sorts(self):
         items = np.array([0.3, 0.1, 0.2])
         for seed in range(20):
-            order, _ = noisy_quicksort(items, batch_of(items),
+            order, _ = noisy_quicksort(items, perfect_ranking,
                                        np.random.default_rng(seed), 1)
             np.testing.assert_allclose(items[order], [0.1, 0.2, 0.3])
 
     def test_output_is_permutation(self):
         rng = np.random.default_rng(1)
         items = rng.random(200)
-        order, comps = noisy_quicksort(items, batch_of(items), rng, 1)
+        order, comps = noisy_quicksort(items, perfect_ranking, rng, 1)
         assert sorted(order) == list(range(200))
         assert comps > 0
 
@@ -101,7 +101,7 @@ class TestNoisyQuicksort:
         items = rng.random(m)
         counts = []
         for seed in range(200):
-            _, comps = noisy_quicksort(items, batch_of(items),
+            _, comps = noisy_quicksort(items, perfect_ranking,
                                        np.random.default_rng(seed), 1)
             counts.append(comps)
         assert np.mean(counts) <= 2.0 * m * math.log(m)
@@ -113,21 +113,20 @@ class TestNoisyQuicksort:
         # a pivot's position is its rank and a biased position moves the mean
         items = np.arange(m, dtype=float)
         rng = np.random.default_rng(2026)
-        counts = np.array([noisy_quicksort(items, lambda i, p, _: items[i] < items[p], rng, 1)[1]
+        counts = np.array([noisy_quicksort(items, perfect_ranking, rng, 1)[1]
                            for _ in range(trials)], dtype=float)
         expected = 2.0 * (m + 1) * sum(1.0 / j for j in range(1, m + 1)) - 4.0 * m
         z = (counts.mean() - expected) / (counts.std(ddof=1) / math.sqrt(trials))
         assert abs(z) <= 4.0, (counts.mean(), expected, z)
 
     def test_argument_order_randomized(self):
-        # a comparator answering +1 in both orientations: the effective
-        # orientation of the pair must be a fair coin across seeds
+        # a tie answers +1 in both orientations: the effective orientation
+        # of the pair must be a fair coin across seeds
         items = np.array([0.0, 1.0])
         wins_first = 0
         trials = 400
         for seed in range(trials):
-            order, _ = noisy_quicksort(items, batch_of(items, lambda a, b: 1),
-                                       np.random.default_rng(seed), 1)
+            order, _ = noisy_quicksort(items, all_tied, np.random.default_rng(seed), 1)
             wins_first += order[0] == 0
         assert abs(wins_first / trials - 0.5) < 0.1
 
@@ -155,8 +154,7 @@ class TestNoisyQuicksort:
                     # rule and both orientations decide the permutation
                     xs = xs[oracle.rng.integers(0, 12, size=len(xs))]
                 if batch:
-                    order, comps = noisy_quicksort(xs, oracle.pivot_comparator(xs),
-                                                   oracle.rng, group)
+                    order, comps = noisy_quicksort(xs, oracle.ranking, oracle.rng, group)
                     counted = oracle.counters.comparisons
                 else:
                     asked = []
@@ -193,16 +191,35 @@ class TestSortProperties:
         oracle = Oracle(dataclasses.replace(BAND_WORLD, seed=seed))
         xs = 0.5 + np.array(scores, dtype=float) * BAND_RHO / 4
         m = len(xs)
-        order, comps = noisy_quicksort(xs, oracle.pivot_comparator(xs), oracle.rng, 1)
+        order, comps = noisy_quicksort(xs, oracle.ranking, oracle.rng, 1)
         assert sorted(order.tolist()) == list(range(m))
         assert comps == oracle.counters.comparisons <= m * (m - 1) // 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(scores=TIED_SCORES, seed=st.integers(0, 2**32 - 1), group=st.integers(1, 30))
+    def test_tied_band_scores_match_level_reference(self, scores, seed, group):
+        # ties inside the flip band, where the ranking's tie classes sit in
+        # its swapped runs: the sort reads the same coins as the pairwise
+        # reference, so permutation, count and rng stream agree
+        xs = 0.5 + np.array(scores, dtype=float) * BAND_RHO / 4
+        runs = []
+        for ranked in (True, False):
+            oracle = Oracle(dataclasses.replace(BAND_WORLD, seed=seed))
+            if ranked:
+                order, comps = noisy_quicksort(xs, oracle.ranking, oracle.rng, group)
+            else:
+                order, comps = level_reference(
+                    score(BAND_WORLD, xs).tolist(),
+                    lambda g_a, g_b: compare_reference(g_a, g_b, BAND_RHO), oracle.rng, group)
+            runs.append((order.tolist(), comps, oracle.rng.random()))
+        assert runs[0] == runs[1]
 
     @settings(max_examples=100, deadline=None)
     @given(scores=TIED_SCORES, seed=st.integers(0, 2**32 - 1))
     def test_perfect_comparator_sorts_ties(self, scores, seed):
         oracle = Oracle(uniform_scenario(0.5, seed=seed))
         xs = np.array(scores, dtype=float)
-        order, _ = noisy_quicksort(xs, oracle.pivot_comparator(xs), oracle.rng, 1)
+        order, _ = noisy_quicksort(xs, oracle.ranking, oracle.rng, 1)
         assert np.all(np.diff(xs[order]) >= 0)
 
 
@@ -240,8 +257,7 @@ class TestPartialSort:
         # recursion; 300 // 40 and 60 // 7 leave a remainder in the last group
         items = np.arange(m, dtype=float)
         rng = np.random.default_rng(2026)
-        counts = np.array([noisy_quicksort(items, lambda i, p, _: items[i] < items[p],
-                                           rng, group)[1]
+        counts = np.array([noisy_quicksort(items, perfect_ranking, rng, group)[1]
                            for _ in range(trials)], dtype=float)
         expected = partial_sort_mean(m, group)
         z = (counts.mean() - expected) / (counts.std(ddof=1) / math.sqrt(trials))
@@ -255,8 +271,7 @@ class TestPartialSort:
         # one crossing a span boundary would put its largest item, at its
         # first rank, in an earlier group than its true rank's
         items = np.arange(m, dtype=float)[::-1]
-        order, _ = noisy_quicksort(items, lambda i, p, _: items[i] < items[p],
-                                   np.random.default_rng(seed), size)
+        order, _ = noisy_quicksort(items, perfect_ranking, np.random.default_rng(seed), size)
         groups = RankedGroups(order, size)
         true_rank = m - 1 - order
         for gi in range(groups.n_groups):
@@ -270,7 +285,7 @@ class TestPartialSort:
         ranked = []
         for group in (1, size):
             oracle = Oracle(uniform_scenario(0.5, seed=seed))
-            order, _ = noisy_quicksort(xs, oracle.pivot_comparator(xs), oracle.rng, group)
+            order, _ = noisy_quicksort(xs, oracle.ranking, oracle.rng, group)
             ranked.append(RankedGroups(order, size))
         full, partial = ranked
         for gi in range(full.n_groups):

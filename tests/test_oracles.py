@@ -17,12 +17,23 @@ from adgac.oracles import (ComparisonNoiseSpec, LabelNoiseSpec, Oracle, QueryCou
 from references import compare_reference, eta_reference
 
 
+def answers(ranked, idx, pivots, elem_first):
+    """Whether the Ranking ranks item idx[j] below pivots[j], asked as (item,
+    pivot) where elem_first[j] holds and as (pivot, item) elsewhere: by tie
+    class, and within one by which was asked first.  Asks the pairs of it."""
+    cls = np.empty(len(ranked.order), dtype=np.intp)
+    cls[ranked.order] = ranked.tie
+    ranked.ask(len(idx))
+    return np.where(cls[idx] == cls[pivots], ~np.asarray(elem_first, dtype=bool),
+                    cls[idx] < cls[pivots])
+
+
 def ask_pairs(oracle, a, b):
     """Whether the oracle ranks a[i] below b[i], asked as (a[i], b[i]), for
-    every i: one pivot_comparator batch, True where the answer is -1."""
+    every i: one ranking of the batch, True where the answer is -1."""
     m = len(a)
-    below = oracle.pivot_comparator(np.concatenate([a, b]))
-    return below(np.arange(m), np.arange(m, 2 * m), True)
+    ranked = oracle.ranking(np.concatenate([a, b]))
+    return answers(ranked, np.arange(m), np.arange(m, 2 * m), True)
 
 
 def eta_checked_against(oracle, xs, band: float = 0.0) -> np.ndarray:
@@ -315,11 +326,10 @@ class TestSingleOwners:
         eta = eta_checked_against(oracle, np.array([inside, outside]), band=rho_label)
         np.testing.assert_array_equal(eta, [0.0, 1.0])
         # opposite sides of the boundary, both inside the comparison band: flipped,
-        # so (a, b) answers -1, asked with either one as the pivot
+        # so (a, b) answers -1 and (b, a) answers +1
         a, b = 0.5 + rho_comp / 2, 0.5 - rho_comp / 2
-        below = oracle.pivot_comparator(np.array([a, b]))
-        assert below(np.array([1]), 0, np.array([False])).tolist() == [False]
-        assert below(np.array([0]), 1, np.array([True])).tolist() == [True]
+        assert oracle.compare(a, b) == -1
+        assert oracle.compare(b, a) == 1
         assert oracle.counters == QueryCounters(4, 2)
 
 
@@ -345,27 +355,28 @@ class TestAccountingAndDeterminism:
 
     def test_instrumented_wrappers_agree_with_counters(self):
         # count invocations independently of the counters they increment;
-        # the sort asks its comparisons in batches, one pair per index, and
-        # the group search asks its labels in batches, one per instance
+        # the sort asks its comparisons of the ranking in batches, one per
+        # level, and the group search asks its labels in batches, one per
+        # instance
         spec = uniform_scenario(0.5, LabelNoiseSpec(kind="massart", beta=0.1), seed=5)
         oracle = Oracle(spec)
         calls = {"label": 0, "compare": 0}
-        label_many, pivot_comparator = oracle.label_many, oracle.pivot_comparator
+        label_many, ranking = oracle.label_many, oracle.ranking
 
         def counting_label_many(xs):
             calls["label"] += len(xs)
             return label_many(xs)
 
-        def counting_pivot_comparator(S):
-            below = pivot_comparator(S)
+        def counting_ranking(S):
+            ranked = ranking(S)
 
-            def counting_below(idx, pivot, elem_first):
-                calls["compare"] += len(idx)
-                return below(idx, pivot, elem_first)
-            return counting_below
+            def counting_ask(pairs):
+                calls["compare"] += pairs
+                ranked.ask(pairs)
+            return dataclasses.replace(ranked, ask=counting_ask)
 
         oracle.label_many = counting_label_many
-        oracle.pivot_comparator = counting_pivot_comparator
+        oracle.ranking = counting_ranking
         from adgac.core import RoundPlan, adgac
         xs = oracle.sample(300)
         adgac(xs, RoundPlan(0.1, 300, 4), oracle)
@@ -428,7 +439,7 @@ class TestLabelMany:
             assert oracle.rng.random() == reference.random()
 
 
-class TestPivotComparator:
+class TestRanking:
     BAND = ComparisonNoiseSpec(kind="band-adversarial", nu_prime=0.02)
     WORLDS = {
         "uniform-band": uniform_scenario(0.5, comparison_noise=BAND),
@@ -440,14 +451,14 @@ class TestPivotComparator:
            pairs=st.integers(0, 200))
     def test_matches_one_compare_per_pair(self, world, seed, pairs):
         # per-pair pivots, both orientations, on a sample with many exact
-        # ties: one batch call answers as the reference rule on each pair
+        # ties: one ranking answers as the reference rule on each pair
         spec = self.WORLDS[world]
         oracle = Oracle(dataclasses.replace(spec, seed=seed))
         xs = oracle.sample(40)[oracle.rng.integers(0, 40, size=60)]
         idx, pivots = oracle.rng.integers(0, len(xs), size=(2, pairs))
         elem_first = oracle.rng.random(pairs) < 0.5
         before = oracle.rng.bit_generator.state
-        below = oracle.pivot_comparator(xs)(idx, pivots, elem_first)
+        below = answers(oracle.ranking(xs), idx, pivots, elem_first)
         assert oracle.counters.comparisons == pairs
         g = score(spec, xs).tolist()
         band = calibrate_band(spec, spec.comparison_noise.nu_prime, "comparison")
@@ -455,13 +466,36 @@ class TestPivotComparator:
                     else compare_reference(g[p], g[i], band) == 1
                     for i, p, first in zip(idx, pivots, elem_first)]
         np.testing.assert_array_equal(below, np.array(expected, dtype=bool))
-        # the comparator draws nothing and counts each pair once
+        # the ranking draws nothing and counts each pair once
         assert oracle.rng.bit_generator.state == before
         assert oracle.counters == QueryCounters(0, pairs)
 
+    @pytest.mark.parametrize("world", sorted(WORLDS))
+    def test_one_ranking_answers_every_pair(self, world):
+        # the pair rule is one ranking: on scores at and next to 0 and the
+        # band's edges, with exact duplicates, every ordered pair answers
+        # as its ranks in either orientation when its keys differ, and by
+        # which was asked first when they tie
+        spec = self.WORLDS[world]
+        band = calibrate_band(spec, spec.comparison_noise.nu_prime, "comparison")
+        edges = np.array([0.0, -0.0, band, -band, band / 2, -band / 2, 2 * band, -2 * band])
+        g = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+                            edges[[0, 2, 3, 4]]])
+        order, tie = oracles._rank(g, band)
+        rank, cls = np.empty_like(order), np.empty_like(tie)
+        rank[order], cls[order] = np.arange(len(g)), tie
+        assert sorted(order.tolist()) == list(range(len(g)))
+        assert np.all(np.diff(tie) >= 0) and len(set(cls[[0, 1]])) == 1
+        gi, gj = np.meshgrid(g, g, indexing="ij")
+        ri, rj = np.meshgrid(rank, rank, indexing="ij")
+        ci, cj = np.meshgrid(cls, cls, indexing="ij")
+        for coin in (True, False):
+            expected = np.where(ci == cj, not coin, ri < rj)
+            np.testing.assert_array_equal(oracles._ranks_below(gi, gj, coin, band), expected)
+
 
 class TestBatchesOfOne:
-    """Oracle.label and Oracle.compare ask label_many and pivot_comparator
+    """Oracle.label and Oracle.compare answer as label_many and the ranking
     about one instance or one pair.  On twin oracles they answer as the rows
     of one batch, add exactly 1 to their counter per call, and consume the
     same rng stream."""
@@ -480,16 +514,16 @@ class TestBatchesOfOne:
             assert one.counters == QueryCounters(i + 1, 0)
         assert one.rng.random() == many.rng.random()
 
-    @pytest.mark.parametrize("world", sorted(TestPivotComparator.WORLDS))
-    def test_compare_is_pivot_comparator_on_one_pair(self, world):
-        spec = TestPivotComparator.WORLDS[world]
+    @pytest.mark.parametrize("world", sorted(TestRanking.WORLDS))
+    def test_compare_is_the_ranking_on_one_pair(self, world):
+        spec = TestRanking.WORLDS[world]
         seeded = dataclasses.replace(spec, seed=4)
         one, many = Oracle(seeded), Oracle(seeded)
         # few distinct instances, so many pairs tie
         xs = one.sample(30)[one.rng.integers(0, 30, size=300)]
         many.sample(30)[many.rng.integers(0, 30, size=300)]
         idx, pivots = np.arange(0, 300, 2), np.arange(1, 300, 2)
-        below = many.pivot_comparator(xs)(idx, pivots, True)
+        below = answers(many.ranking(xs), idx, pivots, True)
         for n, (i, p) in enumerate(zip(idx, pivots), start=1):
             assert one.compare(xs[i], xs[p]) == (-1 if below[n - 1] else 1)
             assert one.counters == QueryCounters(0, n)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from adgac.bench import TrialReport, emit_report
+from adgac.bench import TrialReport, emit_report, summarize
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -27,7 +27,7 @@ def _report(seed, err=0.01, labels=100, comparisons=1000, flags=""):
 
 def _csv(tmp_path, name, reports):
     path = tmp_path / name
-    emit_report(reports, str(path))
+    emit_report(reports, str(path), summarize(reports, reports[0].epsilon))
     return str(path)
 
 

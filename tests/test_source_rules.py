@@ -106,8 +106,7 @@ def test_constant_defaults_live_only_in_tunable_constants():
 # every defaulted parameter in src/, and why it keeps its default
 KEPT_DEFAULTS = {
     "bench.py:measure_error(n_mc)": "the benchmark's tracer reads the default",
-    "bench.py:emit_report(config, summary)":
-        "the benchmark's worker leaves out config, and summary comes after it",
+    "bench.py:emit_report(config)": "the benchmark's worker leaves out config",
     "cli.py:main(argv)": "the console entry point passes nothing",
     "hypotheses.py:VersionSpace.__init__(alive)": "src/ builds both a whole and a cut space",
     "margin.py:minimize_hinge(max_iters)": "1500 for a round's fit; the seed fit passes 800",
@@ -183,7 +182,7 @@ def test_one_learner_target_type():
 
 
 def test_no_single_query_calls():
-    # learners ask in batches, through label_many and pivot_comparator;
+    # learners ask in batches, through label_many and ranking;
     # Oracle.label and Oracle.compare remain only because the benchmark's
     # tracer wraps them, so no package code may ask one instance or one pair
     found = [f"{path.name}:{node.lineno}"

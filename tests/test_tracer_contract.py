@@ -29,9 +29,13 @@ def test_tracer_counts_every_method(monkeypatch):
     assert set(TINY) == set(bench.METHODS)
     tracer = tracing.Tracer()
     tracer.install()
+    reports, items = [], {}
     try:
-        reports = [bench.run_single_trial(bench.ExperimentConfig(method=m, seed=3, **kw), 0)
-                   for m, kw in TINY.items()]
+        for m, kw in TINY.items():
+            before = tracer.counts["quicksort.items"]
+            reports.append(bench.run_single_trial(bench.ExperimentConfig(method=m, seed=3, **kw),
+                                                  0))
+            items[m] = tracer.counts["quicksort.items"] - before
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["minimax-check", "--grid", "2000"])
     finally:
@@ -41,3 +45,8 @@ def test_tracer_counts_every_method(monkeypatch):
     for name in ("core.adgac", "a2.run", "a2.run_baseline", "margin.run",
                  "bench.measure_error", "minimax.comparison_error"):
         assert tracer.calls[name] > 0, name
+    # the sort's counts are read from its items argument and its result's
+    # comparison count: every comparison a trial asks is the sort's, and an
+    # adgac-only trial sorts its whole sample once
+    assert tracer.counts["quicksort.comparisons"] == sum(r.comparisons for r in reports) > 0
+    assert items["adgac-only"] == TINY["adgac-only"]["n_samples"]
