@@ -24,7 +24,7 @@ from .core import DEFAULT_CONSTANTS, TunableConstants
 from .hypotheses import ThresholdClass
 from .oracles import (ADVERSARIAL, BAND_ADVERSARIAL, GAUSSIAN, MASSART, PERFECT,
                       UNIFORM, ComparisonNoiseSpec, GroundTruth, LabelNoiseSpec, Oracle,
-                      QueryCounters, ScenarioSpec, bayes_label, gaussian_scenario, noise_bands,
+                      QueryCounters, ScenarioSpec, bayes_positive, gaussian_scenario, noise_bands,
                       sample_unlabeled, uniform_scenario)
 
 _ERR_MC_SAMPLES = 100_000
@@ -195,17 +195,25 @@ class ExperimentConfig:
 def measure_error(predict_fn, spec: ScenarioSpec,
                   n_mc: int = _ERR_MC_SAMPLES) -> tuple[float, float]:
     """Monte Carlo disagreement with the optimal labels on fresh samples,
-    drawn from a stream seeded by the world's seed."""
+    drawn from a stream seeded by the world's seed.
+
+    predict_fn maps a batch to the bool mask of the points its hypothesis
+    labels +1; any other dtype, a +-1 label array included, is a TypeError.
+    """
     rng = np.random.default_rng([spec.seed, _ERR_MC_SALT])
     xs = sample_unlabeled(spec, n_mc, rng)
-    truth = bayes_label(spec, xs)
-    return _mismatch_rate(np.asarray(predict_fn(xs)), truth)
+    positive = np.asarray(predict_fn(xs))
+    if positive.dtype != bool:
+        raise TypeError(f"predict_fn must return a bool mask of the +1 points, "
+                        f"not dtype {positive.dtype}")
+    return _mismatch_rate(positive, bayes_positive(spec, xs))
 
 
-def _mismatch_rate(preds: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
-    """The share of preds that differ from truth, and its standard error."""
+def _mismatch_rate(positive: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
+    """The share of points where the +1 masks positive and truth differ, and
+    its standard error."""
     n = len(truth)
-    err = int(np.sum(preds != truth)) / n
+    err = int(np.count_nonzero(positive != truth)) / n
     return err, math.sqrt(max(err * (1.0 - err), 1.0 / n) / n)
 
 
@@ -241,7 +249,7 @@ def _adgac_only_params(config: ExperimentConfig) -> int:
 def _run_adgac_only(config: ExperimentConfig, k: int, oracle: Oracle):
     xs = oracle.sample(config.n_samples)
     result = core.adgac(xs, core.RoundPlan(config.eps, config.n_samples, k), oracle)
-    return *_mismatch_rate(result.labels, bayes_label(oracle.spec, xs)), 1, []
+    return *_mismatch_rate(result.labels > 0, bayes_positive(oracle.spec, xs)), 1, []
 
 
 def _learner_params(cls):
@@ -254,22 +262,21 @@ def _run_disagreement(learner, config: ExperimentConfig, params: a2.RunParams,
     klass = ThresholdClass(np.linspace(0.0, 1.0, config.grid))
     result = learner(oracle, klass, params)
     idx = result.hypothesis_index
-    err, err_se = measure_error(lambda pts: klass.predict(idx, pts), oracle.spec)
+    err, err_se = measure_error(lambda pts: klass.positive(idx, pts), oracle.spec)
     return err, err_se, result.rounds_run, result.flags
 
 
 def _run_margin(config: ExperimentConfig, params: margin_mod.MarginParams, oracle: Oracle):
     result = margin_mod.run_margin_adgac(oracle, params)
     w_hat = result.trace[-1].w
-    err, err_se = measure_error(lambda pts: np.where(np.asarray(pts) @ w_hat >= 0, 1, -1),
-                                oracle.spec)
+    err, err_se = measure_error(lambda pts: np.asarray(pts) @ w_hat >= 0, oracle.spec)
     return err, err_se, len(result.trace), result.flags
 
 
 def _run_passive_erm(config: ExperimentConfig, params: None, oracle: Oracle):
     klass = ThresholdClass(np.linspace(0.0, 1.0, config.grid))
     idx = passive_erm(oracle, klass, config.n_samples)
-    err, err_se = measure_error(lambda pts: klass.predict(idx, pts), oracle.spec)
+    err, err_se = measure_error(lambda pts: klass.positive(idx, pts), oracle.spec)
     return err, err_se, 1, []
 
 

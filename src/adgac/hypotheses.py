@@ -34,23 +34,30 @@ class ThresholdClass:
         # finite-class surrogate: log2 of the class size, floored at 1
         return max(1.0, math.log2(self.grid.size))
 
+    def positive(self, idx: int, xs) -> np.ndarray:
+        """The bool mask of the points h_idx labels +1: x > t."""
+        return np.asarray(xs, dtype=float) > self.grid[idx]
+
     def predict(self, idx: int, xs) -> np.ndarray:
-        return np.where(np.asarray(xs, dtype=float) > self.grid[idx], 1, -1)
+        return np.where(self.positive(idx, xs), 1, -1)
 
     def error_counts(self, xs, ys) -> np.ndarray:
         """Exact per-threshold disagreement counts on a labeled batch.
 
-        h_t errs on a positive point iff x <= t and on a negative point iff
-        x > t, so prefix counts over the sorted positives/negatives give all
-        grid values in O((m + G) log m).
+        A point's slot is the number of grid values below it, so h_t at grid
+        index j errs on a positive point iff slot <= j (x <= t) and on a
+        negative point iff slot > j (x > t).  One searchsorted places the
+        batch and a cumulative sum over the slot counts gives every grid
+        value in O(m log G + G).
         """
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys)
-        pos = np.sort(xs[ys > 0])
-        neg = np.sort(xs[ys < 0])
-        pos_le = np.searchsorted(pos, self.grid, side="right")
-        neg_gt = neg.size - np.searchsorted(neg, self.grid, side="right")
-        return pos_le + neg_gt
+        slots = self.grid.searchsorted(xs)
+        neg = ys < 0
+        size = self.grid.size + 1
+        step = (np.bincount(slots[ys > 0], minlength=size)
+                - np.bincount(slots[neg], minlength=size))
+        return np.count_nonzero(neg) + np.cumsum(step[:-1])
 
 
 class ExplicitClass:

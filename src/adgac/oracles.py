@@ -196,9 +196,15 @@ def score(spec: ScenarioSpec, x) -> np.ndarray:
     return np.einsum("...j,j->...", x, gt.w)
 
 
+def bayes_positive(spec: ScenarioSpec, x) -> np.ndarray:
+    """The bool mask of the points the optimal rule labels +1: g >= 0, the
+    measure-zero tie g == 0 included."""
+    return score(spec, x) >= 0
+
+
 def bayes_label(spec: ScenarioSpec, x) -> np.ndarray:
     """Optimal labels sign(g); the measure-zero tie g == 0 resolves to +1."""
-    return np.where(score(spec, x) >= 0, 1, -1)
+    return np.where(bayes_positive(spec, x), 1, -1)
 
 
 def _labels_from_scores(noise: LabelNoiseSpec, g: np.ndarray, band: float,

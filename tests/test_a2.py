@@ -141,7 +141,7 @@ class TestRunA2:
             spec = uniform_scenario(0.5, seed=seed)
             res = run_a2_adgac(Oracle(spec), klass, params)
             err, _ = measure_error(
-                lambda pts: klass.predict(res.hypothesis_index, pts), spec)
+                lambda pts: klass.positive(res.hypothesis_index, pts), spec)
             hits += err <= 0.05
         assert hits >= 95
 
@@ -223,7 +223,7 @@ class TestBaseline:
             res = run_baseline_a2(oracle, klass, params)
             assert oracle.counters.comparisons == 0
             err, _ = measure_error(
-                lambda pts: klass.predict(res.hypothesis_index, pts), spec)
+                lambda pts: klass.positive(res.hypothesis_index, pts), spec)
             hits += err <= 0.05
         assert hits >= 38
 

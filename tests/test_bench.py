@@ -1,6 +1,7 @@
 """Trial batteries, reporting, config round-trips, and the passive baseline."""
 
 import dataclasses
+import math
 import os
 from pathlib import Path
 
@@ -11,7 +12,8 @@ from adgac import bench
 from adgac.bench import (CSV_HEADER, DEFAULT_CONSTANTS, ExperimentConfig, TunableConstants,
                          emit_report, parse_report_csv, passive_erm, run_trials)
 from adgac.hypotheses import ThresholdClass
-from adgac.oracles import Oracle, QueryCounters, uniform_scenario
+from adgac.oracles import (Oracle, QueryCounters, gaussian_scenario, sample_unlabeled, score,
+                           uniform_scenario)
 
 
 class TestPassiveErm:
@@ -52,9 +54,60 @@ class TestPassiveErm:
         for seed in range(20):
             spec = uniform_scenario(0.5, seed=seed)
             idx = passive_erm(Oracle(spec), klass, 1)
-            err, _ = bench.measure_error(lambda pts: klass.predict(idx, pts), spec)
+            err, _ = bench.measure_error(lambda pts: klass.positive(idx, pts), spec)
             worst = max(worst, err)
         assert worst <= 0.5 + 0.05
+
+
+def _labels_error(predict_labels, spec):
+    """measure_error as it scored +-1 label arrays: the same draws, the
+    optimal labels np.where(g >= 0, 1, -1) and the share of unequal labels."""
+    rng = np.random.default_rng([spec.seed, bench._ERR_MC_SALT])
+    xs = sample_unlabeled(spec, bench._ERR_MC_SAMPLES, rng)
+    truth = np.where(score(spec, xs) >= 0, 1, -1)
+    n = len(truth)
+    err = int(np.sum(np.asarray(predict_labels(xs)) != truth)) / n
+    return err, math.sqrt(max(err * (1.0 - err), 1.0 / n) / n)
+
+
+class TestMeasureError:
+    GRID = np.linspace(0.0, 1.0, 1001)
+
+    @pytest.mark.parametrize("idx", [0, 300, 500, 1000], ids=["t=0", "t=0.3", "t=t*", "t=1"])
+    def test_threshold_mask_matches_the_labels_path(self, idx):
+        spec = uniform_scenario(0.5, seed=7)
+        klass = ThresholdClass(self.GRID)
+        got = bench.measure_error(lambda pts: klass.positive(idx, pts), spec)
+        assert got == _labels_error(lambda pts: klass.predict(idx, pts), spec)
+
+    def test_the_tie_at_the_true_threshold_counts_once(self):
+        # put t = t-hat on the 8th Monte Carlo draw: the hypothesis says -1
+        # there (x > t fails) and the optimal rule +1 (g = 0), so exactly
+        # that point is an error on both paths
+        seed = 3
+        rng = np.random.default_rng([seed, bench._ERR_MC_SALT])
+        t = float(rng.random(bench._ERR_MC_SAMPLES)[7])
+        spec = uniform_scenario(t, seed=seed)
+        klass = ThresholdClass([t])
+        got = bench.measure_error(lambda pts: klass.positive(0, pts), spec)
+        assert got == _labels_error(lambda pts: klass.predict(0, pts), spec)
+        assert got[0] == 1 / bench._ERR_MC_SAMPLES
+
+    @pytest.mark.parametrize("name", ["w*", "near -w*", "random"])
+    def test_halfspace_mask_matches_the_labels_path(self, name):
+        rng = np.random.default_rng(11)
+        w_star = rng.standard_normal(5)
+        w_star /= np.linalg.norm(w_star)
+        w_hat = {"w*": w_star, "near -w*": -w_star + 0.01 * rng.standard_normal(5),
+                 "random": rng.standard_normal(5)}[name]
+        spec = gaussian_scenario(w_star, seed=5)
+        got = bench.measure_error(lambda pts: pts @ w_hat >= 0, spec)
+        assert got == _labels_error(lambda pts: np.where(pts @ w_hat >= 0, 1, -1), spec)
+
+    def test_labels_instead_of_a_mask_rejected(self):
+        klass = ThresholdClass(self.GRID)
+        with pytest.raises(TypeError, match="dtype int64"):
+            bench.measure_error(lambda pts: klass.predict(500, pts), uniform_scenario(0.5))
 
 
 def _one_sample(spec, seed_n):

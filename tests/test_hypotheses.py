@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adgac.hypotheses import EmptyVersionSpaceError, ExplicitClass, ThresholdClass, VersionSpace
 from adgac.oracles import gaussian_scenario, sample_unlabeled, uniform_scenario
@@ -29,6 +31,21 @@ def region_mass(space, spec, n_mc, seed):
     return p, math.sqrt(max(p * (1.0 - p), 1.0 / n_mc) / n_mc)
 
 
+# grid values and points: the ends 0 and 1, a few fixed values that grids and
+# batches share, and any value between
+VALUES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def grids_and_batches(draw):
+    """An unsorted grid, duplicates allowed, and a labeled batch whose points
+    may sit exactly on its grid values."""
+    grid = draw(st.lists(VALUES, min_size=1, max_size=12))
+    point = st.one_of(st.sampled_from(grid), VALUES)
+    batch = draw(st.lists(st.tuples(point, st.sampled_from([-1, 1])), max_size=30))
+    return grid, batch
+
+
 class TestEmpiricalError:
     def test_full_agreement(self):
         counts = ThresholdClass([0.5]).error_counts(np.array([0.1, 0.9]), np.array([-1, 1]))
@@ -49,6 +66,20 @@ class TestEmpiricalError:
             brute = sum((1 if x > t else -1) != y for x, y in zip(xs, ys))
             assert counts[i] == brute
             assert np.mean(klass.predict(i, xs) != ys) == brute / 20
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(case=grids_and_batches())
+    # an empty, an all-positive and an all-negative batch
+    @example(case=([0.5, 0.2, 0.5], []))
+    @example(case=([0.5, 0.0, 1.0, 0.5], [(0.0, 1), (0.5, 1), (1.0, 1), (0.3, 1)]))
+    @example(case=([0.5, 0.0, 1.0, 0.5], [(0.0, -1), (0.5, -1), (1.0, -1), (0.3, -1)]))
+    def test_matches_a_loop_over_the_grid(self, case):
+        grid, batch = case
+        xs = np.array([x for x, _ in batch], dtype=float)
+        ys = np.array([y for _, y in batch], dtype=int)
+        counts = ThresholdClass(grid).error_counts(xs, ys)
+        brute = [sum((1 if x > t else -1) != y for x, y in batch) for t in sorted(grid)]
+        assert counts.tolist() == brute
 
 
 class TestDisagreementRegion:
