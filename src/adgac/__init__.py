@@ -1,8 +1,8 @@
 """Interactive classification with noisy label and pairwise-comparison oracles."""
 
 from .oracles import (ComparisonNoiseSpec, GroundTruth, LabelNoiseSpec, Oracle,
-                      QueryCounters, ScenarioSpec, bayes_label, calibrate_band,
-                      gaussian_scenario, sample_unlabeled, score, uniform_scenario)
+                      QueryCounters, ScenarioSpec, calibrate_band, gaussian_scenario,
+                      sample_unlabeled, score, uniform_scenario)
 from .core import (DEFAULT_CONSTANTS, AdgacResult, BudgetExceededError, RankedGroups,
                    TunableConstants, adgac, batch_size, group_binary_search,
                    noisy_quicksort)

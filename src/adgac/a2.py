@@ -63,9 +63,12 @@ class RoundTrace:
 @dataclass
 class RunResult:
     hypothesis_index: int
-    rounds_run: int
     trace: list[RoundTrace] = field(default_factory=list)
     flags: list[str] = field(default_factory=list)
+
+    @property
+    def rounds_run(self) -> int:
+        return len(self.trace)
 
 
 def vc_bound_u(n, gamma: float, d: float, c0: float):
@@ -168,5 +171,4 @@ def _run_rounds(oracle: Oracle, klass, params: RunParams, label) -> RunResult:
         if oracle.counters.comparisons > MAX_COMPARISONS:
             raise BudgetExceededError("comparison budget exhausted")
 
-    return RunResult(hypothesis_index=space.first_index, rounds_run=len(trace),
-                     trace=trace, flags=flags)
+    return RunResult(hypothesis_index=space.first_index, trace=trace, flags=flags)

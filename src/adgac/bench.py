@@ -52,9 +52,11 @@ def _parse_flat(text: str, types: dict) -> dict:
     value is a Python string literal, which may hold `#` and escapes.
 
     types maps each known key to the converter of its raw text; an unknown
-    key, or a value its converter rejects, is a ValueError naming the key.
+    key, a key set twice, or a value its converter rejects, is a ValueError
+    naming the key.
     """
     out: dict = {}
+    set_on: dict = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -73,6 +75,10 @@ def _parse_flat(text: str, types: dict) -> dict:
             val = val.split("#", 1)[0].rstrip()
         if key not in types:
             raise ValueError(f"unknown config key {key!r}")
+        if key in set_on:
+            raise ValueError(f"config key {key!r} is set twice, on lines {set_on[key]} "
+                             f"and {lineno}")
+        set_on[key] = lineno
         try:
             out[key] = types[key](val)
         except ValueError:
@@ -263,7 +269,7 @@ def _run_disagreement(learner, config: ExperimentConfig, params: a2.RunParams,
     result = learner(oracle, klass, params)
     idx = result.hypothesis_index
     err, err_se = measure_error(lambda pts: klass.positive(idx, pts), oracle.spec)
-    return err, err_se, result.rounds_run, result.flags
+    return err, err_se, len(result.trace), result.flags
 
 
 def _run_margin(config: ExperimentConfig, params: margin_mod.MarginParams, oracle: Oracle):

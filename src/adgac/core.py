@@ -108,6 +108,12 @@ class RoundPlan:
     n: int
     k: int
 
+    def __post_init__(self):
+        if not 0.0 < self.eps < 1.0:
+            raise ValueError("eps must lie in (0, 1)")
+        if self.k < 1:
+            raise ValueError("label batch size must be >= 1")
+
     @property
     def group_size(self) -> int:
         """Ranks per group: the error budget eps * n, rounded, at least 1."""
@@ -279,12 +285,9 @@ def adgac(S, plan: RoundPlan, oracle) -> AdgacResult:
     ranking, label_many and the rng stream, and owns the counters."""
     m = len(S)
     if m == 0:
-        return AdgacResult(plan, np.empty(0, dtype=int), RankedGroups(np.arange(0), 1),
+        return AdgacResult(plan, np.empty(0, dtype=int),
+                           RankedGroups(np.arange(0), plan.group_size),
                            comparisons=0, label_queries=0, votes={}, boundary=None)
-    if not 0.0 < plan.eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if plan.k < 1:
-        raise ValueError("label batch size must be >= 1")
 
     order, comparisons = noisy_quicksort(S, oracle.ranking, oracle.rng, plan.group_size)
     groups = RankedGroups(order, size=plan.group_size)

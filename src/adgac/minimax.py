@@ -34,18 +34,13 @@ class LemmaStack:
         return np.sqrt(2.0 * self.ns * self.t / (self.ns + 1.0))
 
 
-def make_lemma_instance(xs, ys, ns=None) -> LemmaStack:
+def make_lemma_instance(xs, ys, ns) -> LemmaStack:
     """Validate entries and set each row's t to its achieved constraint value.
 
-    With ``ns``, xs and ys are 2-D stacks of rows zero-padded past each row's
-    length ns[r].  Without it, 1-D xs and ys are one instance, the one-row
-    stack.
+    xs and ys are 2-D stacks of rows zero-padded past each row's length ns[r].
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if ns is None:
-        # a 2-D xs or ys becomes 3-D here, and the shape check rejects it
-        xs, ys, ns = xs[None], ys[None], [xs.size]
     ns = np.asarray(ns, dtype=int)
     if (xs.shape != ys.shape or xs.ndim != 2 or ns.shape != xs.shape[:1]
             or (ns < 1).any() or (ns > xs.shape[1]).any()):
@@ -91,8 +86,8 @@ def lemma_min_f(stack: LemmaStack) -> tuple[np.ndarray, np.ndarray]:
 def equality_instance(n: int) -> LemmaStack:
     """The tight configuration at t = 1, x_i = y_i = sqrt(2 / (n (n + 1))), one row."""
     a = math.sqrt(2.0 / (n * (n + 1.0)))
-    xs = np.full(n, a)
-    return make_lemma_instance(xs, xs)
+    xs = np.full((1, n), a)
+    return make_lemma_instance(xs, xs, [n])
 
 
 class ScoreDistribution:

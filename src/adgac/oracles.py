@@ -202,11 +202,6 @@ def bayes_positive(spec: ScenarioSpec, x) -> np.ndarray:
     return score(spec, x) >= 0
 
 
-def bayes_label(spec: ScenarioSpec, x) -> np.ndarray:
-    """Optimal labels sign(g); the measure-zero tie g == 0 resolves to +1."""
-    return np.where(bayes_positive(spec, x), 1, -1)
-
-
 def _labels_from_scores(noise: LabelNoiseSpec, g: np.ndarray, band: float,
                         rng: np.random.Generator) -> np.ndarray:
     """The labeling oracle's rule on a batch of scores g.
@@ -228,30 +223,15 @@ def _labels_from_scores(noise: LabelNoiseSpec, g: np.ndarray, band: float,
     return np.where(rng.random(g.shape) < eta, 1, -1)
 
 
-def _ranks_below(g, g_pivot, elem_first, band: float):
-    """The comparison oracle's rule, seen from each pair's pivot.
-
-    True where the oracle ranks an item scoring g below the pivot scoring
-    g_pivot, asked as (item, pivot) where elem_first holds and as (pivot,
-    item) elsewhere.  The answer to (a, b) is sign(g(a) - g(b)) with ties
-    broken to +1, so a tie ranks whichever was asked first higher.  It is
-    flipped when both scores lie within band of 0 on opposite sides; band 0
-    means no flips.  g, g_pivot and elem_first hold one entry per pair, or
-    are scalars that broadcast.
-    """
-    d = g - g_pivot  # g_pivot - g >= 0 exactly when d <= 0
-    below = np.where(elem_first, d < 0, d <= 0)
-    if band > 0:
-        below ^= (np.abs(g) < band) & (np.abs(g_pivot) < band) & ((g >= 0) != (g_pivot >= 0))
-    return below
-
-
 def _rank(g, band: float) -> tuple[np.ndarray, np.ndarray]:
-    """_ranks_below's answers on a batch of scores g, as one ranking.
+    """The comparison oracle's rule on a batch of scores g, as one ranking.
 
-    The rule orders every pair by g, except that it ranks an in-band positive
-    (0 <= g < band) below an in-band negative (-band < g < 0).  So it ranks
-    by g with those two runs swapped: g <= -band, then 0 <= g < band, then
+    The answer to a pair (a, b) is sign(g(a) - g(b)), with a tie ranking a,
+    the one asked first, higher; it is flipped when both scores lie within
+    band of 0 on opposite sides, and band 0 means no flips.  So the rule
+    orders every pair by g, except that an in-band positive (0 <= g < band)
+    ranks below an in-band negative (-band < g < 0), and one ranking holds
+    it: g with those two runs swapped, g <= -band, then 0 <= g < band, then
     -band < g < 0, then g >= band.  Only exactly equal scores tie.  Returns
     (order, tie): order[r] is the index at rank r, lowest first, in any order
     within a tie, and tie[r] the number of r's tie class, counted from 0 up.
@@ -363,11 +343,11 @@ class Oracle:
 
     def compare(self, x, x_prime) -> int:
         """Ask the comparison oracle about the one pair (x, x_prime), by
-        _ranks_below's rule: +1 when it ranks x higher, else -1; adds 1 to
-        counters.comparisons."""
-        g = score(self.spec, np.stack([x, x_prime]))
+        _rank's rule: +1 when the two tie or x ranks higher, else -1; adds 1
+        to counters.comparisons."""
+        order, tie = _rank(score(self.spec, np.stack([x, x_prime])), self._comparison_band)
         self.counters.comparisons += 1
-        return -1 if _ranks_below(g[0], g[1], True, self._comparison_band) else 1
+        return 1 if tie[0] == tie[1] or order[1] == 0 else -1
 
     def ranking(self, S) -> Ranking:
         """The comparison oracle's answers about the dataset S, scored once,

@@ -172,7 +172,7 @@ def test_ac6_prefix_suffix_inequality():
     rng = np.random.default_rng(0)
     for _ in range(10_000):
         n = int(rng.integers(1, 9))
-        inst = minimax.make_lemma_instance(rng.random(n), rng.random(n))
+        inst = minimax.make_lemma_instance(rng.random((1, n)), rng.random((1, n)), ns=[n])
         minimax.lemma_min_f(inst)  # raises if the bound fails
     tight = True
     for n in range(1, 9):

@@ -293,6 +293,13 @@ class TestConfigFormat:
         with pytest.raises(ValueError):
             ExperimentConfig.from_text("method = adgac-only\nbogus = 1\n")
 
+    @pytest.mark.parametrize("key,first,second", [("eps", "0.1", "0.2"), ("C3", "1", "7")])
+    def test_key_set_twice_rejected(self, key, first, second):
+        # a field and a constant alike: the file names one value per key
+        text = f"method = adgac-only\n{key} = {first}\n# note\n{key} = {second}\n"
+        with pytest.raises(ValueError, match=f"'{key}' is set twice, on lines 2 and 4"):
+            ExperimentConfig.from_text(text)
+
     def test_constants_round_trip(self):
         c = dataclasses.replace(DEFAULT_CONSTANTS, C3=7.5, n_mult=2.0)
         cfg = ExperimentConfig(method="a2-adgac", constants=c)

@@ -610,7 +610,7 @@ class TestLemmaDraws:
         seen = []
         real = minimax.make_lemma_instance
 
-        def spy(xs, ys, ns=None):
+        def spy(xs, ys, ns):
             seen.append((np.array(xs), np.array(ys), ns))
             return real(xs, ys, ns=ns)
         monkeypatch.setattr(minimax, "make_lemma_instance", spy)

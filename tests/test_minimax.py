@@ -20,7 +20,7 @@ class TestLemmaScan:
             assert abs(fmin[0] - math.sqrt(2 * n * inst.t[0] / (n + 1))) <= 1e-9
 
     def test_n_one_boundary(self):
-        inst = make_lemma_instance([1.0], [1.0])
+        inst = make_lemma_instance([[1.0]], [[1.0]], ns=[1])
         fmin, k = lemma_min_f(inst)
         assert fmin[0] == 1.0
         assert math.sqrt(2 * 1 * 1 / 2) == 1.0
@@ -29,17 +29,17 @@ class TestLemmaScan:
         rng = np.random.default_rng(0)
         for _ in range(10_000):
             n = int(rng.integers(1, 9))
-            inst = make_lemma_instance(rng.random(n), rng.random(n))
+            inst = make_lemma_instance(rng.random((1, n)), rng.random((1, n)), ns=[n])
             lemma_min_f(inst)  # raises on violation
 
     def test_argmin_reported(self):
-        inst = make_lemma_instance([0.0, 5.0], [5.0, 0.0])
+        inst = make_lemma_instance([[0.0, 5.0]], [[5.0, 0.0]], ns=[2])
         fmin, k = lemma_min_f(inst)
         assert fmin[0] == 0.0 and k[0] == 1  # f(1) = x1 + y2 = 0
 
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
-            make_lemma_instance([-0.1, 0.2], [0.1, 0.2])
+            make_lemma_instance([[-0.1, 0.2]], [[0.1, 0.2]], ns=[2])
 
 
 def _reference_scan(xs, ys):
@@ -74,13 +74,13 @@ class TestLemmaStack:
         for r, n in enumerate(ns):
             t_ref, fmin_ref, k_ref, bound_ref = _reference_scan(xs[r, :n], ys[r, :n])
             assert (stack.t[r], fmin[r], k[r], bound[r]) == (t_ref, fmin_ref, k_ref, bound_ref)
-            inst = make_lemma_instance(xs[r, :n], ys[r, :n])
+            inst = make_lemma_instance(xs[r:r + 1, :n], ys[r:r + 1, :n], ns=[n])
             one_fmin, one_k = lemma_min_f(inst)
             assert ((inst.t[0], one_fmin[0], one_k[0], inst.bound[0])
                     == (t_ref, fmin_ref, k_ref, bound_ref))
 
     def test_one_instance_is_a_one_row_stack(self):
-        inst = make_lemma_instance([0.5, 0.25], [0.0, 1.0])
+        inst = make_lemma_instance([[0.5, 0.25]], [[0.0, 1.0]], ns=[2])
         assert isinstance(inst, LemmaStack)
         assert inst.xs.shape == inst.ys.shape == (1, 2)
         assert inst.ns.tolist() == [2] and inst.t.tolist() == [0.75]

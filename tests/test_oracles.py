@@ -11,7 +11,7 @@ from scipy.stats import norm
 
 from adgac import oracles
 from adgac.oracles import (ComparisonNoiseSpec, LabelNoiseSpec, Oracle, QueryCounters,
-                           CalibrationError, bayes_label, calibrate_band,
+                           CalibrationError, bayes_positive, calibrate_band,
                            gaussian_scenario, sample_unlabeled, score,
                            uniform_scenario)
 from references import compare_reference, eta_reference
@@ -122,7 +122,7 @@ class TestLabelOracle:
         spec = uniform_scenario(0.5, LabelNoiseSpec(kind="massart", beta=0.0))
         oracle = Oracle(dataclasses.replace(spec, seed=3))
         xs = oracle.sample(500)
-        np.testing.assert_array_equal(oracle.label_many(xs), bayes_label(spec, xs))
+        np.testing.assert_array_equal(oracle.label_many(xs) > 0, bayes_positive(spec, xs))
         assert oracle.counters.labels == 500
 
     def test_massart_flip_rate(self):
@@ -143,7 +143,7 @@ class TestLabelOracle:
         eta = eta_checked_against(Oracle(spec), xs)
         assert np.all((eta >= 0.0) & (eta <= 1.0))
         away = np.abs(eta - 0.5) > 1e-12
-        assert np.all(np.sign(eta[away] - 0.5) == bayes_label(spec, xs[away]))
+        assert np.all((eta[away] > 0.5) == bayes_positive(spec, xs[away]))
 
     def test_power_law_margin_small_probability(self):
         # empirical P[|eta - 1/2| < t] stays below the construction's own
@@ -486,12 +486,16 @@ class TestRanking:
         rank[order], cls[order] = np.arange(len(g)), tie
         assert sorted(order.tolist()) == list(range(len(g)))
         assert np.all(np.diff(tie) >= 0) and len(set(cls[[0, 1]])) == 1
-        gi, gj = np.meshgrid(g, g, indexing="ij")
         ri, rj = np.meshgrid(rank, rank, indexing="ij")
         ci, cj = np.meshgrid(cls, cls, indexing="ij")
         for coin in (True, False):
+            # whether the reference ranks i below j, asked as (i, j) on
+            # coin and as (j, i) otherwise
+            below = [[compare_reference(gi, gj, band) == -1 if coin
+                      else compare_reference(gj, gi, band) == 1 for gj in g.tolist()]
+                     for gi in g.tolist()]
             expected = np.where(ci == cj, not coin, ri < rj)
-            np.testing.assert_array_equal(oracles._ranks_below(gi, gj, coin, band), expected)
+            np.testing.assert_array_equal(np.array(below), expected)
 
 
 class TestBatchesOfOne:

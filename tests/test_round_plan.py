@@ -42,6 +42,17 @@ def test_label_band_reference_values():
     assert label_band(7, core.RoundPlan(0.5, 100, 3)) == (0, 3)
 
 
+@pytest.mark.parametrize("eps,n,k", [(2.0, 0, 1), (0.3, 50, 0)])
+def test_plan_out_of_range_rejected(eps, n, k):
+    with pytest.raises(ValueError):
+        core.RoundPlan(eps, n, k)
+
+
+def test_empty_input_groups_at_the_plans_size():
+    result = core.adgac(np.empty(0), core.RoundPlan(0.3, 50, 3), Oracle(uniform_scenario()))
+    assert result.groups.size == 15
+
+
 @pytest.mark.parametrize("noise", sorted(NOISES))
 def test_a2_rows_keep_their_plan_and_lie_in_its_band(noise):
     params = a2.RunParams(eps=0.05, delta=0.1)

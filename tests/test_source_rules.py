@@ -14,6 +14,7 @@ from adgac.bench import TunableConstants
 from adgac.oracles import Oracle
 
 SOURCES = sorted(Path(adgac.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def defaulted(fn) -> list[str]:
@@ -110,7 +111,6 @@ KEPT_DEFAULTS = {
     "cli.py:main(argv)": "the console entry point passes nothing",
     "hypotheses.py:VersionSpace.__init__(alive)": "src/ builds both a whole and a cut space",
     "margin.py:minimize_hinge(max_iters)": "1500 for a round's fit; the seed fit passes 800",
-    "minimax.py:make_lemma_instance(ns)": "the CLI passes row lengths, equality_instance not",
     "oracles.py:uniform_scenario(threshold, label_noise, comparison_noise, seed)":
         "a world constructor: bench passes every argument, so no run reads a default",
     "oracles.py:gaussian_scenario(label_noise, comparison_noise, seed)":
@@ -227,3 +227,36 @@ def test_learners_read_the_counters_only_against_the_budgets():
                   if isinstance(node, ast.Attribute) and node.attr == "counters"
                   and id(node) not in budgeted]
     assert found == []
+
+
+# public names that no run reads, and why each stays
+KEPT_FOR_TESTS = {
+    "ExplicitClass": "A² over a general finite class, as the paper states it; test_a2 runs it",
+    "hinge_loss_batch": "the hinge loss on one w, which AC-8 checks against finite differences",
+    "hinge_subgradient": "its subgradient, which AC-8 checks against finite differences",
+}
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # a public function, class or method that only tests read is a path no
+    # run takes; the benchmark and the tools count as runs, and the package's
+    # __init__ only re-exports
+    public = set()
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                public.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                public |= {fn.name for fn in node.body
+                           if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    public = {name for name in public if not name.startswith("_")}
+    runs = ([p for p in SOURCES if p.name != "__init__.py"]
+            + sorted((ROOT / "perfbench").rglob("*.py")) + sorted((ROOT / "tools").rglob("*.py")))
+    read = set()
+    for path in runs:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert sorted(public - read) == sorted(KEPT_FOR_TESTS)
